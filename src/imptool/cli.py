@@ -116,6 +116,24 @@ def _fail(message: str) -> int:
     return EXIT_PARSE_ERROR
 
 
+class _BadOptionValue(Exception):
+    """Raised by an option's type.  argparse lets it through, so `main` can
+    exit with EXIT_PARSE_ERROR rather than argparse's usage-error code."""
+
+
+def _non_negative(option: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise _BadOptionValue(f"{option} must be a non-negative integer, got {text!r}")
+        return value
+
+    return parse
+
+
 # --- subcommands ----------------------------------------------------------------
 
 
@@ -294,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="evaluate a program with the big-step semantics")
     run_p.add_argument("file")
     run_p.add_argument("--state", default="", help="initial bindings, e.g. x=1,y=-2")
-    run_p.add_argument("--fuel", type=int, default=1_000_000)
+    run_p.add_argument("--fuel", type=_non_negative("--fuel"), default=1_000_000)
     run_p.set_defaults(func=cmd_run)
 
     trace_p = sub.add_parser("trace", help="print the small-step trace of a program")
@@ -320,14 +338,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("file")
     verify_p.add_argument("--pre", default="true")
     verify_p.add_argument("--post", default="true")
-    verify_p.add_argument("--bound", type=int, default=5)
-    verify_p.add_argument("--fuel", type=int, default=10_000)
+    verify_p.add_argument("--bound", type=_non_negative("--bound"), default=5)
+    verify_p.add_argument("--fuel", type=_non_negative("--fuel"), default=10_000)
     verify_p.add_argument("--total", action="store_true")
     verify_p.set_defaults(func=cmd_verify)
 
     quick_p = sub.add_parser("quickcheck", help="run the differential property suites")
     quick_p.add_argument("--suite", choices=("small-big", "compiler", "hoare", "all"), default="all")
-    quick_p.add_argument("--cases", type=int, default=100)
+    quick_p.add_argument("--cases", type=_non_negative("--cases"), default=100)
     quick_p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     quick_p.set_defaults(func=cmd_quickcheck)
 
@@ -336,7 +354,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _BadOptionValue as err:
+        return _fail(f"imptool: error: {err}")
     return args.func(args)
 
 

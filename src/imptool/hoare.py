@@ -6,6 +6,13 @@ Assertions are quantifier-free formulas over program variables, evaluated
 directly on states.  Entailment and triple validity are decided by
 exhaustively enumerating states within a bound, so a Valid verdict always
 means valid-within-bound and a counterexample is always a genuine state.
+The bound must be non-negative.
+
+Each check compiles every assertion it evaluates once, into a Python lambda
+over the enumerated values (Feeley & Lapalme, "Using closures for code
+generation", 1987), and enumerates plain value tuples; a State is built only
+where one is needed.  Formulas too large or too deeply nested for CPython's
+compiler are evaluated by `eval_assertion`, which remains the reference.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 from .bigstep import Terminated, big_step
 from .syntax import (
@@ -46,6 +53,14 @@ SNAPSHOT_PREFIX = "__z"
 
 # Entailment refuses to enumerate more states than this.
 ENUMERATION_LIMIT = 10**7
+
+# Assertions within both limits are compiled to Python source; larger ones
+# are evaluated by walking the tree.  Compiling costs time in proportion to
+# the formula's size, which a check whose premise rarely holds never earns
+# back, and CPython's tokenizer rejects source nested more than 200
+# parentheses deep (generated source nests at most two per level).
+_CODEGEN_MAX_NODES = 2048
+_CODEGEN_MAX_DEPTH = 50
 
 
 # --- assertions -----------------------------------------------------------------
@@ -217,28 +232,179 @@ def state_space_size(variables: Iterable[str], bound: int) -> int:
     return (2 * bound + 1) ** len(set(variables))
 
 
+def _value_tuples(arity: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """Every assignment of values in [-bound, bound] to `arity` positions, in
+    lexicographic order with values ascending: the enumeration order."""
+    return itertools.product(range(-bound, bound + 1), repeat=arity)
+
+
 def enumerate_states(variables: Iterable[str], bound: int) -> Iterator[State]:
     """All states giving each listed variable a value in [-bound, bound] and
     every other identifier 0, in lexicographic order over the sorted names
     with values ascending."""
     ordered = sorted(set(variables))
-    values = range(-bound, bound + 1)
-    for combo in itertools.product(values, repeat=len(ordered)):
+    for combo in _value_tuples(len(ordered), bound):
         yield State(zip(ordered, combo))
+
+
+def _enumerated_names(variables: Iterable[str], bound: int) -> Optional[list[str]]:
+    """The sorted names a check enumerates, or None when their state space
+    exceeds the enumeration limit."""
+    if bound < 0:
+        raise ValueError(f"bound must be non-negative, got {bound}")
+    names = sorted(set(variables))
+    return names if state_space_size(names, bound) <= ENUMERATION_LIMIT else None
+
+
+def _satisfying(test: Callable[..., bool], arity: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """The value tuples on which `test` holds, in enumeration order."""
+    return itertools.compress(
+        _value_tuples(arity, bound), itertools.starmap(test, _value_tuples(arity, bound))
+    )
+
+
+# --- compiled assertions ---------------------------------------------------------
+
+
+_CMP_SOURCE = {CmpOp.LT: "<", CmpOp.LE: "<=", CmpOp.EQ: "=="}
+
+
+def _fits_codegen(a: Assertion) -> bool:
+    """Whether `a` is small and shallow enough to compile.
+
+    One iterative pass counts every node, arithmetic included, and measures
+    the nesting of the generated source: a chain of one connective (and the
+    conclusions of an implication chain) is emitted flat, and so is all
+    arithmetic, so only a change of connective nests.  Literals must be
+    plain ints.
+    """
+    nodes = 0
+    stack: list[tuple[object, int]] = [(a, 1)]  # depth 0: an arithmetic node
+    while stack:
+        node, depth = stack.pop()
+        nodes += 1
+        if nodes > _CODEGEN_MAX_NODES or depth > _CODEGEN_MAX_DEPTH:
+            return False
+        t = type(node)
+        if depth == 0:
+            if t is Plus:
+                stack.append((node.left, 0))
+                stack.append((node.right, 0))
+            elif not (t is Var or (t is NumLit and type(node.value) is int)):
+                return False
+        elif t is ACmp:
+            if node.op not in _CMP_SOURCE:
+                return False
+            stack.append((node.left, 0))
+            stack.append((node.right, 0))
+        elif t is ANot:
+            stack.append((node.inner, depth + (type(node.inner) is not ANot)))
+        elif t is AAnd or t is AOr:
+            stack.append((node.left, depth + (type(node.left) is not t)))
+            stack.append((node.right, depth + (type(node.right) is not t)))
+        elif t is AImp:
+            stack.append((node.premise, depth + 1))
+            stack.append((node.conclusion, depth + (type(node.conclusion) is not AImp)))
+        elif not (t is ATrue or t is AFalse):
+            return False
+    return True
+
+
+def _sum_source(a: AExp, slots: dict[str, str]) -> str:
+    """A `+` tree as one flat sum: its literals folded into a constant and each
+    variable once, times its multiplicity.  Unlisted variables read 0."""
+    constant = 0
+    counts: dict[str, int] = {}
+    stack = [a]
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is Plus:
+            stack.append(node.right)
+            stack.append(node.left)
+        elif t is Var:
+            slot = slots.get(node.name)
+            if slot is not None:
+                counts[slot] = counts.get(slot, 0) + 1
+        else:
+            constant += node.value
+    terms = [slot if k == 1 else f"{k} * {slot}" for slot, k in counts.items()]
+    if constant or not terms:
+        terms.append(str(constant))
+    return " + ".join(terms)
+
+
+def _source(a: Assertion, slots: dict[str, str]) -> str:
+    """Python source true exactly where `a` holds.  Recurses only where the
+    connective changes, so its depth is what `_fits_codegen` measured."""
+    t = type(a)
+    if t is ATrue:
+        return "True"
+    if t is AFalse:
+        return "False"
+    if t is ACmp:
+        return f"{_sum_source(a.left, slots)} {_CMP_SOURCE[a.op]} {_sum_source(a.right, slots)}"
+    if t is ANot:
+        negated = False
+        while type(a) is ANot:
+            a, negated = a.inner, not negated
+        return f"not ({_source(a, slots)})" if negated else _source(a, slots)
+    if t is AImp:
+        parts = []
+        while type(a) is AImp:
+            parts.append(f"not ({_source(a.premise, slots)})")
+            a = a.conclusion
+        parts.append(f"({_source(a, slots)})")
+        return " or ".join(parts)
+    parts = []
+    stack = [a]
+    while stack:
+        node = stack.pop()
+        if type(node) is t:
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            parts.append(f"({_source(node, slots)})")
+    return (" and " if t is AAnd else " or ").join(parts)
+
+
+def _walker(a: Assertion, names: list[str]) -> Callable[..., bool]:
+    return lambda *values: eval_assertion(a, State(zip(names, values)))
+
+
+def _predicate(template: str, names: list[str], *assertions: Assertion) -> Callable[..., bool]:
+    """A predicate over the values of `names`, in order: `template` with each
+    `{}` replaced by the next assertion's source, compiled once.  An
+    assertion too large to compile is evaluated by `eval_assertion`."""
+    params = ", ".join(f"_{i}" for i in range(len(names)))
+    slots = {name: f"_{i}" for i, name in enumerate(names)}
+    env: dict[str, object] = {"__builtins__": {}}
+    sources = []
+    for a in assertions:
+        if _fits_codegen(a):
+            sources.append(_source(a, slots))
+        else:
+            walker = f"_walk{len(sources)}"
+            env[walker] = _walker(a, names)
+            sources.append(f"{walker}({params})")
+    code = compile(f"lambda {params}: {template.format(*sources)}", "<assertion>", "eval")
+    return eval(code, env)
 
 
 def entails(p: Assertion, q: Assertion, variables: Iterable[str], bound: int) -> Verdict:
     """Does p entail q on every enumerated state?
 
     Returns the first falsifying state in enumeration order, or Unknown when
-    the state space would exceed the enumeration limit.
+    the state space would exceed the enumeration limit.  Raises ValueError
+    on a negative bound.
     """
-    names = sorted(set(variables))
-    if state_space_size(names, bound) > ENUMERATION_LIMIT:
+    names = _enumerated_names(variables, bound)
+    if names is None:
         return Unknown(f"state space exceeds {ENUMERATION_LIMIT} states")
-    for s in enumerate_states(names, bound):
-        if eval_assertion(p, s) and not eval_assertion(q, s):
-            return CounterexampleFound(s)
+    falsified = _predicate("({}) and not ({})", names, p, q)
+    first = next(_satisfying(falsified, len(names), bound), None)
+    if first is not None:
+        return CounterexampleFound(State(zip(names, first)))
     return Valid()
 
 
@@ -504,18 +670,21 @@ def check_triple(
     enumerated initial state satisfying the precondition.
 
     In partial mode fuel exhaustion is never a counterexample, only tallied;
-    in total mode termination within fuel is part of the claim.
+    in total mode termination within fuel is part of the claim.  Raises
+    ValueError on a negative bound.
     """
-    names = sorted(set(variables))
-    if state_space_size(names, bound) > ENUMERATION_LIMIT:
+    names = _enumerated_names(variables, bound)
+    if names is None:
         return Unknown(f"state space exceeds {ENUMERATION_LIMIT} states")
+    pre_holds = _predicate("{}", names, pre_assertion)
+    post_names = sorted(assertion_vars(post_assertion))
+    post_holds = _predicate("{}", post_names, post_assertion)
     exhausted = 0
-    for s in enumerate_states(names, bound):
-        if not eval_assertion(pre_assertion, s):
-            continue
+    for values in _satisfying(pre_holds, len(names), bound):
+        s = State(zip(names, values))
         outcome = big_step(command, s, fuel)
         if type(outcome) is Terminated:
-            if not eval_assertion(post_assertion, outcome.final):
+            if not post_holds(*map(outcome.final.read, post_names)):
                 return CounterexampleFound(s)
         elif mode is Mode.TOTAL:
             return CounterexampleFound(s)

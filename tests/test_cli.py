@@ -221,6 +221,37 @@ class TestVerify:
         assert "triple: valid" in capsys.readouterr().out
 
 
+class TestNegativeBudgets:
+    """A negative bound, fuel or case count is an input error, never a
+    vacuous success."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "{path}", "--pre", "x = 1", "--post", "x = 2", "--bound", "-1"],
+            ["verify", "{path}", "--fuel", "-5"],
+            ["verify", "{path}", "--bound", "two"],
+            ["run", "{path}", "--fuel", "-5"],
+            ["quickcheck", "--suite", "compiler", "--cases", "-3"],
+        ],
+        ids=["verify-bound", "verify-fuel", "verify-bound-text", "run-fuel", "quickcheck-cases"],
+    )
+    def test_rejected_with_one_line(self, write, capsys, argv):
+        path = write("skip.imp", "skip")
+        assert main([arg.replace("{path}", path) for arg in argv]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "non-negative" in captured.err
+
+    def test_zero_is_accepted(self, write, capsys):
+        path = write("skip.imp", "skip")
+        assert main(["verify", path, "--bound", "0"]) == EXIT_OK
+        # zero fuel is a budget, exhausted before the first rule
+        assert main(["run", path, "--fuel", "0"]) == EXIT_FUEL_EXHAUSTED
+        assert main(["quickcheck", "--suite", "compiler", "--cases", "0"]) == EXIT_OK
+
+
 class TestQuickcheck:
     def test_zero_cases(self, capsys):
         assert main(["quickcheck", "--suite", "small-big", "--cases", "0"]) == EXIT_OK

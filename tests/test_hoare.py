@@ -1,13 +1,19 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import aexps, assertions, bexps, coms, names, states
+from imptool import hoare
 from imptool.bigstep import Terminated, big_step
 from imptool.hoare import (
+    AAnd,
     ACmp,
     AFalse,
     AImp,
+    ANot,
+    AOr,
     ATrue,
     AnnWhile,
     CmpOp,
@@ -32,6 +38,8 @@ from imptool.hoare import (
     vcgen,
     verify,
     wp_loop_free,
+    _fits_codegen,
+    _predicate,
 )
 from imptool.parser import (
     parse_annotated_com,
@@ -165,6 +173,111 @@ class TestEntails:
             return
         if entails(p, q, shared, 2) == Valid() and entails(q, r, shared, 2) == Valid():
             assert entails(p, r, shared, 2) == Valid()
+
+
+def reference_entails(p, q, variables, bound):
+    """Entailment by walking every enumerated state: the definition."""
+    for s in enumerate_states(variables, bound):
+        if eval_assertion(p, s) and not eval_assertion(q, s):
+            return CounterexampleFound(s)
+    return Valid()
+
+
+def not_chain(depth, inner):
+    for _ in range(depth):
+        inner = ANot(inner)
+    return inner
+
+
+def nested_not_and(depth):
+    """!(y < c && !(y < c' && ... x < 0)): each level changes connective twice."""
+    a = ACmp(CmpOp.LT, Var("x"), NumLit(0))
+    for i in range(depth):
+        a = ANot(AAnd(ACmp(CmpOp.LT, Var("y"), NumLit(i % 5 - 2)), a))
+    return a
+
+
+def balanced_conjunction(parts):
+    while len(parts) > 1:
+        parts = [AAnd(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i] for i in range(0, len(parts), 2)]
+    return parts[0]
+
+
+NOT_CHAIN = not_chain(300, ACmp(CmpOp.LE, Var("x"), Var("y")))
+AND_CHAIN = reduce(AAnd, [ACmp(CmpOp.LE, Plus(Var("x"), NumLit(-i)), Var("y")) for i in range(150)])
+SUM_CHAIN = ACmp(CmpOp.LT, reduce(Plus, [Var("x")] * 1000), NumLit(5))
+DEEP = nested_not_and(60)
+WIDE = balanced_conjunction(
+    [ACmp(CmpOp.LE, Plus(Var("x"), NumLit(i)), Plus(Var("y"), NumLit(-i))) for i in range(-150, 150)]
+)
+
+
+class TestCompiledPredicate:
+    @given(assertions(12), st.sets(names), st.data())
+    def test_agrees_with_eval_assertion(self, a, listed, data):
+        # names outside `listed` read 0 on both sides
+        ordered = sorted(listed)
+        values = data.draw(st.tuples(*[st.integers(-7, 7) for _ in ordered]))
+        state = State(zip(ordered, values))
+        assert _fits_codegen(a)
+        assert _predicate("{}", ordered, a)(*values) == eval_assertion(a, state)
+
+    @given(assertions(6), assertions(6), st.sets(names), st.integers(0, 2))
+    @settings(max_examples=60)
+    def test_entails_agrees_with_reference(self, p, q, listed, bound):
+        assert entails(p, q, listed, bound) == reference_entails(p, q, listed, bound)
+
+    @given(assertions(6), assertions(6), st.sets(names, max_size=3), st.integers(0, 1))
+    @settings(max_examples=30)
+    def test_tree_walk_fallback_agrees(self, p, q, listed, bound):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hoare, "_CODEGEN_MAX_NODES", 0)
+            assert entails(p, q, listed, bound) == reference_entails(p, q, listed, bound)
+
+    def test_mixed_compiled_premise_and_walked_conclusion(self):
+        assert _fits_codegen(X_LT_0) and not _fits_codegen(WIDE)
+        assert entails(X_LT_0, WIDE, {"x", "y"}, 3) == reference_entails(X_LT_0, WIDE, {"x", "y"}, 3)
+
+    def test_literals_must_be_plain_ints(self):
+        # a bool is an int to Python but never reaches generated source
+        odd = ACmp(CmpOp.LT, Var("x"), NumLit(True))
+        assert not _fits_codegen(odd)
+        assert check_valid(odd, {"x"}, 2) == reference_entails(ATrue(), odd, {"x"}, 2)
+
+    @pytest.mark.parametrize(
+        "formula, compiled",
+        [(NOT_CHAIN, True), (AND_CHAIN, True), (SUM_CHAIN, True), (DEEP, False), (WIDE, False)],
+        ids=["not-300", "and-150", "plus-1000", "not-and-60", "wide-300"],
+    )
+    def test_chains_on_both_sides_of_the_gate(self, formula, compiled):
+        assert _fits_codegen(formula) is compiled
+        # eval_assertion exceeds the recursion limit on the sum chain, so its
+        # reference is the equivalent 1000 * x < 5, i.e. x < 1
+        reference = ACmp(CmpOp.LT, Var("x"), NumLit(1)) if formula is SUM_CHAIN else formula
+        for listed, bound in (({"x", "y"}, 3), ({"x"}, 2)):
+            got = check_valid(formula, listed, bound)
+            assert got == reference_entails(ATrue(), reference, listed, bound)
+            # {F} skip {!F} fails at the first state where F holds
+            triple = check_triple(formula, Skip(), ANot(formula), listed, bound, 10)
+            assert triple == reference_entails(reference, AFalse(), listed, bound)
+
+
+class TestNegativeBound:
+    def test_entails_rejects(self):
+        with pytest.raises(ValueError):
+            entails(ATrue(), AFalse(), {"x"}, -1)
+
+    def test_check_valid_rejects(self):
+        with pytest.raises(ValueError):
+            check_valid(AFalse(), set(), -1)
+
+    def test_check_triple_rejects(self):
+        with pytest.raises(ValueError):
+            check_triple(parse_assertion("x = 1"), Skip(), parse_assertion("x = 2"), {"x"}, -1, 10)
+
+    def test_zero_bound_enumerates_the_zero_state(self):
+        assert check_valid(X_LE_0, {"x", "y"}, 0) == Valid()
+        assert check_valid(X_LT_0, {"x", "y"}, 0) == CounterexampleFound(State())
 
 
 class TestWp:
