@@ -14,14 +14,12 @@ from .harness import (
     suite_small_big,
 )
 from .hoare import (
-    AnnotatedCom,
     Assertion,
     CounterexampleFound,
     Mode,
     Unknown,
     Valid,
     VerificationReport,
-    annotate,
     check_triple,
     entails,
     erase,

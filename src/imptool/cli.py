@@ -140,7 +140,7 @@ def _non_negative(option: str):
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         text = _read_file(args.file)
-        command = erase(parse_annotated_com(text))
+        command = parse_annotated_com(text)
         initial = parse_state_spec(args.state)
     except (OSError, ParseError, ValueError) as err:
         return _fail(f"{args.file}: {err}")
@@ -178,7 +178,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_compile(args: argparse.Namespace) -> int:
     try:
         text = _read_file(args.file)
-        command = erase(parse_annotated_com(text))
+        command = parse_annotated_com(text)
     except (OSError, ParseError) as err:
         return _fail(f"{args.file}: {err}")
     asm_text = pretty_asm(ccomp(command))
@@ -233,14 +233,14 @@ def _verdict_lines(verdict) -> tuple[str, list[str]]:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         text = _read_file(args.file)
-        annotated = parse_annotated_com(text)
+        command = parse_annotated_com(text)
         pre = parse_assertion(args.pre)
         post = parse_assertion(args.post)
     except (OSError, ParseError) as err:
         return _fail(f"{args.file}: {err}")
     mode = Mode.TOTAL if args.total else Mode.PARTIAL
     try:
-        report = verify(annotated, pre, post, args.bound, args.fuel, mode)
+        report = verify(command, pre, post, args.bound, args.fuel, mode)
     except MissingAnnotationError as err:
         return _fail(f"{args.file}: {err}")
     print(f"mode: {report.mode.value}")
@@ -318,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_p = sub.add_parser("trace", help="print the small-step trace of a program")
     trace_p.add_argument("file")
     trace_p.add_argument("--state", default="")
-    trace_p.add_argument("--max-steps", type=int, default=10_000)
+    trace_p.add_argument("--max-steps", type=_non_negative("--max-steps"), default=10_000)
     trace_p.add_argument("--format", choices=("text", "machine-readable"), default="text")
     trace_p.set_defaults(func=cmd_trace)
 
@@ -330,8 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
     exec_p = sub.add_parser("exec", help="execute a stack-machine assembly file")
     exec_p.add_argument("file")
     exec_p.add_argument("--state", default="")
-    exec_p.add_argument("--max-steps", type=int, default=1_000_000)
-    exec_p.add_argument("--pc", type=int, default=0)
+    exec_p.add_argument("--max-steps", type=_non_negative("--max-steps"), default=1_000_000)
+    exec_p.add_argument("--pc", type=_non_negative("--pc"), default=0)
     exec_p.set_defaults(func=cmd_exec)
 
     verify_p = sub.add_parser("verify", help="check Hoare triples for an annotated program")

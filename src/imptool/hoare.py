@@ -1,6 +1,11 @@
 """Hoare-logic tooling for IMP: evaluable assertions, weakest preconditions
-for loop-free code, verification conditions for annotated programs, and
-bounded semantic checking of triples.
+for loop-free code, verification conditions, and bounded semantic checking
+of triples.
+
+There is one command type, `Com`: a `While` node carries its own optional
+invariant and measure, which `vcgen` reads and every semantics ignores.
+`wp_loop_free` and `vcgen` share one weakest-precondition walk and differ
+only in what they do at a loop.
 
 Assertions are quantifier-free formulas over program variables, evaluated
 directly on states.  Entailment and triple validity are decided by
@@ -416,11 +421,9 @@ def check_valid(formula: Assertion, variables: Iterable[str], bound: int) -> Ver
 # --- weakest preconditions ----------------------------------------------------------
 
 
-def wp_loop_free(c: Com, post: Assertion) -> Assertion:
-    """Weakest precondition of a loop-free command.
-
-    Raises ValueError if the command contains a while loop.
-    """
+def _wp(c: Com, post: Assertion, loop: Callable[[While, Assertion], Assertion]) -> Assertion:
+    """Weakest precondition of `c` for `post`; each loop's precondition is
+    whatever `loop(node, post)` returns."""
     t = type(c)
     if t is Skip:
         return post
@@ -434,103 +437,50 @@ def wp_loop_free(c: Com, post: Assertion) -> Assertion:
             node = node.second
         chain.append(node)
         for part in reversed(chain):
-            post = wp_loop_free(part, post)
+            post = _wp(part, post, loop)
         return post
     if t is If:
         cond = bexp_to_assertion(c.cond)
         return AAnd(
-            AImp(cond, wp_loop_free(c.then_branch, post)),
-            AImp(ANot(cond), wp_loop_free(c.else_branch, post)),
+            AImp(cond, _wp(c.then_branch, post, loop)),
+            AImp(ANot(cond), _wp(c.else_branch, post, loop)),
         )
     if t is While:
-        raise ValueError("wp_loop_free: command contains a while loop")
+        return loop(c, post)
     raise TypeError(f"not a command: {c!r}")
 
 
-# --- annotated commands ----------------------------------------------------------------
+def _no_loops(c: While, post: Assertion) -> Assertion:
+    raise ValueError("wp_loop_free: command contains a while loop")
 
 
-@dataclass(frozen=True, slots=True)
-class AnnSkip:
-    pass
+def wp_loop_free(c: Com, post: Assertion) -> Assertion:
+    """Weakest precondition of a loop-free command.
+
+    Raises ValueError if the command contains a while loop.
+    """
+    return _wp(c, post, _no_loops)
 
 
-@dataclass(frozen=True, slots=True)
-class AnnAssign:
-    target: str
-    rhs: AExp
-
-
-@dataclass(frozen=True, slots=True)
-class AnnSeq:
-    first: "AnnotatedCom"
-    second: "AnnotatedCom"
-
-
-@dataclass(frozen=True, slots=True)
-class AnnIf:
-    cond: BExp
-    then_branch: "AnnotatedCom"
-    else_branch: "AnnotatedCom"
-
-
-@dataclass(frozen=True, slots=True)
-class AnnWhile:
-    cond: BExp
-    body: "AnnotatedCom"
-    invariant: Optional[Assertion] = None
-    measure: Optional[AExp] = None
-    span: "Optional[SourceSpan]" = None
-
-
-AnnotatedCom = Union[AnnSkip, AnnAssign, AnnSeq, AnnIf, AnnWhile]
-
-
-def erase(c: AnnotatedCom) -> Com:
-    """Drop annotations, yielding the plain command."""
+def erase(c: Com) -> Com:
+    """The command with every loop's invariant and measure dropped."""
     t = type(c)
-    if t is AnnSkip:
-        return Skip()
-    if t is AnnAssign:
-        return Assign(c.target, c.rhs)
-    if t is AnnSeq:
-        chain: list[AnnotatedCom] = []
-        node: AnnotatedCom = c
-        while type(node) is AnnSeq:
-            chain.append(node.first)
-            node = node.second
-        out = erase(node)
-        for part in reversed(chain):
-            out = Seq(erase(part), out)
-        return out
-    if t is AnnIf:
-        return If(c.cond, erase(c.then_branch), erase(c.else_branch))
-    if t is AnnWhile:
-        return While(c.cond, erase(c.body))
-    raise TypeError(f"not an annotated command: {c!r}")
-
-
-def annotate(c: Com) -> AnnotatedCom:
-    """Lift a plain command; loops get empty annotations."""
-    t = type(c)
-    if t is Skip:
-        return AnnSkip()
-    if t is Assign:
-        return AnnAssign(c.target, c.rhs)
     if t is Seq:
         chain: list[Com] = []
         node: Com = c
         while type(node) is Seq:
             chain.append(node.first)
             node = node.second
-        out = annotate(node)
+        out = erase(node)
         for part in reversed(chain):
-            out = AnnSeq(annotate(part), out)
+            out = Seq(erase(part), out)
         return out
     if t is If:
-        return AnnIf(c.cond, annotate(c.then_branch), annotate(c.else_branch))
+        return If(c.cond, erase(c.then_branch), erase(c.else_branch))
     if t is While:
-        return AnnWhile(c.cond, annotate(c.body))
+        return While(c.cond, erase(c.body), span=c.span)
+    if t is Skip or t is Assign:
+        return c
     raise TypeError(f"not a command: {c!r}")
 
 
@@ -562,9 +512,9 @@ class VcResult:
     precondition: Assertion
 
 
-def vcgen(c: AnnotatedCom, post: Assertion, mode: Mode) -> VcResult:
-    """Verification conditions and computed precondition for an annotated
-    command against a postcondition.
+def vcgen(c: Com, post: Assertion, mode: Mode) -> VcResult:
+    """Verification conditions and computed precondition for a command whose
+    loops carry annotations, against a postcondition.
 
     Every loop needs an invariant; in total mode also a measure.  Each loop
     in total mode gets a fresh snapshot variable `__z0`, `__z1`, ... that
@@ -573,84 +523,61 @@ def vcgen(c: AnnotatedCom, post: Assertion, mode: Mode) -> VcResult:
     conditions: list[VerificationCondition] = []
     counters = {"snapshot": 0, "loop": 0}
 
-    def pre(node: AnnotatedCom, post: Assertion) -> Assertion:
-        t = type(node)
-        if t is AnnSkip:
-            return post
-        if t is AnnAssign:
-            return subst_assertion(post, node.target, node.rhs)
-        if t is AnnSeq:
-            chain: list[AnnotatedCom] = []
-            walk: AnnotatedCom = node
-            while type(walk) is AnnSeq:
-                chain.append(walk.first)
-                walk = walk.second
-            chain.append(walk)
-            for part in reversed(chain):
-                post = pre(part, post)
-            return post
-        if t is AnnIf:
-            cond = bexp_to_assertion(node.cond)
-            return AAnd(
-                AImp(cond, pre(node.then_branch, post)),
-                AImp(ANot(cond), pre(node.else_branch, post)),
+    def loop(node: While, post: Assertion) -> Assertion:
+        ordinal = counters["loop"]
+        counters["loop"] += 1
+        if node.span is not None:
+            label = f"loop@{node.span.start_line}:{node.span.start_col}"
+        else:
+            label = f"loop#{ordinal}"
+        inv = node.invariant
+        if inv is None:
+            raise MissingAnnotationError(
+                f"{label}: loop needs an invariant annotation", node.span
             )
-        if t is AnnWhile:
-            ordinal = counters["loop"]
-            counters["loop"] += 1
-            if node.span is not None:
-                label = f"loop@{node.span.start_line}:{node.span.start_col}"
-            else:
-                label = f"loop#{ordinal}"
-            inv = node.invariant
-            if inv is None:
+        cond = bexp_to_assertion(node.cond)
+        if mode is Mode.TOTAL:
+            if node.measure is None:
                 raise MissingAnnotationError(
-                    f"{label}: loop needs an invariant annotation", node.span
+                    f"{label}: total-correctness check needs a measure annotation",
+                    node.span,
                 )
-            cond = bexp_to_assertion(node.cond)
-            if mode is Mode.TOTAL:
-                if node.measure is None:
-                    raise MissingAnnotationError(
-                        f"{label}: total-correctness check needs a measure annotation",
-                        node.span,
-                    )
-                snapshot = Var(f"{SNAPSHOT_PREFIX}{counters['snapshot']}")
-                counters["snapshot"] += 1
-                body_post = AAnd(inv, ACmp(CmpOp.LT, node.measure, snapshot))
-                body_pre = pre(node.body, body_post)
-                conditions.append(
-                    VerificationCondition(
-                        f"{label}: invariant preserved and measure decreases",
-                        AImp(
-                            AAnd(AAnd(inv, cond), ACmp(CmpOp.EQ, node.measure, snapshot)),
-                            body_pre,
-                        ),
-                    )
-                )
-                conditions.append(
-                    VerificationCondition(
-                        f"{label}: measure non-negative",
-                        AImp(inv, ACmp(CmpOp.LE, NumLit(0), node.measure)),
-                    )
-                )
-            else:
-                body_pre = pre(node.body, inv)
-                conditions.append(
-                    VerificationCondition(
-                        f"{label}: invariant preserved",
-                        AImp(AAnd(inv, cond), body_pre),
-                    )
-                )
+            snapshot = Var(f"{SNAPSHOT_PREFIX}{counters['snapshot']}")
+            counters["snapshot"] += 1
+            body_post = AAnd(inv, ACmp(CmpOp.LT, node.measure, snapshot))
+            body_pre = _wp(node.body, body_post, loop)
             conditions.append(
                 VerificationCondition(
-                    f"{label}: exit establishes postcondition",
-                    AImp(AAnd(inv, ANot(cond)), post),
+                    f"{label}: invariant preserved and measure decreases",
+                    AImp(
+                        AAnd(AAnd(inv, cond), ACmp(CmpOp.EQ, node.measure, snapshot)),
+                        body_pre,
+                    ),
                 )
             )
-            return inv
-        raise TypeError(f"not an annotated command: {node!r}")
+            conditions.append(
+                VerificationCondition(
+                    f"{label}: measure non-negative",
+                    AImp(inv, ACmp(CmpOp.LE, NumLit(0), node.measure)),
+                )
+            )
+        else:
+            body_pre = _wp(node.body, inv, loop)
+            conditions.append(
+                VerificationCondition(
+                    f"{label}: invariant preserved",
+                    AImp(AAnd(inv, cond), body_pre),
+                )
+            )
+        conditions.append(
+            VerificationCondition(
+                f"{label}: exit establishes postcondition",
+                AImp(AAnd(inv, ANot(cond)), post),
+            )
+        )
+        return inv
 
-    precondition = pre(c, post)
+    precondition = _wp(c, post, loop)
     return VcResult(tuple(conditions), precondition)
 
 
@@ -748,7 +675,7 @@ def _verdict_json(v: Verdict) -> dict:
 
 
 def verify(
-    annotated: AnnotatedCom,
+    command: Com,
     precondition: Assertion,
     postcondition: Assertion,
     bound: int,
@@ -762,7 +689,7 @@ def verify(
     the computed one; each VC is checked over its own variables, so snapshot
     variables are enumerated where they occur.
     """
-    result = vcgen(annotated, postcondition, mode)
+    result = vcgen(command, postcondition, mode)
     entries = [
         ReportEntry(
             "entry: precondition establishes computed precondition",
@@ -779,7 +706,6 @@ def verify(
         entries.append(
             ReportEntry(vc.label, vc.formula, check_valid(vc.formula, assertion_vars(vc.formula), bound))
         )
-    command = erase(annotated)
     triple_vars = vars_of(command) | assertion_vars(precondition) | assertion_vars(postcondition)
     triple = check_triple(precondition, command, postcondition, triple_vars, bound, fuel, mode)
     return VerificationReport(mode, bound, result.precondition, tuple(entries), triple)

@@ -4,6 +4,10 @@ The machine is a program counter, a store, and an integer stack (top first).
 It halts cleanly as soon as the pc leaves [0, len(program)); a negative pc
 halts exactly like running off the end.  Popping an empty stack is an error,
 reported on the step it occurs.
+
+`exec1` is the single-step semantics.  One run loop iterates it, keeping
+only the current configuration; `execute`, `exec_n` and `steps_to_halt`
+read their answers off that loop.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from .smallstep import star_closure
 from .syntax import (
     AExp,
     And,
@@ -149,77 +152,43 @@ def exec1(prog: Program, cfg: MachineConfig) -> Optional[MachineConfig]:
     raise TypeError(f"not an instruction: {instr!r}")
 
 
-def _stop_reason(prog: Program, cfg: MachineConfig) -> Optional[StopReason]:
-    """Why this config cannot take a step, or None if it can."""
-    pc = cfg.pc
-    if pc < 0 or pc >= len(prog):
-        return StopReason.OUT_OF_PROGRAM
-    t = type(prog[pc])
-    depth = len(cfg.stack)
-    if (t is Add or t is JmpLess or t is JmpGe) and depth < 2:
-        return StopReason.STACK_UNDERFLOW
-    if t is Store and depth < 1:
-        return StopReason.STACK_UNDERFLOW
-    return None
-
-
-def machine_trace(prog: Program, cfg: MachineConfig, fuel: int) -> list[MachineConfig]:
-    """The chain of configurations reached within fuel steps."""
-
-    def step(c: MachineConfig) -> Optional[MachineConfig]:
-        if _stop_reason(prog, c) is not None:
-            return None
-        return exec1(prog, c)
-
-    return star_closure(step, cfg, fuel)
+def _run(prog: Program, cfg: MachineConfig, fuel: int) -> tuple[MachineConfig, int, StopReason]:
+    """Iterate `exec1` from cfg for at most fuel steps (none when fuel is
+    negative): the last configuration, the steps taken, and why the run
+    stopped.  A configuration that cannot step is classified as such even
+    when the fuel is spent, so halting exactly at the limit is a halt."""
+    steps = 0
+    while True:
+        try:
+            nxt = exec1(prog, cfg)
+        except StackUnderflowError:
+            return cfg, steps, StopReason.STACK_UNDERFLOW
+        if nxt is None:
+            return cfg, steps, StopReason.OUT_OF_PROGRAM
+        if steps >= fuel:
+            return cfg, steps, StopReason.FUEL_EXHAUSTED
+        cfg = nxt
+        steps += 1
 
 
 def execute(prog: Program, cfg: MachineConfig, fuel: int) -> MachineOutcome:
     """Run until clean halt, stack underflow, or fuel exhaustion."""
-    trace = machine_trace(prog, cfg, fuel)
-    last = trace[-1]
-    steps = len(trace) - 1
-    reason = _stop_reason(prog, last)
+    last, steps, reason = _run(prog, cfg, fuel)
     if reason is StopReason.OUT_OF_PROGRAM:
         return Halted(last, steps)
-    if reason is StopReason.STACK_UNDERFLOW:
-        return StuckOrExhausted(last, steps, reason)
-    return StuckOrExhausted(last, steps, StopReason.FUEL_EXHAUSTED)
+    return StuckOrExhausted(last, steps, reason)
 
 
 def exec_n(prog: Program, cfg: MachineConfig, n: int) -> Union[MachineConfig, StuckOrExhausted]:
     """Exactly n steps; on an early stop, reports steps completed and why."""
-    current = cfg
-    for done in range(n):
-        reason = _stop_reason(prog, current)
-        if reason is not None:
-            return StuckOrExhausted(current, done, reason)
-        current = exec1(prog, current)
-    return current
+    last, steps, reason = _run(prog, cfg, n)
+    return last if steps >= n else StuckOrExhausted(last, steps, reason)
 
 
 def steps_to_halt(prog: Program, cfg: MachineConfig, fuel: int) -> Optional[int]:
     """Steps until a clean halt, or None if the run does not halt in fuel."""
-    outcome = execute(prog, cfg, fuel)
-    if type(outcome) is Halted:
-        return outcome.steps_taken
-    return None
-
-
-def trace_records(prog: Program, trace: Sequence[MachineConfig]) -> list[dict]:
-    """JSON-ready records for a machine trace, one per configuration."""
-    records: list[dict] = []
-    prev: Optional[MachineConfig] = None
-    for step, cfg in enumerate(trace):
-        record = {"step": step, "pc": cfg.pc, "stack": list(cfg.stack)}
-        if prev is not None and prev.state != cfg.state:
-            for name in sorted(prev.state.bound_names() | cfg.state.bound_names()):
-                if prev.state.read(name) != cfg.state.read(name):
-                    record["changed_binding"] = {"name": name, "value": cfg.state.read(name)}
-                    break
-        records.append(record)
-        prev = cfg
-    return records
+    _, steps, reason = _run(prog, cfg, fuel)
+    return steps if reason is StopReason.OUT_OF_PROGRAM else None
 
 
 # --- compiler -------------------------------------------------------------------

@@ -24,7 +24,9 @@ Negative numbers exist only as literal tokens (`x + -1`).  Keywords are
 reserved, `//` starts a comment, and identifiers beginning with a double
 underscore are reserved for the verifier's snapshot variables.
 
-The pretty-printers emit text that parses back to the identical AST.  The
+The pretty-printers emit text that parses back to the identical AST: a loop
+prints its invariant and measure, so `pretty_com` output parses back with
+`parse_annotated_com`, and with `parse_com` when no loop is annotated.  The
 concrete syntax has no statement grouping, so sequences are always written
 (and re-parsed) right-nested; printing a left-nested sequence flattens it.
 """
@@ -40,17 +42,10 @@ from .hoare import (
     AFalse,
     AImp,
     ANot,
-    AnnAssign,
-    AnnIf,
-    AnnSeq,
-    AnnSkip,
-    AnnWhile,
-    AnnotatedCom,
     AOr,
     Assertion,
     ATrue,
     CmpOp,
-    erase,
 )
 from .machine import Add, Instr, Jmp, JmpGe, JmpLess, Load, LoadI, Store
 from .syntax import (
@@ -231,21 +226,21 @@ class _Parser:
 
     # -- commands
 
-    def statements(self) -> AnnotatedCom:
+    def statements(self) -> Com:
         parts = [self.statement()]
         while self.eat_sym(";"):
             parts.append(self.statement())
         node = parts[-1]
         for part in reversed(parts[:-1]):
-            node = AnnSeq(part, node)
+            node = Seq(part, node)
         return node
 
-    def statement(self) -> AnnotatedCom:
+    def statement(self) -> Com:
         tok = self.peek()
         if tok.kind == "kw":
             if tok.text == "skip":
                 self.advance()
-                return AnnSkip()
+                return Skip()
             if tok.text == "if":
                 return self.if_statement()
             if tok.text == "while":
@@ -254,14 +249,14 @@ class _Parser:
             self.advance()
             self.expect_sym(":=")
             rhs = self.aexp()
-            return AnnAssign(tok.text, rhs)
+            return Assign(tok.text, rhs)
         raise ParseError(
             f"unexpected {self._describe(tok)}",
             tok.span,
             ("'skip'", "an assignment", "'if'", "'while'"),
         )
 
-    def if_statement(self) -> AnnotatedCom:
+    def if_statement(self) -> Com:
         self.advance()  # 'if'
         self.expect_sym("(")
         cond = self.bexp()
@@ -276,9 +271,9 @@ class _Parser:
         self.expect_sym("{")
         else_branch = self.statements()
         self.expect_sym("}")
-        return AnnIf(cond, then_branch, else_branch)
+        return If(cond, then_branch, else_branch)
 
-    def while_statement(self) -> AnnotatedCom:
+    def while_statement(self) -> Com:
         kw = self.advance()  # 'while'
         self.expect_sym("(")
         cond = self.bexp()
@@ -298,7 +293,7 @@ class _Parser:
         self.expect_sym("{")
         body = self.statements()
         self.expect_sym("}")
-        return AnnWhile(cond, body, invariant, measure, kw.span)
+        return While(cond, body, invariant, measure, kw.span)
 
     # -- arithmetic expressions
 
@@ -411,41 +406,33 @@ class _Parser:
 # --- entry points ---------------------------------------------------------------
 
 
-def parse_com(text: str) -> Com:
-    """Parse a plain command; invariant annotations are rejected."""
-    parser = _Parser(text, allow_annotations=False)
-    node = parser.statements()
-    parser.expect_eof()
-    return erase(node)
-
-
-def parse_annotated_com(text: str) -> AnnotatedCom:
-    """Parse a command whose loops may carry invariant/measure annotations."""
-    parser = _Parser(text, allow_annotations=True)
-    node = parser.statements()
+def _parse(text: str, rule, allow_annotations: bool = False):
+    parser = _Parser(text, allow_annotations)
+    node = rule(parser)
     parser.expect_eof()
     return node
+
+
+def parse_com(text: str) -> Com:
+    """Parse a plain command; invariant annotations are rejected."""
+    return _parse(text, _Parser.statements)
+
+
+def parse_annotated_com(text: str) -> Com:
+    """Parse a command whose loops may carry invariant/measure annotations."""
+    return _parse(text, _Parser.statements, allow_annotations=True)
 
 
 def parse_aexp(text: str) -> AExp:
-    parser = _Parser(text, allow_annotations=False)
-    node = parser.aexp()
-    parser.expect_eof()
-    return node
+    return _parse(text, _Parser.aexp)
 
 
 def parse_bexp(text: str) -> BExp:
-    parser = _Parser(text, allow_annotations=False)
-    node = parser.bexp()
-    parser.expect_eof()
-    return node
+    return _parse(text, _Parser.bexp)
 
 
 def parse_assertion(text: str) -> Assertion:
-    parser = _Parser(text, allow_annotations=False)
-    node = parser.assertion()
-    parser.expect_eof()
-    return node
+    return _parse(text, _Parser.assertion)
 
 
 # --- pretty-printing --------------------------------------------------------------
@@ -527,7 +514,8 @@ def _assn_unary_str(a: Assertion) -> str:
 
 
 def pretty_com(c: Com) -> str:
-    """Single-line rendering that parses back to the identical command.
+    """Single-line rendering that parses back to the identical command, loop
+    annotations included (with `parse_annotated_com` when there are any).
 
     Sequence spines are flattened iteratively, so arbitrarily long programs
     print without recursion.
@@ -550,42 +538,14 @@ def pretty_com(c: Com) -> str:
                 f" else {{ {pretty_com(node.else_branch)} }}"
             )
         elif t is While:
-            parts.append(f"while ({pretty_bexp(node.cond)}) {{ {pretty_com(node.body)} }}")
-        else:
-            raise TypeError(f"not a command: {node!r}")
-    return "; ".join(parts)
-
-
-def pretty_annotated_com(c: AnnotatedCom) -> str:
-    parts: list[str] = []
-    stack: list[AnnotatedCom] = [c]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is AnnSeq:
-            stack.append(node.second)
-            stack.append(node.first)
-        elif t is AnnSkip:
-            parts.append("skip")
-        elif t is AnnAssign:
-            parts.append(f"{node.target} := {pretty_aexp(node.rhs)}")
-        elif t is AnnIf:
-            parts.append(
-                f"if ({pretty_bexp(node.cond)}) {{ {pretty_annotated_com(node.then_branch)} }}"
-                f" else {{ {pretty_annotated_com(node.else_branch)} }}"
-            )
-        elif t is AnnWhile:
             clauses = ""
             if node.invariant is not None:
                 clauses = f" invariant ({pretty_assertion(node.invariant)})"
                 if node.measure is not None:
                     clauses += f" measure ({pretty_aexp(node.measure)})"
-            parts.append(
-                f"while ({pretty_bexp(node.cond)}){clauses}"
-                f" {{ {pretty_annotated_com(node.body)} }}"
-            )
+            parts.append(f"while ({pretty_bexp(node.cond)}){clauses} {{ {pretty_com(node.body)} }}")
         else:
-            raise TypeError(f"not an annotated command: {node!r}")
+            raise TypeError(f"not a command: {node!r}")
     return "; ".join(parts)
 
 

@@ -1,8 +1,9 @@
 """Small-step semantics for IMP: single steps, bounded runs, and traces.
 
 The step function is deterministic.  `star_closure` is the generic bounded
-reflexive-transitive closure; `star_run` instantiates it for program
-configurations, and the stack machine reuses it for its own configurations.
+reflexive-transitive closure, and `star_run` instantiates it for program
+configurations.  The stack machine does not use it: its run loop keeps only
+the current configuration.
 """
 
 from __future__ import annotations

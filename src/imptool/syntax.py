@@ -7,8 +7,12 @@ state returns a fresh one, and syntax nodes can be shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
+
+if TYPE_CHECKING:
+    from .hoare import Assertion
+    from .parser import SourceSpan
 
 
 # --- arithmetic expressions -------------------------------------------------
@@ -90,8 +94,15 @@ class If:
 
 @dataclass(frozen=True, slots=True)
 class While:
+    """A loop.  The verifier reads the optional invariant and measure; every
+    semantics ignores them.  They take part in equality, so two commands are
+    equal iff they print the same; the source position does not."""
+
     cond: BExp
     body: "Com"
+    invariant: Optional[Assertion] = None
+    measure: Optional[AExp] = None
+    span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
 Com = Union[Skip, Assign, Seq, If, While]

@@ -67,15 +67,24 @@ def _seq_chain(stmts):
     return node
 
 
-def coms(max_leaves: int = 10, loops: bool = True):
-    """Random commands; loops=False keeps every program terminating."""
+def coms(max_leaves: int = 10, loops: bool = True, annotated: bool = False):
+    """Random commands; loops=False keeps every program terminating.
+
+    annotated=True gives some loops an invariant, and some of those a measure
+    too (the concrete syntax has no measure without an invariant).
+    """
     base = st.just(Skip()) | st.builds(Assign, names, aexps(6))
+    annotations = st.just((None, None))
+    if annotated:
+        annotations = annotations | st.tuples(assertions(4), st.none() | aexps(4))
 
     def compound(sub):
         block = st.lists(sub, min_size=1, max_size=3).map(_seq_chain)
         out = st.builds(If, bexps(6), block, block)
         if loops:
-            out = out | st.builds(While, bexps(6), block)
+            out = out | st.builds(
+                lambda cond, body, ann: While(cond, body, *ann), bexps(6), block, annotations
+            )
         return out
 
     return st.recursive(base, compound, max_leaves=max_leaves)

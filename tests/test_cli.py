@@ -233,8 +233,14 @@ class TestNegativeBudgets:
             ["verify", "{path}", "--bound", "two"],
             ["run", "{path}", "--fuel", "-5"],
             ["quickcheck", "--suite", "compiler", "--cases", "-3"],
+            ["exec", "{path}", "--pc", "-1"],
+            ["exec", "{path}", "--max-steps", "-4"],
+            ["trace", "{path}", "--max-steps", "-2"],
         ],
-        ids=["verify-bound", "verify-fuel", "verify-bound-text", "run-fuel", "quickcheck-cases"],
+        ids=[
+            "verify-bound", "verify-fuel", "verify-bound-text", "run-fuel", "quickcheck-cases",
+            "exec-pc", "exec-max-steps", "trace-max-steps",
+        ],
     )
     def test_rejected_with_one_line(self, write, capsys, argv):
         path = write("skip.imp", "skip")
@@ -250,6 +256,12 @@ class TestNegativeBudgets:
         # zero fuel is a budget, exhausted before the first rule
         assert main(["run", path, "--fuel", "0"]) == EXIT_FUEL_EXHAUSTED
         assert main(["quickcheck", "--suite", "compiler", "--cases", "0"]) == EXIT_OK
+
+    def test_zero_start_pc_and_step_budgets_are_accepted(self, write, capsys):
+        asm = write("p.asm", "LOADI 1\nSTORE x\n")
+        assert main(["exec", asm, "--pc", "0", "--max-steps", "2"]) == EXIT_OK
+        assert main(["exec", asm, "--max-steps", "0"]) == EXIT_FUEL_EXHAUSTED
+        assert main(["trace", write("skip.imp", "skip"), "--max-steps", "0"]) == EXIT_OK
 
 
 class TestQuickcheck:

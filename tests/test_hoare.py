@@ -15,7 +15,6 @@ from imptool.hoare import (
     ANot,
     AOr,
     ATrue,
-    AnnWhile,
     CmpOp,
     CounterexampleFound,
     ENUMERATION_LIMIT,
@@ -23,7 +22,6 @@ from imptool.hoare import (
     Mode,
     Unknown,
     Valid,
-    annotate,
     assertion_vars,
     bexp_to_assertion,
     check_triple,
@@ -46,12 +44,15 @@ from imptool.parser import (
     parse_assertion,
     parse_com,
     pretty_assertion,
+    pretty_com,
 )
 from imptool.syntax import (
     Assign,
     BoolLit,
+    If,
     NumLit,
     Plus,
+    Seq,
     Skip,
     State,
     Var,
@@ -307,7 +308,7 @@ COUNTDOWN_ANN = "while (0 < x) invariant (0 <= x) measure (x) { x := x + -1 }"
 class TestVcgen:
     def test_skip_has_no_conditions(self):
         q = parse_assertion("x = 0")
-        got = vcgen(annotate(Skip()), q, Mode.PARTIAL)
+        got = vcgen(Skip(), q, Mode.PARTIAL)
         assert got.conditions == ()
         assert got.precondition == q
 
@@ -351,9 +352,7 @@ class TestVcgen:
             vcgen(ann, ATrue(), Mode.TOTAL)
 
     def test_unparsed_loops_get_ordinal_labels(self):
-        ann = AnnWhile(
-            BoolLit(False), annotate(Skip()), invariant=ATrue(), measure=NumLit(0)
-        )
+        ann = While(BoolLit(False), Skip(), invariant=ATrue(), measure=NumLit(0))
         got = vcgen(ann, ATrue(), Mode.TOTAL)
         assert got.conditions
         assert all(vc.label.startswith("loop#0: ") for vc in got.conditions)
@@ -456,12 +455,44 @@ class TestVerify:
         )
 
 
-class TestAnnotate:
-    @given(coms(loops=True))
-    def test_erase_inverts_annotate(self, c):
-        assert erase(annotate(c)) == c
+def _loops(c):
+    """Every While node in a command."""
+    stack, found = [c], []
+    while stack:
+        node = stack.pop()
+        if type(node) is Seq:
+            stack += [node.first, node.second]
+        elif type(node) is If:
+            stack += [node.then_branch, node.else_branch]
+        elif type(node) is While:
+            found.append(node)
+            stack.append(node.body)
+    return found
 
-    def test_annotate_records_no_invariants(self):
-        ann = annotate(parse_com("while (0 < x) { skip }"))
-        assert isinstance(ann, AnnWhile)
-        assert ann.invariant is None and ann.measure is None
+
+class TestAnnotatedCom:
+    @given(coms(annotated=True))
+    def test_round_trip_keeps_annotations(self, c):
+        assert parse_annotated_com(pretty_com(c)) == c
+
+    @given(coms(annotated=True))
+    def test_erase_drops_every_annotation(self, c):
+        plain = erase(c)
+        assert all(w.invariant is None and w.measure is None for w in _loops(plain))
+        assert len(_loops(plain)) == len(_loops(c))
+        assert parse_com(pretty_com(plain)) == plain
+
+    @given(coms())
+    def test_erase_leaves_plain_commands_unchanged(self, c):
+        assert erase(c) == c
+
+    @given(coms())
+    def test_plain_and_annotated_parsers_agree_without_annotations(self, c):
+        text = pretty_com(c)
+        assert parse_com(text) == parse_annotated_com(text) == c
+
+    def test_plain_loops_carry_no_annotations(self):
+        loop = parse_com("while (0 < x) { skip }")
+        assert isinstance(loop, While)
+        assert loop.invariant is None and loop.measure is None
+        assert loop.span.start_line == 1

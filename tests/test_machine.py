@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import aexps, bexps, coms, states
+from conftest import aexps, bexps, coms, names, small_ints, states
 from imptool.bigstep import Terminated, big_step
 from imptool.machine import (
     Add,
@@ -24,9 +24,7 @@ from imptool.machine import (
     exec_n,
     execute,
     jumps_in_range,
-    machine_trace,
     steps_to_halt,
-    trace_records,
 )
 from imptool.parser import parse_com
 from imptool.syntax import (
@@ -148,25 +146,91 @@ class TestStepsToHalt:
         assert steps_to_halt([Add()], cfg0(), 10) is None
 
 
-def test_machine_trace_stops_before_underflow():
-    trace = machine_trace([Add()], cfg0(), 10)
-    assert trace == [cfg0()]
+# --- the run loop against exec1 ---------------------------------------------------
 
 
-def test_trace_records_mark_changed_bindings():
-    prog = [LoadI(3), Store("x"), Jmp(0)]
-    trace = machine_trace(prog, cfg0(), 10)
-    records = trace_records(prog, trace)
-    assert [r["step"] for r in records] == [0, 1, 2, 3]
-    assert records[0] == {"step": 0, "pc": 0, "stack": []}
-    assert records[1] == {"step": 1, "pc": 1, "stack": [3]}
-    assert records[2] == {
-        "step": 2,
-        "pc": 2,
-        "stack": [],
-        "changed_binding": {"name": "x", "value": 3},
-    }
-    assert "changed_binding" not in records[3]
+def _reason_stuck(prog, cfg):
+    """Why `cfg` cannot step, by asking exec1; None if it can."""
+    try:
+        return None if exec1(prog, cfg) is not None else StopReason.OUT_OF_PROGRAM
+    except StackUnderflowError:
+        return StopReason.STACK_UNDERFLOW
+
+
+def _chain(prog, cfg, n):
+    """The configurations reached by at most n steps of exec1."""
+    chain = [cfg]
+    for _ in range(n):
+        if _reason_stuck(prog, chain[-1]) is not None:
+            break
+        chain.append(exec1(prog, chain[-1]))
+    return chain
+
+
+_offsets = st.integers(min_value=-3, max_value=3)
+_instrs = st.one_of(
+    st.builds(LoadI, small_ints),
+    st.builds(Load, names),
+    st.just(Add()),
+    st.builds(Store, names),
+    st.builds(Jmp, _offsets),
+    st.builds(JmpLess, _offsets),
+    st.builds(JmpGe, _offsets),
+)
+
+
+@st.composite
+def _runs(draw):
+    """A program, a start configuration whose pc may lie just outside it, and
+    a budget that may be negative."""
+    prog = draw(st.lists(_instrs, max_size=8))
+    pc = draw(st.integers(min_value=-1, max_value=len(prog) + 1))
+    stack = tuple(draw(st.lists(small_ints, max_size=2)))
+    fuel = draw(st.integers(min_value=-2, max_value=40))
+    return prog, MachineConfig(pc, draw(states()), stack), fuel
+
+
+class TestRunLoopAgainstExec1:
+    @given(_runs())
+    def test_execute(self, run):
+        prog, cfg, fuel = run
+        chain = _chain(prog, cfg, fuel)
+        reason = _reason_stuck(prog, chain[-1])
+        if reason is StopReason.OUT_OF_PROGRAM:
+            expected = Halted(chain[-1], len(chain) - 1)
+        else:
+            reason = reason or StopReason.FUEL_EXHAUSTED
+            expected = StuckOrExhausted(chain[-1], len(chain) - 1, reason)
+        assert execute(prog, cfg, fuel) == expected
+
+    @given(_runs())
+    def test_exec_n(self, run):
+        prog, cfg, n = run
+        chain = _chain(prog, cfg, n)
+        if len(chain) - 1 == max(n, 0):
+            expected = chain[-1]
+        else:
+            expected = StuckOrExhausted(chain[-1], len(chain) - 1, _reason_stuck(prog, chain[-1]))
+        assert exec_n(prog, cfg, n) == expected
+
+    @given(_runs())
+    def test_steps_to_halt(self, run):
+        prog, cfg, fuel = run
+        chain = _chain(prog, cfg, fuel)
+        halts = _reason_stuck(prog, chain[-1]) is StopReason.OUT_OF_PROGRAM
+        assert steps_to_halt(prog, cfg, fuel) == (len(chain) - 1 if halts else None)
+
+    def test_negative_budgets_take_no_step(self):
+        # a budget test of `steps == fuel` would spin forever on JMP -1 here
+        exhausted = StuckOrExhausted(cfg0(), 0, StopReason.FUEL_EXHAUSTED)
+        assert execute([Jmp(-1)], cfg0(), -3) == exhausted
+        assert exec_n([Jmp(-1)], cfg0(), -1) == cfg0()
+        assert steps_to_halt([], cfg0(), -2) == 0
+
+    def test_halting_exactly_at_the_limit_is_a_halt(self):
+        prog = [LoadI(1), Store("x")]
+        assert execute(prog, cfg0(), 2) == Halted(MachineConfig(2, State.of(x=1)), 2)
+        assert steps_to_halt(prog, cfg0(), 2) == 2
 
 
 class TestAcomp:
@@ -295,6 +359,8 @@ def test_jumps_in_range_goldens():
 def test_trace_prefixes_match_exec_n():
     prog = ccomp(COUNTDOWN)
     start = MachineConfig(0, State.of(i=2))
-    trace = machine_trace(prog, start, 1000)
-    for k, expected in enumerate(trace):
-        assert exec_n(prog, start, k) == expected
+    cfg, k = start, 0
+    while cfg is not None:
+        assert exec_n(prog, start, k) == cfg
+        cfg, k = exec1(prog, cfg), k + 1
+    assert k == steps_to_halt(prog, start, 1000) + 1

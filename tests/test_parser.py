@@ -8,8 +8,6 @@ from imptool.hoare import (
     ACmp,
     AFalse,
     AImp,
-    AnnAssign,
-    AnnWhile,
     AOr,
     ATrue,
     CmpOp,
@@ -25,7 +23,6 @@ from imptool.parser import (
     parse_bexp,
     parse_com,
     pretty_aexp,
-    pretty_annotated_com,
     pretty_asm,
     pretty_assertion,
     pretty_bexp,
@@ -159,9 +156,9 @@ class TestAnnotations:
         got = parse_annotated_com(
             "while (0 < x) invariant (true) measure (x) { x := x + -1 }"
         )
-        assert got == AnnWhile(
+        assert got == While(
             Less(NumLit(0), Var("x")),
-            AnnAssign("x", Plus(Var("x"), NumLit(-1))),
+            Assign("x", Plus(Var("x"), NumLit(-1))),
             invariant=ATrue(),
             measure=Var("x"),
             span=got.span,
@@ -191,7 +188,7 @@ class TestAnnotations:
     def test_annotated_round_trip(self):
         text = "x := 0; while (x < 3) invariant (x <= 3) measure (3 + -1) { x := x + 1 }"
         ann = parse_annotated_com(text)
-        assert parse_annotated_com(pretty_annotated_com(ann)) == ann
+        assert parse_annotated_com(pretty_com(ann)) == ann
 
     def test_measure_requires_invariant(self):
         with pytest.raises(ParseError):
