@@ -20,9 +20,11 @@ Grammar, resolved:
     aatom'    ::= "true" | "false" | aexp cmp aexp | "(" assertion ")"
     cmp       ::= "<" | "<=" | "="
 
-Negative numbers exist only as literal tokens (`x + -1`).  Keywords are
-reserved, `//` starts a comment, and identifiers beginning with a double
-underscore are reserved for the verifier's snapshot variables.
+Integers are ASCII digits, and negative numbers exist only as literal tokens
+(`x + -1`).  Keywords are reserved, `//` starts a comment, and identifiers
+beginning with a double underscore are reserved for the verifier's snapshot
+variables.  Input nested deeper than the interpreter's recursion limit is a
+`ParseError` ("nesting too deep").
 
 The pretty-printers emit text that parses back to the identical AST: a loop
 prints its invariant and measure, so `pretty_com` output parses back with
@@ -34,6 +36,7 @@ concrete syntax has no statement grouping, so sequences are always written
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .hoare import (
@@ -92,143 +95,92 @@ class ParseError(Exception):
 
 KEYWORDS = frozenset({"skip", "if", "else", "while", "true", "false", "invariant", "measure"})
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TWO_CHAR_SYMBOLS = (":=", "->", "<=", "&&", "||")
-_ONE_CHAR_SYMBOLS = ";+<=!(){}"
-
-
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # "int", "ident", "kw", "sym", "eof"
-    text: str
-    span: SourceSpan
-    value: int = 0
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-
-    def span(length: int) -> SourceSpan:
-        return SourceSpan(line, col, line, col + max(length, 1) - 1)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR_SYMBOLS:
-            tokens.append(_Token("sym", two, span(2)))
-            i += 2
-            col += 2
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            lexeme = text[i:j]
-            tokens.append(_Token("int", lexeme, span(len(lexeme)), int(lexeme)))
-            col += j - i
-            i = j
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            lexeme = m.group(0)
-            tok_span = span(len(lexeme))
-            if lexeme in KEYWORDS:
-                tokens.append(_Token("kw", lexeme, tok_span))
-            elif lexeme.startswith("__"):
-                raise ParseError(
-                    f"identifier '{lexeme}' uses the reserved '__' prefix", tok_span
-                )
-            else:
-                tokens.append(_Token("ident", lexeme, tok_span))
-            col += len(lexeme)
-            i = m.end()
-            continue
-        if ch in _ONE_CHAR_SYMBOLS:
-            tokens.append(_Token("sym", ch, span(1)))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span(1))
-
-    if tokens:
-        end = tokens[-1].span
-        eof_span = SourceSpan(end.end_line, end.end_col, end.end_line, end.end_col)
-    else:
-        eof_span = SourceSpan(1, 1, 1, 1)
-    tokens.append(_Token("eof", "", eof_span))
-    return tokens
+# Each match is the layout (whitespace and comments) before one token, then
+# that token in group 1: a symbol (two-character ones first), an integer, an
+# identifier, or the empty end of input.  Group 2 instead holds a reserved
+# `__` name or a character that starts no token.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*)*"
+    r"(?:(:=|->|<=|&&|\|\||[;+<=!(){}]|-?[0-9]+|[A-Za-z][A-Za-z0-9_]*|_(?!_)[A-Za-z0-9_]*|\Z)"
+    r"|(__[A-Za-z0-9_]*|.))"
+)
+# The kind of every token that is not an integer or an identifier.
+_KINDS = {text: text for text in (":=", "->", "<=", "&&", "||", *";+<=!(){}", *KEYWORDS)}
+_KINDS[""] = "eof"
+_CMP_OPS = {"<": CmpOp.LT, "<=": CmpOp.LE, "=": CmpOp.EQ}
 
 
 class _Parser:
+    """Recursive descent over parallel token lists.
+
+    A token's kind is the symbol or keyword itself, or "int", "ident" or
+    "eof"; its line and column are computed from its start offset only when
+    an error or a `While` needs a span.
+    """
+
     def __init__(self, text: str, allow_annotations: bool) -> None:
-        self.tokens = _tokenize(text)
-        self.index = 0
+        self.text = text
         self.allow_annotations = allow_annotations
+        self.newlines: list[int] | None = None
+        self.index = 0
+        kinds: list[str] = []
+        texts: list[str] = []
+        starts: list[int] = []
+        for m in _TOKEN_RE.finditer(text):
+            lexeme = m[1]
+            if lexeme is None:
+                bad = m[2]
+                message = (
+                    f"identifier '{bad}' uses the reserved '__' prefix"
+                    if len(bad) > 1
+                    else f"unexpected character {bad!r}"
+                )
+                raise ParseError(message, self.span(m.start(2), len(bad)))
+            kind = _KINDS.get(lexeme) or ("int" if lexeme[0] in "-0123456789" else "ident")
+            kinds.append(kind)
+            texts.append(lexeme)
+            starts.append(m.start(1))
+            if kind == "eof":
+                break
+        # The end of input sits on the last character of the last token.
+        starts[-1] = starts[-2] + len(texts[-2]) - 1 if len(starts) > 1 else 0
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
 
     # -- token plumbing
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+    def span(self, start: int, length: int) -> SourceSpan:
+        """The one-line span of `length` characters from offset `start`."""
+        if self.newlines is None:
+            self.newlines = [m.start() for m in re.finditer("\n", self.text)]
+        line = bisect_left(self.newlines, start)
+        col = start - (self.newlines[line - 1] if line else -1)
+        return SourceSpan(line + 1, col, line + 1, col + max(length, 1) - 1)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        if tok.kind != "eof":
+    def token_span(self, i: int) -> SourceSpan:
+        return self.span(self.starts[i], len(self.texts[i]))
+
+    def eat(self, kind: str) -> bool:
+        if self.kinds[self.index] == kind:
             self.index += 1
-        return tok
-
-    def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
-
-    def at_kw(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "kw" and tok.text == text
-
-    def eat_sym(self, text: str) -> bool:
-        if self.at_sym(text):
-            self.advance()
             return True
         return False
 
-    def expect_sym(self, text: str) -> _Token:
-        if not self.at_sym(text):
-            tok = self.peek()
-            raise ParseError(f"unexpected {self._describe(tok)}", tok.span, (f"'{text}'",))
-        return self.advance()
+    def expect(self, kind: str) -> None:
+        if not self.eat(kind):
+            raise self.error(f"'{kind}'")
 
-    @staticmethod
-    def _describe(tok: _Token) -> str:
-        if tok.kind == "eof":
-            return "end of input"
-        return f"'{tok.text}'"
-
-    def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {self._describe(tok)}", tok.span, ("end of input",))
+    def error(self, *expected: str) -> ParseError:
+        i = self.index
+        found = "end of input" if self.kinds[i] == "eof" else f"'{self.texts[i]}'"
+        return ParseError(f"unexpected {found}", self.token_span(i), expected)
 
     # -- commands
 
     def statements(self) -> Com:
         parts = [self.statement()]
-        while self.eat_sym(";"):
+        while self.eat(";"):
             parts.append(self.statement())
         node = parts[-1]
         for part in reversed(parts[:-1]):
@@ -236,171 +188,150 @@ class _Parser:
         return node
 
     def statement(self) -> Com:
-        tok = self.peek()
-        if tok.kind == "kw":
-            if tok.text == "skip":
-                self.advance()
-                return Skip()
-            if tok.text == "if":
-                return self.if_statement()
-            if tok.text == "while":
-                return self.while_statement()
-        if tok.kind == "ident":
-            self.advance()
-            self.expect_sym(":=")
-            rhs = self.aexp()
-            return Assign(tok.text, rhs)
-        raise ParseError(
-            f"unexpected {self._describe(tok)}",
-            tok.span,
-            ("'skip'", "an assignment", "'if'", "'while'"),
-        )
+        kind = self.kinds[self.index]
+        if kind == "skip":
+            self.index += 1
+            return Skip()
+        if kind == "if":
+            return self.if_statement()
+        if kind == "while":
+            return self.while_statement()
+        if kind == "ident":
+            target = self.texts[self.index]
+            self.index += 1
+            self.expect(":=")
+            return Assign(target, self.aexp())
+        raise self.error("'skip'", "an assignment", "'if'", "'while'")
 
     def if_statement(self) -> Com:
-        self.advance()  # 'if'
-        self.expect_sym("(")
+        self.index += 1  # 'if'
+        self.expect("(")
         cond = self.bexp()
-        self.expect_sym(")")
-        self.expect_sym("{")
+        self.expect(")")
+        self.expect("{")
         then_branch = self.statements()
-        self.expect_sym("}")
-        tok = self.peek()
-        if not (tok.kind == "kw" and tok.text == "else"):
-            raise ParseError(f"unexpected {self._describe(tok)}", tok.span, ("'else'",))
-        self.advance()
-        self.expect_sym("{")
+        self.expect("}")
+        self.expect("else")
+        self.expect("{")
         else_branch = self.statements()
-        self.expect_sym("}")
+        self.expect("}")
         return If(cond, then_branch, else_branch)
 
     def while_statement(self) -> Com:
-        kw = self.advance()  # 'while'
-        self.expect_sym("(")
+        span = self.token_span(self.index)  # 'while'
+        self.index += 1
+        self.expect("(")
         cond = self.bexp()
-        self.expect_sym(")")
+        self.expect(")")
         invariant = None
         measure = None
-        if self.allow_annotations and self.at_kw("invariant"):
-            self.advance()
-            self.expect_sym("(")
+        if self.allow_annotations and self.eat("invariant"):
+            self.expect("(")
             invariant = self.assertion()
-            self.expect_sym(")")
-            if self.at_kw("measure"):
-                self.advance()
-                self.expect_sym("(")
+            self.expect(")")
+            if self.eat("measure"):
+                self.expect("(")
                 measure = self.aexp()
-                self.expect_sym(")")
-        self.expect_sym("{")
+                self.expect(")")
+        self.expect("{")
         body = self.statements()
-        self.expect_sym("}")
-        return While(cond, body, invariant, measure, kw.span)
+        self.expect("}")
+        return While(cond, body, invariant, measure, span)
 
     # -- arithmetic expressions
 
     def aexp(self) -> AExp:
         node = self.aatom()
-        while self.eat_sym("+"):
+        while self.eat("+"):
             node = Plus(node, self.aatom())
         return node
 
     def aatom(self) -> AExp:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return NumLit(tok.value)
-        if tok.kind == "ident":
-            self.advance()
-            return Var(tok.text)
-        if self.at_sym("("):
-            self.advance()
+        i = self.index
+        kind = self.kinds[i]
+        if kind == "int":
+            self.index = i + 1
+            return NumLit(int(self.texts[i]))
+        if kind == "ident":
+            self.index = i + 1
+            return Var(self.texts[i])
+        if self.eat("("):
             node = self.aexp()
-            self.expect_sym(")")
+            self.expect(")")
             return node
-        raise ParseError(
-            f"unexpected {self._describe(tok)}",
-            tok.span,
-            ("an integer literal", "an identifier", "'('"),
-        )
+        raise self.error("an integer literal", "an identifier", "'('")
 
     # -- boolean expressions
 
     def bexp(self) -> BExp:
         node = self.batom()
-        while self.eat_sym("&&"):
+        while self.eat("&&"):
             node = And(node, self.batom())
         return node
 
     def batom(self) -> BExp:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text in ("true", "false"):
-            self.advance()
-            return BoolLit(tok.text == "true")
-        if self.at_sym("!"):
-            self.advance()
+        if self.eat("true"):
+            return BoolLit(True)
+        if self.eat("false"):
+            return BoolLit(False)
+        if self.eat("!"):
             return Not(self.batom())
-        if self.at_sym("("):
-            mark = self.index
+        mark = self.index
+        if self.eat("("):
             try:
-                self.advance()
                 inner = self.bexp()
-                self.expect_sym(")")
+                self.expect(")")
                 return inner
             except ParseError:
                 self.index = mark
         left = self.aexp()
-        self.expect_sym("<")
-        right = self.aexp()
-        return Less(left, right)
+        self.expect("<")
+        return Less(left, self.aexp())
 
     # -- assertions
 
     def assertion(self) -> Assertion:
         left = self.assert_or()
-        if self.eat_sym("->"):
+        if self.eat("->"):
             return AImp(left, self.assertion())
         return left
 
     def assert_or(self) -> Assertion:
         node = self.assert_and()
-        while self.eat_sym("||"):
+        while self.eat("||"):
             node = AOr(node, self.assert_and())
         return node
 
     def assert_and(self) -> Assertion:
         node = self.assert_unary()
-        while self.eat_sym("&&"):
+        while self.eat("&&"):
             node = AAnd(node, self.assert_unary())
         return node
 
     def assert_unary(self) -> Assertion:
-        if self.at_sym("!"):
-            self.advance()
+        if self.eat("!"):
             return ANot(self.assert_unary())
         return self.assert_atom()
 
     def assert_atom(self) -> Assertion:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text in ("true", "false"):
-            self.advance()
-            return ATrue() if tok.text == "true" else AFalse()
-        if self.at_sym("("):
-            mark = self.index
+        if self.eat("true"):
+            return ATrue()
+        if self.eat("false"):
+            return AFalse()
+        mark = self.index
+        if self.eat("("):
             try:
-                self.advance()
                 inner = self.assertion()
-                self.expect_sym(")")
+                self.expect(")")
                 return inner
             except ParseError:
                 self.index = mark
         left = self.aexp()
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text in ("<", "<=", "="):
-            self.advance()
-            op = {"<": CmpOp.LT, "<=": CmpOp.LE, "=": CmpOp.EQ}[tok.text]
-            return ACmp(op, left, self.aexp())
-        raise ParseError(
-            f"unexpected {self._describe(tok)}", tok.span, ("'<'", "'<='", "'='")
-        )
+        op = _CMP_OPS.get(self.kinds[self.index])
+        if op is None:
+            raise self.error("'<'", "'<='", "'='")
+        self.index += 1
+        return ACmp(op, left, self.aexp())
 
 
 # --- entry points ---------------------------------------------------------------
@@ -408,8 +339,12 @@ class _Parser:
 
 def _parse(text: str, rule, allow_annotations: bool = False):
     parser = _Parser(text, allow_annotations)
-    node = rule(parser)
-    parser.expect_eof()
+    try:
+        node = rule(parser)
+    except RecursionError:
+        raise ParseError("nesting too deep", parser.token_span(parser.index)) from None
+    if parser.kinds[parser.index] != "eof":
+        raise parser.error("end of input")
     return node
 
 
@@ -516,6 +451,8 @@ def _assn_unary_str(a: Assertion) -> str:
 def pretty_com(c: Com) -> str:
     """Single-line rendering that parses back to the identical command, loop
     annotations included (with `parse_annotated_com` when there are any).
+    A loop with a measure but no invariant has no concrete syntax and raises
+    `ValueError`.
 
     Sequence spines are flattened iteratively, so arbitrarily long programs
     print without recursion.
@@ -538,6 +475,8 @@ def pretty_com(c: Com) -> str:
                 f" else {{ {pretty_com(node.else_branch)} }}"
             )
         elif t is While:
+            if node.invariant is None and node.measure is not None:
+                raise ValueError(f"loop has a measure but no invariant: {node!r}")
             clauses = ""
             if node.invariant is not None:
                 clauses = f" invariant ({pretty_assertion(node.invariant)})"

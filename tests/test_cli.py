@@ -264,6 +264,46 @@ class TestNegativeBudgets:
         assert main(["trace", write("skip.imp", "skip"), "--max-steps", "0"]) == EXIT_OK
 
 
+class TestBadSource:
+    """Every subcommand that reads IMP source reports a source it cannot
+    parse as one positioned line on stderr and exit 1, never a traceback."""
+
+    # '²' is a digit to str.isdigit but not to int(); '٣' is an Arabic-Indic 3
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    @pytest.mark.parametrize("command", ["run", "compile", "verify"])
+    def test_non_ascii_digit(self, write, capsys, command, digit):
+        path = write("digit.imp", f"x := {digit}\n")
+        assert main([command, path]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: 1:6: unexpected character '{digit}'\n"
+
+    def test_non_ascii_digit_in_postcondition(self, write, capsys):
+        path = write("ok.imp", "x := 1")
+        assert main(["verify", path, "--post", "x = ²"]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: 1:5: unexpected character '²'\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "if (true) { " * 1500 + "skip" + " } else { skip }" * 1500,
+            "x := " + "(" * 2000 + "1" + ")" * 2000,
+        ],
+        ids=["nested-if", "nested-parens"],
+    )
+    @pytest.mark.parametrize("command", ["run", "compile", "verify"])
+    def test_nesting_too_deep(self, write, capsys, command, text):
+        path = write("deep.imp", text)
+        assert main([command, path]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{path}: 1:")
+        assert captured.err.endswith(": nesting too deep\n")
+        assert captured.err.count("\n") == 1
+
+
 class TestQuickcheck:
     def test_zero_cases(self, capsys):
         assert main(["quickcheck", "--suite", "small-big", "--cases", "0"]) == EXIT_OK

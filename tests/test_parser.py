@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -118,6 +120,10 @@ class TestParseErrors:
             "__tmp := 1",  # reserved prefix
             "x := (1",
             "{ skip }",
+            "x := ²",  # integer literals are ASCII digits only
+            "x := ٣",
+            "x := 1٣",
+            pytest.param("if (true) { " * 1500 + "skip" + " } else { skip }" * 1500, id="nested-if"),
         ],
     )
     def test_rejected(self, text):
@@ -149,6 +155,28 @@ class TestParseErrors:
         assert 1 <= span.start_line <= len(lines)
         assert 1 <= span.start_col <= len(lines[span.start_line - 1]) + 1
         assert (span.start_line, span.start_col) <= (span.end_line, span.end_col)
+
+    def test_error_on_line_three_after_tab_and_comment(self):
+        with pytest.raises(ParseError) as exc:
+            parse_com("x := 1; // first\r\n// second\n\ty := ;")
+        err = exc.value
+        assert (err.span.start_line, err.span.start_col, err.span.end_line, err.span.end_col) == (3, 7, 3, 7)
+        assert str(err) == "3:7: unexpected ';' (expected an integer literal or an identifier or '(')"
+
+    def test_end_of_input_after_trailing_comment(self):
+        # the end of input sits on the last character of the last token
+        with pytest.raises(ParseError) as exc:
+            parse_com("x := 10;\t// more to come\n\n")
+        err = exc.value
+        assert (err.span.start_line, err.span.start_col, err.span.end_line, err.span.end_col) == (1, 8, 1, 8)
+        assert str(err) == "1:8: unexpected end of input (expected 'skip' or an assignment or 'if' or 'while')"
+
+    def test_nesting_too_deep_points_at_current_token(self):
+        with pytest.raises(ParseError) as exc:
+            parse_aexp("(" * 2000 + "1" + ")" * 2000)
+        assert str(exc.value).endswith(": nesting too deep")
+        assert exc.value.span.start_line == 1
+        assert exc.value.span.start_col <= 2000
 
 
 class TestAnnotations:
@@ -235,6 +263,11 @@ class TestPretty:
         a = AImp(ACmp(CmpOp.LT, Var("x"), NumLit(0)), ACmp(CmpOp.LE, Var("x"), NumLit(0)))
         assert pretty_assertion(a) == "x < 0 -> x <= 0"
 
+    def test_measure_without_invariant_is_rejected(self):
+        # the concrete syntax has no measure without an invariant
+        with pytest.raises(ValueError):
+            pretty_com(While(BoolLit(True), Skip(), None, Var("x")))
+
     def test_left_nested_seq_flattens(self):
         # concrete syntax has no way to spell left nesting; printing flattens
         left = Seq(Seq(Assign("a", NumLit(1)), Skip()), Assign("b", NumLit(2)))
@@ -261,6 +294,43 @@ def test_assertion_round_trip(a):
 @given(coms(loops=True))
 def test_com_round_trip(c):
     assert parse_com(pretty_com(c)) == c
+
+
+# Splits pretty-printer output, which is ASCII, into tokens.
+_PRETTY_TOKEN = re.compile(r"-?[0-9]+|:=|->|<=|&&|\|\||[A-Za-z_][A-Za-z0-9_]*|\S")
+_LAYOUT = st.lists(
+    st.sampled_from([" ", "\t", "\r\n", "\n", "// note\n", "//if ( } -1\t\n"]), min_size=1, max_size=3
+).map("".join)
+
+
+def _loops(c):
+    stack, out = [c], []
+    while stack:
+        node = stack.pop()
+        if type(node) is Seq:
+            stack += [node.second, node.first]
+        elif type(node) is If:
+            stack += [node.else_branch, node.then_branch]
+        elif type(node) is While:
+            out.append(node)
+            stack.append(node.body)
+    return out
+
+
+@given(coms(annotated=True), st.data())
+def test_relaid_source_parses_to_same_command_with_while_spans(c, data):
+    tokens = _PRETTY_TOKEN.findall(pretty_com(c))
+    text = data.draw(st.sampled_from(["", "\n", "// head\n\t"])) + tokens[0]
+    for token in tokens[1:]:
+        text += data.draw(_LAYOUT) + token
+    text += data.draw(st.sampled_from(["", "\r\n", " // tail", "\n// tail\n"]))
+    got = parse_annotated_com(text)
+    assert got == c
+    lines = text.split("\n")
+    for loop in _loops(got):
+        span = loop.span
+        assert lines[span.start_line - 1][span.start_col - 1 :].startswith("while")
+        assert (span.end_line, span.end_col) == (span.start_line, span.start_col + 4)
 
 
 INSTRS = st.lists(
