@@ -54,7 +54,7 @@ from .parser import (
     pretty_assertion,
     pretty_com,
 )
-from .smallstep import ProgConfig, StepTrace, TraceStatus, small_step, star_closure, star_run
+from .smallstep import ProgConfig, StepTrace, TraceStatus, small_step, small_steps, star_run
 from .syntax import (
     AExp,
     And,

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .bigstep import FuelExhausted, big_step
@@ -42,8 +43,9 @@ from .parser import (
     parse_assertion,
     pretty_asm,
     pretty_assertion,
+    pretty_com,
 )
-from .smallstep import ProgConfig, TraceStatus, star_run, trace_records
+from .smallstep import ProgConfig, TraceStatus, small_steps
 from .syntax import State, vars_of
 
 EXIT_OK = 0
@@ -159,18 +161,24 @@ def cmd_trace(args: argparse.Namespace) -> int:
         initial = parse_state_spec(args.state)
     except (OSError, ParseError, ValueError) as err:
         return _fail(f"{args.file}: {err}")
-    trace = star_run(ProgConfig(command, initial), args.max_steps)
-    records = trace_records(trace)
-    if args.format == "machine-readable":
-        for record in records:
+    configs = islice(small_steps(ProgConfig(command, initial)), args.max_steps + 1)
+    for index, last in enumerate(configs):
+        if args.format == "machine-readable":
+            record = {
+                "step_index": index,
+                "command_text": pretty_com(last.command),
+                "state_bindings": dict(last.state.items()),
+            }
             print(json.dumps(record, sort_keys=True))
-        print(json.dumps({"status": trace.status.value}, sort_keys=True))
+        else:
+            bindings = ", ".join(f"{k}={v}" for k, v in sorted(last.state.items()))
+            print(f"{index}: {pretty_com(last.command)} | {bindings}")
+    status = TraceStatus.COMPLETED if last.is_final else TraceStatus.FUEL_EXHAUSTED
+    if args.format == "machine-readable":
+        print(json.dumps({"status": status.value}, sort_keys=True))
     else:
-        for record in records:
-            bindings = ", ".join(f"{k}={v}" for k, v in sorted(record["state_bindings"].items()))
-            print(f"{record['step_index']}: {record['command_text']} | {bindings}")
-        print(f"status: {trace.status.value}")
-    if trace.status is TraceStatus.FUEL_EXHAUSTED:
+        print(f"status: {status.value}")
+    if status is TraceStatus.FUEL_EXHAUSTED:
         return EXIT_FUEL_EXHAUSTED
     return EXIT_OK
 
@@ -234,31 +242,39 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         text = _read_file(args.file)
         command = parse_annotated_com(text)
-        pre = parse_assertion(args.pre)
-        post = parse_assertion(args.post)
     except (OSError, ParseError) as err:
         return _fail(f"{args.file}: {err}")
+    assertions = []
+    for option, source in (("--pre", args.pre), ("--post", args.post)):
+        try:
+            assertions.append(parse_assertion(source))
+        except ParseError as err:
+            return _fail(f"{option}: {err}")
+    pre, post = assertions
     mode = Mode.TOTAL if args.total else Mode.PARTIAL
     try:
         report = verify(command, pre, post, args.bound, args.fuel, mode)
     except MissingAnnotationError as err:
         return _fail(f"{args.file}: {err}")
-    print(f"mode: {report.mode.value}")
-    print(f"bound: {report.bound}")
-    print(f"computed precondition: {pretty_assertion(report.precondition)}")
+    # Render the whole report before printing, so that a report too deep to
+    # render prints nothing to stdout.
+    out = [
+        f"mode: {report.mode.value}",
+        f"bound: {report.bound}",
+        f"computed precondition: {pretty_assertion(report.precondition)}",
+    ]
     saw_counterexample = False
     saw_unknown = False
     for entry in report.vcs:
         word, extra = _verdict_lines(entry.verdict)
-        print(f"vc {entry.label}: {pretty_assertion(entry.formula)} -- {word}")
-        for line in extra:
-            print(line)
+        out.append(f"vc {entry.label}: {pretty_assertion(entry.formula)} -- {word}")
+        out.extend(extra)
         saw_counterexample |= type(entry.verdict) is CounterexampleFound
         saw_unknown |= type(entry.verdict) is Unknown
     word, extra = _verdict_lines(report.triple_verdict)
-    print(f"triple: {word}")
-    for line in extra:
-        print(line)
+    out.append(f"triple: {word}")
+    out.extend(extra)
+    print("\n".join(out))
     saw_counterexample |= type(report.triple_verdict) is CounterexampleFound
     saw_unknown |= type(report.triple_verdict) is Unknown
     if saw_counterexample:
@@ -358,7 +374,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except _BadOptionValue as err:
         return _fail(f"imptool: error: {err}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError:
+        return _fail(f"{getattr(args, 'file', 'imptool')}: nesting too deep")
 
 
 if __name__ == "__main__":

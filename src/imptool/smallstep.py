@@ -1,20 +1,20 @@
-"""Small-step semantics for IMP: single steps, bounded runs, and traces.
+"""Small-step semantics for IMP: single steps and their closure.
 
-The step function is deterministic.  `star_closure` is the generic bounded
-reflexive-transitive closure, and `star_run` instantiates it for program
-configurations.  The stack machine does not use it: its run loop keeps only
-the current configuration.
+The step function `small_step` is deterministic, so the reflexive-transitive
+closure from a configuration is one sequence.  `small_steps` yields it lazily,
+one configuration at a time, and works on programs that never end; the `trace`
+command prints it as it goes.  `star_run` takes a bounded prefix of it and
+keeps only the last configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, TypeVar
+from itertools import islice
+from typing import Iterator, Optional
 
 from .syntax import Assign, Com, If, Seq, Skip, State, While, aval, bval
-
-T = TypeVar("T")
 
 # Fault-injection hook: when set, the If rule picks the wrong branch.  Used
 # by the harness self-checks to prove the differential suites can fail.
@@ -38,16 +38,9 @@ class TraceStatus(Enum):
 
 @dataclass(frozen=True, slots=True)
 class StepTrace:
-    configs: tuple[ProgConfig, ...]
+    last: ProgConfig
+    steps_taken: int
     status: TraceStatus
-
-    @property
-    def last(self) -> ProgConfig:
-        return self.configs[-1]
-
-    @property
-    def steps_taken(self) -> int:
-        return len(self.configs) - 1
 
 
 def small_step(cfg: ProgConfig) -> Optional[ProgConfig]:
@@ -84,39 +77,24 @@ def small_step(cfg: ProgConfig) -> Optional[ProgConfig]:
     return ProgConfig(inner, s)
 
 
-def star_closure(step: Callable[[T], Optional[T]], start: T, fuel: int) -> list[T]:
-    """Iterate `step` from `start` at most `fuel` times, collecting the chain.
+def small_steps(cfg: ProgConfig) -> Iterator[ProgConfig]:
+    """Yield cfg and then each successor, stopping after a final configuration.
 
-    Stops early when `step` returns None.  The result always contains the
-    start element, so its length is one more than the number of steps taken.
+    The iterator is lazy, so on a program that never ends it runs for as long
+    as it is read; bound it with `itertools.islice`.
     """
-    chain = [start]
-    current = start
-    for _ in range(fuel):
-        nxt = step(current)
-        if nxt is None:
-            break
-        chain.append(nxt)
-        current = nxt
-    return chain
+    while cfg is not None:
+        yield cfg
+        cfg = small_step(cfg)
 
 
 def star_run(cfg: ProgConfig, max_steps: int) -> StepTrace:
-    """Run small steps from cfg, stopping at a final config or at max_steps."""
-    chain = star_closure(small_step, cfg, max_steps)
-    status = TraceStatus.COMPLETED if chain[-1].is_final else TraceStatus.FUEL_EXHAUSTED
-    return StepTrace(tuple(chain), status)
+    """Run small steps from cfg, stopping at a final config or at max_steps.
 
-
-def trace_records(trace: StepTrace) -> list[dict]:
-    """JSON-ready records for a trace, one per configuration."""
-    from .parser import pretty_com
-
-    return [
-        {
-            "step_index": i,
-            "command_text": pretty_com(cfg.command),
-            "state_bindings": dict(cfg.state.items()),
-        }
-        for i, cfg in enumerate(trace.configs)
-    ]
+    Only the last configuration is kept.  A negative max_steps takes no step.
+    """
+    steps = 0
+    for steps, cfg in enumerate(islice(small_steps(cfg), max(max_steps, 0) + 1)):
+        pass
+    status = TraceStatus.COMPLETED if cfg.is_final else TraceStatus.FUEL_EXHAUSTED
+    return StepTrace(cfg, steps, status)

@@ -8,6 +8,7 @@ be reduced to make a red line green.
 
 import random
 import time
+from itertools import islice
 
 import pytest
 
@@ -32,7 +33,7 @@ from imptool.harness import (
 from imptool.hoare import eval_assertion, subst_assertion
 from imptool.machine import MachineConfig, ccomp, exec_n, execute, steps_to_halt, Halted
 from imptool.parser import parse_asm, parse_com, pretty_asm, pretty_com
-from imptool.smallstep import ProgConfig, small_step, star_run, TraceStatus
+from imptool.smallstep import ProgConfig, small_step, small_steps, star_run, TraceStatus
 from imptool.syntax import Skip, aval, node_count
 
 _MODULE_T0 = time.perf_counter()
@@ -165,10 +166,12 @@ def test_small_step_determinism_suite(report):
     def check():
         for index in range(500):
             c, s, _ = _case(DEFAULT_SEED + 4, index)
-            trace = star_run(ProgConfig(c, s), 200)
-            configs = trace.configs
+            configs = list(islice(small_steps(ProgConfig(c, s)), 201))
             for before, after in zip(configs, configs[1:]):
                 assert small_step(before) == after
+            trace = star_run(ProgConfig(c, s), 200)
+            assert trace.last == configs[-1]
+            assert trace.steps_taken == len(configs) - 1
             if trace.status is TraceStatus.COMPLETED:
                 assert small_step(configs[-1]) is None
 

@@ -13,6 +13,7 @@ from imptool.cli import (
     main,
     parse_state_spec,
 )
+from imptool.parser import parse_com
 from imptool.syntax import State
 
 
@@ -117,6 +118,20 @@ class TestTrace:
         assert records[-1] == {"status": "completed"}
         # keys are sorted for byte-stable output
         assert all(list(r) == sorted(r) for r in records)
+
+    def test_machine_readable_records_schema(self, write, capsys):
+        path = write("seq2.imp", "x := 1; y := x")
+        assert main(["trace", path, "--format", "machine-readable"]) == EXIT_OK
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert [r["step_index"] for r in records] == [0, 1, 2, 3]
+        assert records[-1] == {
+            "step_index": 3,
+            "command_text": "skip",
+            "state_bindings": {"x": 1, "y": 1},
+        }
+        # command_text stays parseable at every step
+        for r in records:
+            parse_com(r["command_text"])
 
     def test_max_steps_exhaustion(self, write, capsys):
         path = write("loop.imp", "while (true) { skip }")
@@ -283,7 +298,15 @@ class TestBadSource:
         assert main(["verify", path, "--post", "x = ²"]) == EXIT_PARSE_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"{path}: 1:5: unexpected character '²'\n"
+        assert captured.err == "--post: 1:5: unexpected character '²'\n"
+
+    @pytest.mark.parametrize("option", ["--pre", "--post"])
+    def test_assertion_error_names_its_option(self, write, capsys, option):
+        path = write("ok.imp", "x := 1")
+        assert main(["verify", path, option, "x = (1"]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{option}: 1:6: unexpected end of input (expected ')')\n"
 
     @pytest.mark.parametrize(
         "text",
@@ -302,6 +325,25 @@ class TestBadSource:
         assert captured.err.startswith(f"{path}: 1:")
         assert captured.err.endswith(": nesting too deep\n")
         assert captured.err.count("\n") == 1
+
+
+    # These parse, but evaluating, compiling or printing them recurses past
+    # the interpreter's limit.
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (command, "x := " + " + ".join(["1"] * 5000))
+            for command in ["run", "compile", "trace", "verify"]
+        ]
+        + [("verify", "x := 1; " + "if (x < 2) { " * 300 + "skip" + " } else { skip }" * 300)],
+        ids=["run-long-sum", "compile-long-sum", "trace-long-sum", "verify-long-sum", "verify-nested-if"],
+    )
+    def test_deep_input_that_parses(self, write, capsys, command, text):
+        path = write("deep.imp", text)
+        assert main([command, path]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: nesting too deep\n"
 
 
 class TestQuickcheck:

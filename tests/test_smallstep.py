@@ -1,3 +1,5 @@
+from itertools import islice
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,9 +12,8 @@ from imptool.smallstep import (
     StepTrace,
     TraceStatus,
     small_step,
-    star_closure,
+    small_steps,
     star_run,
-    trace_records,
 )
 from imptool.syntax import (
     Assign,
@@ -80,35 +81,51 @@ class TestSmallStep:
         assert smallstep.SWAP_IF_BRANCHES is False
 
 
-class TestStarClosure:
-    def test_final_start_gives_singleton(self):
-        assert star_closure(lambda x: None, 42, 0) == [42]
-        assert star_closure(lambda x: None, 42, 9) == [42]
+def reference_steps(cfg, fuel):
+    """The configurations small_steps must yield, at most fuel steps in."""
+    chain = [cfg]
+    while len(chain) <= fuel:
+        nxt = small_step(chain[-1])
+        if nxt is None:
+            break
+        chain.append(nxt)
+    return chain
 
-    def test_successor_function_on_naturals(self):
-        assert star_closure(lambda n: n + 1, 0, 3) == [0, 1, 2, 3]
+
+class TestSmallSteps:
+    def test_final_start_yields_only_itself(self):
+        cfg = ProgConfig(Skip(), State.of(x=1))
+        assert list(small_steps(cfg)) == [cfg]
 
     def test_prepending_one_step(self):
-        step = lambda n: n + 1 if n < 5 else None
-        whole = star_closure(step, 0, 100)
-        assert whole == [0] + star_closure(step, step(0), 99)
+        cfg = ProgConfig(parse_com("x := 1; y := x"), State())
+        whole = list(small_steps(cfg))
+        assert len(whole) == 4
+        assert whole == [cfg] + list(small_steps(small_step(cfg)))
 
-    @given(coms(loops=True), states(), st.integers(min_value=0, max_value=40))
-    def test_definitional_equality_with_star_run(self, c, s, fuel):
+    def test_lazy_on_a_diverging_program(self):
+        cfg = next(islice(small_steps(ProgConfig(LOOP_FOREVER, State())), 1000, None))
+        assert not cfg.is_final
+
+    @given(coms(loops=True), states(), st.integers(min_value=0, max_value=50))
+    def test_prefix_matches_reference_and_star_run(self, c, s, fuel):
         cfg = ProgConfig(c, s)
-        assert star_closure(small_step, cfg, fuel) == list(star_run(cfg, fuel).configs)
+        ref = reference_steps(cfg, fuel)
+        assert list(islice(small_steps(cfg), fuel + 1)) == ref
+        done = small_step(ref[-1]) is None
+        status = TraceStatus.COMPLETED if done else TraceStatus.FUEL_EXHAUSTED
+        assert star_run(cfg, fuel) == StepTrace(ref[-1], len(ref) - 1, status)
 
 
 class TestStarRun:
     def test_skip_zero_fuel_completes(self):
         s = State.of(k=2)
         trace = star_run(ProgConfig(Skip(), s), 0)
-        assert trace == StepTrace((ProgConfig(Skip(), s),), TraceStatus.COMPLETED)
-        assert trace.steps_taken == 0
+        assert trace == StepTrace(ProgConfig(Skip(), s), 0, TraceStatus.COMPLETED)
 
     def test_two_assignments_take_three_steps(self):
         trace = star_run(ProgConfig(parse_com("x := 1; y := x"), State()), 100)
-        assert len(trace.configs) == 4
+        assert trace.steps_taken == 3
         assert trace.status is TraceStatus.COMPLETED
         assert trace.last == ProgConfig(Skip(), State.of(x=1, y=1))
 
@@ -124,12 +141,19 @@ class TestStarRun:
         trace = star_run(cfg, 3)
         assert trace.status is TraceStatus.COMPLETED
 
+    def test_negative_max_steps_takes_no_step(self):
+        cfg = ProgConfig(LOOP_FOREVER, State.of(x=1))
+        assert star_run(cfg, -3) == StepTrace(cfg, 0, TraceStatus.FUEL_EXHAUSTED)
+        done = ProgConfig(Skip(), State())
+        assert star_run(done, -3) == StepTrace(done, 0, TraceStatus.COMPLETED)
+
 
 @given(coms(loops=True), states(), st.integers(min_value=0, max_value=50))
 def test_trace_invariants(c, s, fuel):
+    configs = list(islice(small_steps(ProgConfig(c, s)), fuel + 1))
     trace = star_run(ProgConfig(c, s), fuel)
-    configs = trace.configs
     assert trace.steps_taken == len(configs) - 1
+    assert trace.last == configs[-1]
     for before, after in zip(configs, configs[1:]):
         assert small_step(before) == after  # determinism: recompute matches
     if trace.status is TraceStatus.COMPLETED:
@@ -146,19 +170,3 @@ def test_agreement_with_big_step(c, s):
     big = big_step(c, s, 100_000)
     assert isinstance(big, Terminated)
     assert trace.last == ProgConfig(Skip(), big.final)
-
-
-def test_trace_records_schema():
-    trace = star_run(ProgConfig(parse_com("x := 1; y := x"), State()), 100)
-    records = trace_records(trace)
-    assert [r["step_index"] for r in records] == [0, 1, 2, 3]
-    assert records[0]["command_text"] == "x := 1; y := x"
-    assert records[0]["state_bindings"] == {}
-    assert records[-1] == {
-        "step_index": 3,
-        "command_text": "skip",
-        "state_bindings": {"x": 1, "y": 1},
-    }
-    # command_text stays parseable at every step
-    for r in records:
-        parse_com(r["command_text"])
