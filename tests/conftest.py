@@ -7,6 +7,7 @@ concrete syntax can express; round-trip tests rely on that.
 from hypothesis import strategies as st
 
 from imptool.hoare import AAnd, ACmp, AFalse, AImp, ANot, AOr, ATrue, CmpOp
+from imptool.smallstep import ProgConfig
 from imptool.syntax import (
     And,
     Assign,
@@ -21,6 +22,8 @@ from imptool.syntax import (
     State,
     Var,
     While,
+    aval,
+    bval,
 )
 
 names = st.sampled_from(("x", "y", "z", "w"))
@@ -94,3 +97,28 @@ def states():
     return st.dictionaries(names, small_ints, max_size=4).map(
         lambda d: State(d.items())
     )
+
+
+def swapped_small_step(cfg):
+    """`smallstep.small_step` with the If rule taking the wrong branch: a
+    mutant that the differential suites must catch.  Patch it over
+    `smallstep.small_step`."""
+    c, s, ctx = cfg.command, cfg.state, []
+    while type(c) is Seq and type(c.first) is not Skip:
+        ctx.append(c.second)
+        c = c.first
+    t = type(c)
+    if t is Skip:
+        return None
+    if t is Seq:
+        inner = c.second
+    elif t is Assign:
+        s = s.update(c.target, aval(c.rhs, s))
+        inner = Skip()
+    elif t is If:
+        inner = c.else_branch if bval(c.cond, s) else c.then_branch
+    else:
+        inner = If(c.cond, Seq(c.body, c), Skip())
+    for second in reversed(ctx):
+        inner = Seq(inner, second)
+    return ProgConfig(inner, s)
