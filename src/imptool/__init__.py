@@ -1,7 +1,7 @@
 """IMP toolchain: interpreter, stepper, compiler + stack machine, Hoare-logic
 verifier, and a deterministic differential-testing harness."""
 
-from .bigstep import BigStepOutcome, FuelExhausted, Terminated, big_step, equivalent_com
+from .bigstep import BigStepOutcome, FuelExhausted, Terminated, big_step
 from .harness import (
     DEFAULT_SEED,
     CaseFailure,

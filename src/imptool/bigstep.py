@@ -9,7 +9,7 @@ touching the interpreter call stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .syntax import Assign, Com, If, Seq, Skip, State, While, aval, bval
 
@@ -20,40 +20,12 @@ class Terminated:
     rules_applied: int
 
 
+@dataclass(frozen=True, slots=True)
 class FuelExhausted:
-    """Evaluation ran out of fuel before finishing.
-
-    Carries a best-effort residual command for diagnostics.  The residual is
-    purely informational, so all FuelExhausted values compare equal: outcome
-    comparisons depend only on the constructor.
-    """
-
-    __slots__ = ("residual",)
-
-    def __init__(self, residual: Com | None = None) -> None:
-        self.residual = residual
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FuelExhausted)
-
-    def __hash__(self) -> int:
-        return hash(FuelExhausted)
-
-    def __repr__(self) -> str:
-        return "FuelExhausted()"
+    """Evaluation ran out of fuel before finishing."""
 
 
 BigStepOutcome = Union[Terminated, FuelExhausted]
-
-
-def _fold_residual(todo: list[Com]) -> Com | None:
-    """Remaining work as a single command; next command to run comes first."""
-    if not todo:
-        return None
-    residual = todo[0]
-    for item in todo[1:]:
-        residual = Seq(item, residual)
-    return residual
 
 
 def big_step(c: Com, s: State, fuel: int) -> BigStepOutcome:
@@ -62,7 +34,7 @@ def big_step(c: Com, s: State, fuel: int) -> BigStepOutcome:
     count = 0
     while todo:
         if count >= fuel:
-            return FuelExhausted(_fold_residual(todo))
+            return FuelExhausted()
         node = todo.pop()
         count += 1
         t = type(node)
@@ -83,19 +55,3 @@ def big_step(c: Com, s: State, fuel: int) -> BigStepOutcome:
             raise TypeError(f"not a command: {node!r}")
     return Terminated(s, count)
 
-
-def equivalent_com(c1: Com, c2: Com, states: Iterable[State], fuel: int) -> bool:
-    """True iff both commands agree on every supplied state at this fuel.
-
-    Agreement means the same outcome constructor and, when both terminate,
-    the same final state.  Mutual fuel exhaustion counts as agreement on
-    divergence.
-    """
-    for s in states:
-        o1 = big_step(c1, s, fuel)
-        o2 = big_step(c2, s, fuel)
-        if type(o1) is not type(o2):
-            return False
-        if type(o1) is Terminated and o1.final != o2.final:
-            return False
-    return True

@@ -37,6 +37,7 @@ from .machine import (
     execute,
 )
 from .parser import (
+    INTEGER_RE,
     ParseError,
     parse_annotated_com,
     parse_asm,
@@ -96,11 +97,9 @@ def parse_state_spec(spec: str) -> State:
         if name in seen:
             raise ValueError(f"duplicate identifier {name!r} in state spec")
         seen.add(name)
-        try:
-            value = int(value_text)
-        except ValueError:
-            raise ValueError(f"bad integer {value_text!r} for {name!r} in state spec") from None
-        pairs.append((name, value))
+        if not INTEGER_RE.fullmatch(value_text):
+            raise ValueError(f"bad integer {value_text!r} for {name!r} in state spec")
+        pairs.append((name, int(value_text)))
     return State(pairs)
 
 
@@ -125,10 +124,7 @@ class _BadOptionValue(Exception):
 
 def _non_negative(option: str):
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = -1
+        value = int(text) if INTEGER_RE.fullmatch(text) else -1
         if value < 0:
             raise _BadOptionValue(f"{option} must be a non-negative integer, got {text!r}")
         return value
@@ -263,23 +259,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"bound: {report.bound}",
         f"computed precondition: {pretty_assertion(report.precondition)}",
     ]
-    saw_counterexample = False
-    saw_unknown = False
     for entry in report.vcs:
         word, extra = _verdict_lines(entry.verdict)
         out.append(f"vc {entry.label}: {pretty_assertion(entry.formula)} -- {word}")
         out.extend(extra)
-        saw_counterexample |= type(entry.verdict) is CounterexampleFound
-        saw_unknown |= type(entry.verdict) is Unknown
     word, extra = _verdict_lines(report.triple_verdict)
     out.append(f"triple: {word}")
     out.extend(extra)
     print("\n".join(out))
-    saw_counterexample |= type(report.triple_verdict) is CounterexampleFound
-    saw_unknown |= type(report.triple_verdict) is Unknown
-    if saw_counterexample:
+    verdicts = {type(entry.verdict) for entry in report.vcs} | {type(report.triple_verdict)}
+    if CounterexampleFound in verdicts:
         return EXIT_COUNTEREXAMPLE
-    if saw_unknown:
+    if Unknown in verdicts:
         return EXIT_UNKNOWN
     return EXIT_OK
 
@@ -301,15 +292,10 @@ def _print_suite(name: str, result: SuiteResult) -> None:
 
 def cmd_quickcheck(args: argparse.Namespace) -> int:
     cfg = GenConfig(seed=args.seed)
-    chosen = ("small-big", "compiler", "hoare") if args.suite == "all" else (args.suite,)
+    suites = {"small-big": suite_small_big, "compiler": suite_compiler, "hoare": suite_hoare}
     total_failures = 0
-    for name in chosen:
-        if name == "small-big":
-            result = suite_small_big(args.cases, cfg)
-        elif name == "compiler":
-            result = suite_compiler(args.cases, cfg)
-        else:
-            result = suite_hoare(args.cases, cfg)
+    for name in suites if args.suite == "all" else (args.suite,):
+        result = suites[name](args.cases, cfg)
         _print_suite(name, result)
         total_failures += len(result.failures)
     return EXIT_OK if total_failures == 0 else EXIT_COUNTEREXAMPLE
@@ -374,10 +360,19 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except _BadOptionValue as err:
         return _fail(f"imptool: error: {err}")
+    if hasattr(sys, "set_int_max_str_digits"):  # IMP integers are unbounded
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except RecursionError:
         return _fail(f"{getattr(args, 'file', 'imptool')}: nesting too deep")
+    except BrokenPipeError:
+        # The reader went away (`imptool trace ... | head`).  Point stdout at
+        # devnull so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable
 
 from .bigstep import FuelExhausted, Terminated, big_step
 from .hoare import (
@@ -36,22 +37,7 @@ from .hoare import (
     verify,
     wp_loop_free,
 )
-from .machine import (
-    Add,
-    Halted,
-    Instr,
-    Jmp,
-    JmpGe,
-    JmpLess,
-    Load,
-    LoadI,
-    MachineConfig,
-    Store,
-    ccomp,
-    exec_n,
-    execute,
-    steps_to_halt,
-)
+from .machine import Halted, MachineConfig, ccomp, exec_n, execute, steps_to_halt
 from .smallstep import ProgConfig, TraceStatus, star_run
 from .syntax import (
     And,
@@ -64,12 +50,13 @@ from .syntax import (
     Not,
     NumLit,
     Plus,
-    Seq,
     Skip,
     State,
     Var,
     While,
     node_count,
+    seq_chain,
+    seq_spine,
     vars_of,
 )
 
@@ -207,14 +194,9 @@ def _gen_block(
     loop_probability: float,
 ) -> Com:
     count = rng.randint(1, 3) if depth > 0 else 1
-    stmts = [
-        _gen_stmt(rng, depth, variables, literal_range, loop_probability)
-        for _ in range(count)
-    ]
-    node = stmts[-1]
-    for stmt in reversed(stmts[:-1]):
-        node = Seq(stmt, node)
-    return node
+    return seq_chain(
+        [_gen_stmt(rng, depth, variables, literal_range, loop_probability) for _ in range(count)]
+    )
 
 
 def _gen_assign(rng: random.Random, depth: int, variables, literal_range) -> Com:
@@ -245,20 +227,6 @@ def _gen_stmt(
     return _gen_assign(rng, depth, variables, literal_range)
 
 
-def _seq_append(block: Com, stmt: Com) -> Com:
-    # keep the Seq spine right-nested so the result stays printable
-    spine = []
-    node = block
-    while type(node) is Seq:
-        spine.append(node.first)
-        node = node.second
-    spine.append(node)
-    out = stmt
-    for prev in reversed(spine):
-        out = Seq(prev, out)
-    return out
-
-
 def _gen_loop(
     rng: random.Random,
     depth: int,
@@ -274,7 +242,7 @@ def _gen_loop(
         limit = rng.randint(*literal_range)
         extra = _gen_block(rng, depth - 1, others, literal_range, loop_probability / 2)
         step = Assign(counter, Plus(Var(counter), NumLit(rng.randint(1, 2))))
-        return While(Less(Var(counter), NumLit(limit)), _seq_append(extra, step))
+        return While(Less(Var(counter), NumLit(limit)), seq_chain(seq_spine(extra) + [step]))
     return While(
         gen_bexp(rng, 2, variables, literal_range),
         _gen_block(rng, depth - 1, variables, literal_range, loop_probability / 2),
@@ -320,28 +288,6 @@ def gen_assertion(
     return AImp(*args)
 
 
-def gen_instrs(rng: random.Random, length: int, variables: tuple[str, ...] = _VAR_POOL) -> list[Instr]:
-    """A random instruction list (not necessarily a sensible program)."""
-    out: list[Instr] = []
-    for _ in range(length):
-        pick = rng.randrange(7)
-        if pick == 0:
-            out.append(LoadI(rng.randint(-9, 9)))
-        elif pick == 1:
-            out.append(Load(rng.choice(variables)))
-        elif pick == 2:
-            out.append(Add())
-        elif pick == 3:
-            out.append(Store(rng.choice(variables)))
-        elif pick == 4:
-            out.append(Jmp(rng.randint(-8, 8)))
-        elif pick == 5:
-            out.append(JmpLess(rng.randint(-8, 8)))
-        else:
-            out.append(JmpGe(rng.randint(-8, 8)))
-    return out
-
-
 # --- suites -----------------------------------------------------------------------
 
 
@@ -349,125 +295,123 @@ def _state_text(s: State) -> str:
     return ", ".join(f"{k}={v}" for k, v in s.items()) or "(all zero)"
 
 
-def suite_small_big(cases: int, cfg: GenConfig, fuel: int = SUITE_FUEL) -> SuiteResult:
-    """Differential suite: star_run and big_step must agree per case.
+# What a check returns for a case skipped as agreement on divergence; a
+# passing case gives None, and a failing one the fields of its CaseFailure
+# after the case index and seed.
+_SKIPPED = "skipped"
+
+
+def _run_cases(base_seed: int, families) -> SuiteResult:
+    """The case loop of every suite.
+
+    A family is `(stream, count, case)`: its k-th case draws from a generator
+    seeded at stream position `stream + k` and returns `case(k, rng)`.  Case
+    indices run on across families.
+    """
+    failures: list[CaseFailure] = []
+    passed = skipped = index = 0
+    for stream, count, case in families:
+        for k in range(count):
+            seed = case_seed(base_seed, stream + k)
+            outcome = case(k, random.Random(seed))
+            if outcome is None:
+                passed += 1
+            elif outcome is _SKIPPED:
+                skipped += 1
+            else:
+                failures.append(CaseFailure(index, seed, *outcome))
+            index += 1
+    return SuiteResult(index, passed, skipped, tuple(failures))
+
+
+def _generated(cfg: GenConfig, check: Callable[[Com, State], object]):
+    """A case that runs `check(program, initial)` on a generated program and
+    state.  The check returns None, _SKIPPED, or (expectation, observed)."""
+    from .parser import pretty_com
+
+    def case(k: int, rng: random.Random):
+        program = gen_com(cfg, rng)
+        initial = gen_state(cfg, rng)
+        verdict = check(program, initial)
+        if verdict is None or verdict is _SKIPPED:
+            return verdict
+        return (pretty_com(program), initial, *verdict)
+
+    return case
+
+
+def _check_small_big(program: Com, initial: State, fuel: int):
+    """star_run and big_step agree on one program and state.
 
     When one side finishes and the other has not at the base fuel, the slow
     side is re-run at cross_fuel(fuel); only mutual exhaustion is skipped.
     """
-    from .parser import pretty_com
-
-    failures: list[CaseFailure] = []
-    passed = 0
-    skipped = 0
-    for index in range(cases):
-        seed = case_seed(cfg.seed, index)
-        rng = random.Random(seed)
-        program = gen_com(cfg, rng)
-        initial = gen_state(cfg, rng)
-
-        trace = star_run(ProgConfig(program, initial), fuel)
-        big = big_step(program, initial, fuel)
-        small_done = trace.status is TraceStatus.COMPLETED
+    trace = star_run(ProgConfig(program, initial), fuel)
+    big = big_step(program, initial, fuel)
+    small_done = trace.status is TraceStatus.COMPLETED
+    big_done = type(big) is Terminated
+    if not small_done and not big_done:
+        return _SKIPPED
+    if small_done and not big_done:
+        big = big_step(program, initial, cross_fuel(fuel))
         big_done = type(big) is Terminated
-        if not small_done and not big_done:
-            skipped += 1
-            continue
-        if small_done and not big_done:
-            big = big_step(program, initial, cross_fuel(fuel))
-            big_done = type(big) is Terminated
-        elif big_done and not small_done:
-            trace = star_run(ProgConfig(program, initial), cross_fuel(fuel))
-            small_done = trace.status is TraceStatus.COMPLETED
+    elif big_done and not small_done:
+        trace = star_run(ProgConfig(program, initial), cross_fuel(fuel))
+        small_done = trace.status is TraceStatus.COMPLETED
+    if not (small_done and big_done):
+        return (
+            "both semantics terminate once either does within fuel",
+            "small-step terminated: %s; big-step terminated: %s" % (small_done, big_done),
+        )
+    if trace.last.state != big.final:
+        return (
+            "small-step and big-step reach the same final state",
+            "small-step: %s; big-step: %s" % (_state_text(trace.last.state), _state_text(big.final)),
+        )
+    return None
 
-        if not (small_done and big_done):
-            failures.append(
-                CaseFailure(
-                    index,
-                    seed,
-                    pretty_com(program),
-                    initial,
-                    "both semantics terminate once either does within fuel",
-                    "small-step terminated: %s; big-step terminated: %s"
-                    % (small_done, big_done),
-                )
-            )
-        elif trace.last.state != big.final:
-            failures.append(
-                CaseFailure(
-                    index,
-                    seed,
-                    pretty_com(program),
-                    initial,
-                    "small-step and big-step reach the same final state",
-                    "small-step: %s; big-step: %s"
-                    % (_state_text(trace.last.state), _state_text(big.final)),
-                )
-            )
-        else:
-            passed += 1
-    return SuiteResult(cases, passed, skipped, tuple(failures))
+
+def _check_compiler(program: Com, initial: State, fuel: int):
+    """The compiled program halts at the end of the code with an empty stack
+    in exactly the state big_step computed, and the exec/exec_n/steps_to_halt
+    views of the run agree."""
+    big = big_step(program, initial, fuel)
+    if type(big) is FuelExhausted:
+        return _SKIPPED
+    code = ccomp(program)
+    budget = max(big.rules_applied, 1) * COMPILER_FUEL_FACTOR * (1 + node_count(program))
+    start = MachineConfig(0, initial, ())
+    outcome = execute(code, start, budget)
+    if type(outcome) is not Halted:
+        problem = f"machine did not halt: {outcome!r}"
+    elif outcome.final.pc != len(code):
+        problem = f"halt pc {outcome.final.pc} != program length {len(code)}"
+    elif outcome.final.stack != ():
+        problem = f"non-empty final stack {list(outcome.final.stack)}"
+    elif outcome.final.state != big.final:
+        problem = "machine state %s != big-step state %s" % (
+            _state_text(outcome.final.state),
+            _state_text(big.final),
+        )
+    elif (halted_in := steps_to_halt(code, start, budget)) != outcome.steps_taken:
+        problem = f"steps_to_halt {halted_in} != executed steps {outcome.steps_taken}"
+    elif (replay := exec_n(code, start, outcome.steps_taken)) != outcome.final:
+        problem = f"exec_n replay {replay!r} != halted config {outcome.final!r}"
+    else:
+        return None
+    return "compiled code simulates the source program", problem
+
+
+def suite_small_big(cases: int, cfg: GenConfig, fuel: int = SUITE_FUEL) -> SuiteResult:
+    """Differential suite: small-step and big-step runs agree on every
+    generated case (`_check_small_big`)."""
+    return _run_cases(cfg.seed, [(0, cases, _generated(cfg, partial(_check_small_big, fuel=fuel)))])
 
 
 def suite_compiler(cases: int, cfg: GenConfig, fuel: int = SUITE_FUEL) -> SuiteResult:
-    """Differential suite: the compiled program must halt at the end of the
-    code with an empty stack in exactly the state big_step computed, and the
-    exec/exec_n/steps_to_halt views of the run must agree."""
-    from .parser import pretty_com
-
-    failures: list[CaseFailure] = []
-    passed = 0
-    skipped = 0
-    for index in range(cases):
-        seed = case_seed(cfg.seed, index)
-        rng = random.Random(seed)
-        program = gen_com(cfg, rng)
-        initial = gen_state(cfg, rng)
-
-        big = big_step(program, initial, fuel)
-        if type(big) is FuelExhausted:
-            skipped += 1
-            continue
-        code = ccomp(program)
-        budget = max(big.rules_applied, 1) * COMPILER_FUEL_FACTOR * (1 + node_count(program))
-        start = MachineConfig(0, initial, ())
-        outcome = execute(code, start, budget)
-
-        problem: Optional[str] = None
-        if type(outcome) is not Halted:
-            problem = f"machine did not halt: {outcome!r}"
-        elif outcome.final.pc != len(code):
-            problem = f"halt pc {outcome.final.pc} != program length {len(code)}"
-        elif outcome.final.stack != ():
-            problem = f"non-empty final stack {list(outcome.final.stack)}"
-        elif outcome.final.state != big.final:
-            problem = "machine state %s != big-step state %s" % (
-                _state_text(outcome.final.state),
-                _state_text(big.final),
-            )
-        else:
-            halted_in = steps_to_halt(code, start, budget)
-            if halted_in != outcome.steps_taken:
-                problem = f"steps_to_halt {halted_in} != executed steps {outcome.steps_taken}"
-            else:
-                replay = exec_n(code, start, outcome.steps_taken)
-                if replay != outcome.final:
-                    problem = f"exec_n replay {replay!r} != halted config {outcome.final!r}"
-
-        if problem is None:
-            passed += 1
-        else:
-            failures.append(
-                CaseFailure(
-                    index,
-                    seed,
-                    pretty_com(program),
-                    initial,
-                    "compiled code simulates the source program",
-                    problem,
-                )
-            )
-    return SuiteResult(cases, passed, skipped, tuple(failures))
+    """Differential suite: the compiled code simulates big_step on every
+    generated case (`_check_compiler`)."""
+    return _run_cases(cfg.seed, [(0, cases, _generated(cfg, partial(_check_compiler, fuel=fuel)))])
 
 
 # --- Hoare-logic suite ---------------------------------------------------------------
@@ -537,24 +481,6 @@ LOOP_FIXTURES: tuple[tuple[str, str, str, str], ...] = (
 FIXTURE_BOUND = 8
 
 
-def loop_fixture_report(name: str, bound: int = FIXTURE_BOUND, fuel: int = SUITE_FUEL):
-    """Verification report for one named loop fixture, total mode."""
-    from .parser import parse_annotated_com, parse_assertion
-
-    for fixture_name, program_text, pre_text, post_text in LOOP_FIXTURES:
-        if fixture_name == name:
-            annotated = parse_annotated_com(program_text)
-            return verify(
-                annotated,
-                parse_assertion(pre_text),
-                parse_assertion(post_text),
-                bound,
-                fuel,
-                Mode.TOTAL,
-            )
-    raise KeyError(f"no loop fixture named {name!r}")
-
-
 def _verdict_text(v) -> str:
     t = type(v)
     if t is Valid:
@@ -579,85 +505,45 @@ def suite_hoare(
     verify in total mode (all VCs valid and the triple semantically valid)
     at `fixture_bound`.
     """
-    from .parser import pretty_assertion, pretty_com
+    from .parser import parse_annotated_com, parse_assertion, pretty_assertion, pretty_com
 
     gen_cfg = _hoare_gen_config(cfg)
     variables = gen_cfg.variables()
-    failures: list[CaseFailure] = []
-    passed = 0
-    index = 0
 
-    def run_family(family: int, build: Callable[[random.Random], tuple]) -> None:
-        nonlocal passed, index
-        for i in range(cases):
-            seed = case_seed(cfg.seed, family * 1_000_003 + i)
-            rng = random.Random(seed)
-            program, pre, post, checks = build(rng)
-            problem = None
+    def triples(weaken: bool):
+        """Strengthen the precondition of a valid triple built from the wp
+        and, if `weaken`, also weaken its postcondition (the consequence rule)."""
+
+        def case(k: int, rng: random.Random):
+            program = gen_com(gen_cfg, rng)
+            post = gen_assertion(rng, 2, variables, gen_cfg.literal_range)
+            pre = wp_loop_free(program, post)
+            stronger = AAnd(pre, gen_assertion(rng, 1, variables, gen_cfg.literal_range))
+            weaker = AOr(post, gen_assertion(rng, 1, variables, gen_cfg.literal_range)) if weaken else post
+            names = vars_of(program) | assertion_vars(stronger) | assertion_vars(weaker)
+            checks = [("entails(P', P)", entails(stronger, pre, names, bound))]
+            if weaken:
+                checks.append(("entails(Q, Q')", entails(post, weaker, names, bound)))
+            checks.append(("{P} c {Q}", check_triple(pre, program, post, names, bound, fuel, Mode.TOTAL)))
+            label = "{P'} c {Q'}" if weaken else "{P'} c {Q}"
+            checks.append((label, check_triple(stronger, program, weaker, names, bound, fuel, Mode.TOTAL)))
             for label, verdict in checks:
                 if type(verdict) is not Valid:
-                    problem = f"{label}: {_verdict_text(verdict)}"
-                    break
-            if problem is None:
-                passed += 1
-            else:
-                failures.append(
-                    CaseFailure(
-                        index,
-                        seed,
+                    return (
                         pretty_com(program),
                         State(),
                         "{%s} c {%s} and derived triples hold"
-                        % (pretty_assertion(pre), pretty_assertion(post)),
-                        problem,
+                        % (pretty_assertion(stronger), pretty_assertion(weaker)),
+                        f"{label}: {_verdict_text(verdict)}",
                     )
-                )
-            index += 1
+            return None
 
-    def build_strengthen(rng: random.Random):
-        program = gen_com(gen_cfg, rng)
-        post = gen_assertion(rng, 2, variables, gen_cfg.literal_range)
-        pre = wp_loop_free(program, post)
-        extra = gen_assertion(rng, 1, variables, gen_cfg.literal_range)
-        stronger = AAnd(pre, extra)
-        names = vars_of(program) | assertion_vars(stronger) | assertion_vars(post)
-        checks = (
-            ("entails(P', P)", entails(stronger, pre, names, bound)),
-            ("{P} c {Q}", check_triple(pre, program, post, names, bound, fuel, Mode.TOTAL)),
-            ("{P'} c {Q}", check_triple(stronger, program, post, names, bound, fuel, Mode.TOTAL)),
-        )
-        return program, stronger, post, checks
+        return case
 
-    def build_conseq(rng: random.Random):
-        program = gen_com(gen_cfg, rng)
-        post = gen_assertion(rng, 2, variables, gen_cfg.literal_range)
-        pre = wp_loop_free(program, post)
-        stronger = AAnd(pre, gen_assertion(rng, 1, variables, gen_cfg.literal_range))
-        weaker = AOr(post, gen_assertion(rng, 1, variables, gen_cfg.literal_range))
-        names = (
-            vars_of(program)
-            | assertion_vars(stronger)
-            | assertion_vars(weaker)
-            | assertion_vars(post)
-        )
-        checks = (
-            ("entails(P', P)", entails(stronger, pre, names, bound)),
-            ("entails(Q, Q')", entails(post, weaker, names, bound)),
-            ("{P} c {Q}", check_triple(pre, program, post, names, bound, fuel, Mode.TOTAL)),
-            ("{P'} c {Q'}", check_triple(stronger, program, weaker, names, bound, fuel, Mode.TOTAL)),
-        )
-        return program, stronger, weaker, checks
-
-    run_family(1, build_strengthen)
-    run_family(2, build_conseq)
-
-    from .parser import parse_annotated_com, parse_assertion
-
-    for name, program_text, pre_text, post_text in LOOP_FIXTURES:
-        seed = case_seed(cfg.seed, 3 * 1_000_003 + index)
-        annotated = parse_annotated_com(program_text)
+    def fixture(k: int, rng: random.Random):
+        name, program_text, pre_text, post_text = LOOP_FIXTURES[k]
         report = verify(
-            annotated,
+            parse_annotated_com(program_text),
             parse_assertion(pre_text),
             parse_assertion(post_text),
             fixture_bound,
@@ -665,25 +551,22 @@ def suite_hoare(
             Mode.TOTAL,
         )
         if report.all_valid:
-            passed += 1
-        else:
-            broken = [
-                f"{entry.label}: {_verdict_text(entry.verdict)}"
-                for entry in report.vcs
-                if type(entry.verdict) is not Valid
-            ]
-            if type(report.triple_verdict) is not Valid:
-                broken.append(f"triple: {_verdict_text(report.triple_verdict)}")
-            failures.append(
-                CaseFailure(
-                    index,
-                    seed,
-                    program_text,
-                    State(),
-                    f"fixture '{name}' verifies in total mode",
-                    "; ".join(broken),
-                )
-            )
-        index += 1
+            return None
+        broken = [
+            f"{entry.label}: {_verdict_text(entry.verdict)}"
+            for entry in report.vcs
+            if type(entry.verdict) is not Valid
+        ]
+        if type(report.triple_verdict) is not Valid:
+            broken.append(f"triple: {_verdict_text(report.triple_verdict)}")
+        return program_text, State(), f"fixture '{name}' verifies in total mode", "; ".join(broken)
 
-    return SuiteResult(index, passed, 0, tuple(failures))
+    # The fixtures' stream positions continue from the last case index.
+    return _run_cases(
+        cfg.seed,
+        [
+            (1_000_003, cases, triples(weaken=False)),
+            (2_000_006, cases, triples(weaken=True)),
+            (3_000_009 + 2 * cases, len(LOOP_FIXTURES), fixture),
+        ],
+    )

@@ -46,6 +46,8 @@ from .syntax import (
     Var,
     While,
     aval,
+    seq_chain,
+    seq_spine,
     vars_of,
 )
 
@@ -243,15 +245,6 @@ def _value_tuples(arity: int, bound: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(-bound, bound + 1), repeat=arity)
 
 
-def enumerate_states(variables: Iterable[str], bound: int) -> Iterator[State]:
-    """All states giving each listed variable a value in [-bound, bound] and
-    every other identifier 0, in lexicographic order over the sorted names
-    with values ascending."""
-    ordered = sorted(set(variables))
-    for combo in _value_tuples(len(ordered), bound):
-        yield State(zip(ordered, combo))
-
-
 def _enumerated_names(variables: Iterable[str], bound: int) -> Optional[list[str]]:
     """The sorted names a check enumerates, or None when their state space
     exceeds the enumeration limit."""
@@ -430,13 +423,7 @@ def _wp(c: Com, post: Assertion, loop: Callable[[While, Assertion], Assertion]) 
     if t is Assign:
         return subst_assertion(post, c.target, c.rhs)
     if t is Seq:
-        chain: list[Com] = []
-        node: Com = c
-        while type(node) is Seq:
-            chain.append(node.first)
-            node = node.second
-        chain.append(node)
-        for part in reversed(chain):
+        for part in reversed(seq_spine(c)):
             post = _wp(part, post, loop)
         return post
     if t is If:
@@ -466,15 +453,7 @@ def erase(c: Com) -> Com:
     """The command with every loop's invariant and measure dropped."""
     t = type(c)
     if t is Seq:
-        chain: list[Com] = []
-        node: Com = c
-        while type(node) is Seq:
-            chain.append(node.first)
-            node = node.second
-        out = erase(node)
-        for part in reversed(chain):
-            out = Seq(erase(part), out)
-        return out
+        return seq_chain([erase(part) for part in seq_spine(c)])
     if t is If:
         return If(c.cond, erase(c.then_branch), erase(c.else_branch))
     if t is While:

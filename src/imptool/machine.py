@@ -261,14 +261,3 @@ def ccomp(c: Com) -> list[Instr]:
             raise TypeError(f"not a command: {node!r}")
     return code
 
-
-def jumps_in_range(prog: Program) -> bool:
-    """True iff every jump lands inside [0, len(prog)]."""
-    size = len(prog)
-    for i, instr in enumerate(prog):
-        t = type(instr)
-        if t is Jmp or t is JmpLess or t is JmpGe:
-            target = i + 1 + instr.offset
-            if target < 0 or target > size:
-                return False
-    return True

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .hoare import (
     AAnd,
@@ -67,6 +67,7 @@ from .syntax import (
     Skip,
     Var,
     While,
+    seq_chain,
 )
 
 
@@ -182,10 +183,7 @@ class _Parser:
         parts = [self.statement()]
         while self.eat(";"):
             parts.append(self.statement())
-        node = parts[-1]
-        for part in reversed(parts[:-1]):
-            node = Seq(part, node)
-        return node
+        return seq_chain(parts)
 
     def statement(self) -> Com:
         kind = self.kinds[self.index]
@@ -491,8 +489,15 @@ def pretty_com(c: Com) -> str:
 # --- assembly text format ----------------------------------------------------------
 
 
-_ASM_INT_RE = re.compile(r"-?\d+$")
+# An integer anywhere the CLI reads one, by the rule of the integer token
+# above: ASCII digits with an optional minus.
+INTEGER_RE = re.compile(r"-?[0-9]+")
 _ASM_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+# Each instruction class by its mnemonic; its one field, if any, is the operand.
+_MNEMONICS = {
+    "LOADI": LoadI, "LOAD": Load, "ADD": Add, "STORE": Store, "JMP": Jmp, "JMPLESS": JmpLess, "JMPGE": JmpGe
+}
+_MNEMONIC_OF = {cls: mnemonic for mnemonic, cls in _MNEMONICS.items()}
 
 
 def parse_asm(text: str) -> list[Instr]:
@@ -506,25 +511,23 @@ def parse_asm(text: str) -> list[Instr]:
         line = raw.split("//", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
+        mnemonic, *operands = line.split()
         span = SourceSpan(lineno, 1, lineno, max(len(raw), 1))
-        mnemonic = parts[0]
-        if mnemonic in ("LOADI", "JMP", "JMPLESS", "JMPGE"):
-            if len(parts) != 2 or not _ASM_INT_RE.match(parts[1]):
-                raise ParseError(f"{mnemonic} needs one integer operand", span)
-            value = int(parts[1])
-            ctor = {"LOADI": LoadI, "JMP": Jmp, "JMPLESS": JmpLess, "JMPGE": JmpGe}[mnemonic]
-            instrs.append(ctor(value))
-        elif mnemonic in ("LOAD", "STORE"):
-            if len(parts) != 2 or not _ASM_IDENT_RE.match(parts[1]):
-                raise ParseError(f"{mnemonic} needs one identifier operand", span)
-            instrs.append(Load(parts[1]) if mnemonic == "LOAD" else Store(parts[1]))
-        elif mnemonic == "ADD":
-            if len(parts) != 1:
+        ctor = _MNEMONICS.get(mnemonic)
+        if ctor is None:
+            raise ParseError(f"unknown mnemonic '{mnemonic}'", span)
+        if ctor is Add:
+            if operands:
                 raise ParseError("ADD takes no operand", span)
             instrs.append(Add())
+        elif ctor is Load or ctor is Store:
+            if len(operands) != 1 or not _ASM_IDENT_RE.match(operands[0]):
+                raise ParseError(f"{mnemonic} needs one identifier operand", span)
+            instrs.append(ctor(operands[0]))
         else:
-            raise ParseError(f"unknown mnemonic '{mnemonic}'", span)
+            if len(operands) != 1 or not INTEGER_RE.fullmatch(operands[0]):
+                raise ParseError(f"{mnemonic} needs one integer operand", span)
+            instrs.append(ctor(int(operands[0])))
     return instrs
 
 
@@ -532,21 +535,8 @@ def pretty_asm(instrs: list[Instr]) -> str:
     """Render instructions in the format parse_asm reads back."""
     lines: list[str] = []
     for instr in instrs:
-        t = type(instr)
-        if t is LoadI:
-            lines.append(f"LOADI {instr.value}")
-        elif t is Load:
-            lines.append(f"LOAD {instr.name}")
-        elif t is Add:
-            lines.append("ADD")
-        elif t is Store:
-            lines.append(f"STORE {instr.name}")
-        elif t is Jmp:
-            lines.append(f"JMP {instr.offset}")
-        elif t is JmpLess:
-            lines.append(f"JMPLESS {instr.offset}")
-        elif t is JmpGe:
-            lines.append(f"JMPGE {instr.offset}")
-        else:
+        mnemonic = _MNEMONIC_OF.get(type(instr))
+        if mnemonic is None:
             raise TypeError(f"not an instruction: {instr!r}")
+        lines.append(" ".join([mnemonic, *(str(getattr(instr, f.name)) for f in fields(instr))]))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -16,10 +16,6 @@ from typing import Iterator, Optional
 
 from .syntax import Assign, Com, If, Seq, Skip, State, While, aval, bval
 
-# Fault-injection hook: when set, the If rule picks the wrong branch.  Used
-# by the harness self-checks to prove the differential suites can fail.
-SWAP_IF_BRANCHES = False
-
 
 @dataclass(frozen=True, slots=True)
 class ProgConfig:
@@ -64,10 +60,7 @@ def small_step(cfg: ProgConfig) -> Optional[ProgConfig]:
         s = s.update(c.target, aval(c.rhs, s))
         inner = Skip()
     elif t is If:
-        taken = bval(c.cond, s)
-        if SWAP_IF_BRANCHES:
-            taken = not taken
-        inner = c.then_branch if taken else c.else_branch
+        inner = c.then_branch if bval(c.cond, s) else c.else_branch
     elif t is While:
         inner = If(c.cond, Seq(c.body, c), Skip())
     else:

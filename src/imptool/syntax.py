@@ -108,6 +108,26 @@ class While:
 Com = Union[Skip, Assign, Seq, If, While]
 
 
+def seq_chain(parts: list[Com]) -> Com:
+    """The right-nested sequence of one or more commands, the only nesting
+    the concrete syntax writes."""
+    node = parts[-1]
+    for part in reversed(parts[:-1]):
+        node = Seq(part, node)
+    return node
+
+
+def seq_spine(c: Com) -> list[Com]:
+    """The commands along c's right-nested Seq spine, in order; [c] when c
+    is not a Seq.  Inverts `seq_chain`."""
+    parts = []
+    while type(c) is Seq:
+        parts.append(c.first)
+        c = c.second
+    parts.append(c)
+    return parts
+
+
 # --- program state -----------------------------------------------------------
 
 

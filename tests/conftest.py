@@ -1,4 +1,6 @@
-"""Shared hypothesis strategies over the language ASTs.
+"""Shared test helpers: hypothesis strategies over the language ASTs, a
+random instruction-list generator, and a swapped-branch mutant of the
+small-step semantics.
 
 Command strategies only build right-nested Seq spines, matching what the
 concrete syntax can express; round-trip tests rely on that.
@@ -7,6 +9,7 @@ concrete syntax can express; round-trip tests rely on that.
 from hypothesis import strategies as st
 
 from imptool.hoare import AAnd, ACmp, AFalse, AImp, ANot, AOr, ATrue, CmpOp
+from imptool.machine import Add, Jmp, JmpGe, JmpLess, Load, LoadI, Store
 from imptool.smallstep import ProgConfig
 from imptool.syntax import (
     And,
@@ -24,6 +27,7 @@ from imptool.syntax import (
     While,
     aval,
     bval,
+    seq_chain,
 )
 
 names = st.sampled_from(("x", "y", "z", "w"))
@@ -63,13 +67,6 @@ def assertions(max_leaves: int = 10):
     )
 
 
-def _seq_chain(stmts):
-    node = stmts[-1]
-    for stmt in reversed(stmts[:-1]):
-        node = Seq(stmt, node)
-    return node
-
-
 def coms(max_leaves: int = 10, loops: bool = True, annotated: bool = False):
     """Random commands; loops=False keeps every program terminating.
 
@@ -82,7 +79,7 @@ def coms(max_leaves: int = 10, loops: bool = True, annotated: bool = False):
         annotations = annotations | st.tuples(assertions(4), st.none() | aexps(4))
 
     def compound(sub):
-        block = st.lists(sub, min_size=1, max_size=3).map(_seq_chain)
+        block = st.lists(sub, min_size=1, max_size=3).map(seq_chain)
         out = st.builds(If, bexps(6), block, block)
         if loops:
             out = out | st.builds(
@@ -122,3 +119,17 @@ def swapped_small_step(cfg):
     for second in reversed(ctx):
         inner = Seq(inner, second)
     return ProgConfig(inner, s)
+
+
+def gen_instrs(rng, length, variables=("x", "y", "z", "w")):
+    """A random instruction list (not necessarily a sensible program)."""
+    makers = (
+        lambda: LoadI(rng.randint(-9, 9)),
+        lambda: Load(rng.choice(variables)),
+        Add,
+        lambda: Store(rng.choice(variables)),
+        lambda: Jmp(rng.randint(-8, 8)),
+        lambda: JmpLess(rng.randint(-8, 8)),
+        lambda: JmpGe(rng.randint(-8, 8)),
+    )
+    return [makers[rng.randrange(7)]() for _ in range(length)]

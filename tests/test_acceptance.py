@@ -13,6 +13,7 @@ from itertools import islice
 import pytest
 
 import imptool.smallstep as smallstep
+from conftest import gen_instrs, swapped_small_step
 from imptool.bigstep import FuelExhausted, Terminated, big_step
 from imptool.harness import (
     DEFAULT_SEED,
@@ -24,7 +25,6 @@ from imptool.harness import (
     gen_aexp,
     gen_assertion,
     gen_com,
-    gen_instrs,
     gen_state,
     suite_compiler,
     suite_hoare,
@@ -210,21 +210,17 @@ def test_substitution_lemma_suite(report):
     report("substitution commutes with state update on 500 random assertions", check)
 
 
-def test_mutation_sanity_branch_swap_is_caught(report):
+def test_mutation_sanity_branch_swap_is_caught(report, monkeypatch):
     def check():
         # case seeds are per-index, so a shorter run is an exact prefix of the
         # 1000-case run; a failure inside the prefix is a failure within 1000
-        original = smallstep.SWAP_IF_BRANCHES
-        smallstep.SWAP_IF_BRANCHES = True
-        try:
-            failures = 0
-            for cases in (100, 1000):
-                res = suite_small_big(cases, GenConfig(), SUITE_FUEL)
-                failures = len(res.failures)
-                if failures:
-                    break
-        finally:
-            smallstep.SWAP_IF_BRANCHES = original
+        monkeypatch.setattr(smallstep, "small_step", swapped_small_step)
+        failures = 0
+        for cases in (100, 1000):
+            res = suite_small_big(cases, GenConfig(), SUITE_FUEL)
+            failures = len(res.failures)
+            if failures:
+                break
         assert failures >= 1, "suite failed to notice swapped branches"
 
     report("the differential suite detects a swapped-branch interpreter within 1000 cases", check)

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import imptool
+from conftest import swapped_small_step
 from imptool import smallstep
 from imptool.cli import (
     EXIT_COUNTEREXAMPLE,
@@ -378,11 +384,72 @@ class TestQuickcheck:
 
     def test_suite_failure_exits_with_counterexample_code(self, capsys, monkeypatch):
         # the branch-swap mutation makes the small-big suite fail fast
-        monkeypatch.setattr(smallstep, "SWAP_IF_BRANCHES", True)
+        monkeypatch.setattr(smallstep, "small_step", swapped_small_step)
         code = main(["quickcheck", "--suite", "small-big", "--cases", "50"])
         assert code == EXIT_COUNTEREXAMPLE
         out = capsys.readouterr().out
         assert "failures=0" not in out
+
+
+class TestAsciiIntegers:
+    """An integer the CLI reads is ASCII digits with an optional minus, as in
+    IMP source; anything else is one line on stderr and exit 1."""
+
+    @pytest.mark.parametrize("value", ["\u0663", "1_000", "+5"], ids=["arabic-indic", "underscore", "plus"])
+    def test_state_value(self, write, capsys, value):
+        path = write("p.asm", "LOAD x\nSTORE y\n")
+        assert main(["exec", path, "--state", f"x={value}"]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: bad integer {value!r} for 'x' in state spec\n"
+
+    @pytest.mark.parametrize("value", ["\u0663", "\uff13"], ids=["arabic-indic", "fullwidth"])
+    def test_assembly_operand(self, write, capsys, value):
+        path = write("p.asm", f"LOADI {value}\nSTORE x\n")
+        assert main(["exec", path]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: 1:1: LOADI needs one integer operand\n"
+
+    def test_budget_option(self, write, capsys):
+        path = write("skip.imp", "skip")
+        assert main(["verify", path, "--bound", "\u0663"]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "non-negative" in captured.err
+
+
+def test_prints_integers_of_any_size(write, capsys):
+    # 2**14500 has 4,365 decimal digits, past CPython's default limit of 4,300
+    path = write("double.imp", "x := 1; i := 0; while (i < 14500) { x := x + x; i := i + 1 }")
+    assert main(["run", path]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    i_line, x_line = captured.out.splitlines()
+    assert i_line == "i=14500"
+    digits = x_line.removeprefix("x=")
+    assert len(digits) == 4365
+    assert digits == str(2**14500)
+
+
+def test_closed_pipe_exits_quietly(write):
+    path = write("loop.imp", "while (true) { x := x + 1 }")
+    src = str(Path(imptool.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "imptool", "trace", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert first == b"0: while (true) { x := x + 1 } | \n"
+    assert err == b""
 
 
 def test_no_subcommand_is_a_usage_error():

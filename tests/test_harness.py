@@ -4,6 +4,7 @@ import random
 import pytest
 
 import imptool.smallstep as smallstep
+from conftest import gen_instrs, swapped_small_step
 from imptool.harness import (
     COMPILER_FUEL_FACTOR,
     DEFAULT_SEED,
@@ -17,14 +18,13 @@ from imptool.harness import (
     gen_assertion,
     gen_bexp,
     gen_com,
-    gen_instrs,
     gen_state,
-    loop_fixture_report,
     suite_compiler,
     suite_hoare,
     suite_small_big,
 )
-from imptool.parser import parse_asm, parse_com, pretty_asm, pretty_com
+from imptool.hoare import Mode, verify
+from imptool.parser import parse_annotated_com, parse_asm, parse_assertion, parse_com, pretty_asm, pretty_com
 from imptool.syntax import Assign, Seq, Skip, vars_of
 
 
@@ -165,7 +165,7 @@ class TestSmallBigSuite:
         assert json.dumps(first.to_json_dict()) == json.dumps(second.to_json_dict())
 
     def test_mutation_is_detected(self, monkeypatch):
-        monkeypatch.setattr(smallstep, "SWAP_IF_BRANCHES", True)
+        monkeypatch.setattr(smallstep, "small_step", swapped_small_step)
         res = suite_small_big(200, GenConfig())
         assert res.failures
         failure = res.failures[0].to_json_dict()
@@ -229,10 +229,14 @@ class TestLoopFixtures:
             assert "measure (" in program_text
 
     def test_countdown_verifies_totally(self):
-        report = loop_fixture_report("countdown", bound=FIXTURE_BOUND, fuel=SUITE_FUEL)
+        name, program_text, pre, post = LOOP_FIXTURES[0]
+        assert name == "countdown"
+        report = verify(
+            parse_annotated_com(program_text),
+            parse_assertion(pre),
+            parse_assertion(post),
+            FIXTURE_BOUND,
+            SUITE_FUEL,
+            Mode.TOTAL,
+        )
         assert report.all_valid
-        assert report.mode.value == "total"
-
-    def test_unknown_fixture_name(self):
-        with pytest.raises(KeyError):
-            loop_fixture_report("no-such-fixture")

@@ -1,3 +1,4 @@
+import itertools
 from functools import reduce
 
 import pytest
@@ -27,7 +28,6 @@ from imptool.hoare import (
     check_triple,
     check_valid,
     entails,
-    enumerate_states,
     erase,
     eval_assertion,
     state_space_size,
@@ -36,8 +36,10 @@ from imptool.hoare import (
     vcgen,
     verify,
     wp_loop_free,
+    _enumerated_names,
     _fits_codegen,
     _predicate,
+    _value_tuples,
 )
 from imptool.parser import (
     parse_annotated_com,
@@ -119,13 +121,11 @@ class TestSubstitution:
 
 class TestEnumeration:
     def test_single_variable_order(self):
-        got = list(enumerate_states(["x"], 1))
-        assert got == [State.of(x=-1), State(), State.of(x=1)]
+        assert list(_value_tuples(1, 1)) == [(-1,), (0,), (1,)]
 
     def test_names_sorted_values_lexicographic(self):
-        got = list(enumerate_states(["y", "x"], 1))
-        firsts = [(s.read("x"), s.read("y")) for s in got]
-        assert firsts == [
+        assert _enumerated_names(["y", "x", "y"], 1) == ["x", "y"]
+        assert list(_value_tuples(2, 1)) == [
             (-1, -1), (-1, 0), (-1, 1),
             (0, -1), (0, 0), (0, 1),
             (1, -1), (1, 0), (1, 1),
@@ -174,6 +174,14 @@ class TestEntails:
             return
         if entails(p, q, shared, 2) == Valid() and entails(q, r, shared, 2) == Valid():
             assert entails(p, r, shared, 2) == Valid()
+
+
+def enumerate_states(variables, bound):
+    """Every state giving each listed variable a value in [-bound, bound] and
+    every other identifier 0: sorted names, values ascending."""
+    ordered = sorted(set(variables))
+    for combo in itertools.product(range(-bound, bound + 1), repeat=len(ordered)):
+        yield State(zip(ordered, combo))
 
 
 def reference_entails(p, q, variables, bound):

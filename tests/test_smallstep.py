@@ -3,8 +3,7 @@ from itertools import islice
 from hypothesis import given
 from hypothesis import strategies as st
 
-import imptool.smallstep as smallstep
-from conftest import coms, states
+from conftest import coms, states, swapped_small_step
 from imptool.bigstep import Terminated, big_step
 from imptool.parser import parse_com
 from imptool.smallstep import (
@@ -71,14 +70,12 @@ class TestSmallStep:
         assert got is not None
         assert got.state == State.of(x=1)
 
-    def test_branch_swap_hook_flips_if(self, monkeypatch):
-        c = parse_com("if (x < 1) { y := 1 } else { y := 2 }")
-        monkeypatch.setattr(smallstep, "SWAP_IF_BRANCHES", True)
-        got = small_step(ProgConfig(c, State()))
-        assert got == ProgConfig(Assign("y", NumLit(2)), State())
-
-    def test_branch_swap_hook_defaults_off(self):
-        assert smallstep.SWAP_IF_BRANCHES is False
+    def test_branch_swap_hook_flips_if(self):
+        c = parse_com("if (x < 1) { y := 1 } else { y := 2 }; skip")
+        got = swapped_small_step(ProgConfig(c, State()))
+        assert got == ProgConfig(Seq(Assign("y", NumLit(2)), Skip()), State())
+        plain = ProgConfig(parse_com("x := 1; skip"), State())
+        assert swapped_small_step(plain) == small_step(plain)
 
 
 def reference_steps(cfg, fuel):
