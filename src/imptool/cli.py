@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from itertools import islice
 from pathlib import Path
@@ -38,6 +39,7 @@ from .machine import (
 )
 from .parser import (
     INTEGER_RE,
+    KEYWORDS,
     ParseError,
     parse_annotated_com,
     parse_asm,
@@ -57,6 +59,7 @@ EXIT_COUNTEREXAMPLE = 4
 EXIT_UNKNOWN = 5
 
 _IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+_HEX_RE = re.compile(r"0x[0-9A-Fa-f]+")
 
 
 def _color_enabled() -> bool:
@@ -80,7 +83,8 @@ def _bad(text: str) -> str:
 
 
 def parse_state_spec(spec: str) -> State:
-    """Parse `x=1,y=-2` into a state; duplicate names are rejected."""
+    """Parse `x=1,y=-2` into a state.  Duplicate names are rejected, and so
+    are names no program can mention: keywords and the reserved `__` prefix."""
     pairs: list[tuple[str, int]] = []
     seen: set[str] = set()
     if not spec.strip():
@@ -94,6 +98,10 @@ def parse_state_spec(spec: str) -> State:
         value_text = value_text.strip()
         if not name or name[0].isdigit() or not set(name) <= _IDENT_CHARS:
             raise ValueError(f"bad identifier {name!r} in state spec")
+        if name in KEYWORDS:
+            raise ValueError(f"identifier {name!r} in state spec is a keyword")
+        if name.startswith("__"):
+            raise ValueError(f"identifier {name!r} in state spec uses the reserved '__' prefix")
         if name in seen:
             raise ValueError(f"duplicate identifier {name!r} in state spec")
         seen.add(name)
@@ -130,6 +138,14 @@ def _non_negative(option: str):
         return value
 
     return parse
+
+
+def _seed(text: str) -> int:
+    if INTEGER_RE.fullmatch(text):
+        return int(text)
+    if _HEX_RE.fullmatch(text):
+        return int(text, 16)
+    raise _BadOptionValue(f"--seed must be an integer or 0x and hex digits, got {text!r}")
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -348,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     quick_p = sub.add_parser("quickcheck", help="run the differential property suites")
     quick_p.add_argument("--suite", choices=("small-big", "compiler", "hoare", "all"), default="all")
     quick_p.add_argument("--cases", type=_non_negative("--cases"), default=100)
-    quick_p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    quick_p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     quick_p.set_defaults(func=cmd_quickcheck)
 
     return parser

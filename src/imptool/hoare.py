@@ -4,8 +4,17 @@ of triples.
 
 There is one command type, `Com`: a `While` node carries its own optional
 invariant and measure, which `vcgen` reads and every semantics ignores.
-`wp_loop_free` and `vcgen` share one weakest-precondition walk and differ
-only in what they do at a loop.
+`wp_loop_free` and the VC formulas share one weakest-precondition walk and
+differ only in what they do at a loop.
+
+VCs are decided by compiled per-VC predicates, not by their formulas.  A
+second walk, mirroring the first in continuation-passing form, compiles
+every VC to one Python function whose size is linear in the command's: an
+assignment rebinds a local, and an `if` branches and joins again where the
+formula copies the postcondition into both branches.  The formulas (the
+computed precondition, each VC's `formula`) are built only when read, as
+when a report is printed.  A command whose `if`s nest too deeply to compile
+is decided on its formulas.
 
 Assertions are quantifier-free formulas over program variables, evaluated
 directly on states.  Entailment and triple validity are decided by
@@ -22,10 +31,11 @@ compiler are evaluated by `eval_assertion`, which remains the reference.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .bigstep import Terminated, big_step
 from .syntax import (
@@ -65,7 +75,8 @@ ENUMERATION_LIMIT = 10**7
 # are evaluated by walking the tree.  Compiling costs time in proportion to
 # the formula's size, which a check whose premise rarely holds never earns
 # back, and CPython's tokenizer rejects source nested more than 200
-# parentheses deep (generated source nests at most two per level).
+# parentheses deep (generated source nests at most two per level) or
+# indented more than 100 levels (a compiled VC indents one per nested `if`).
 _CODEGEN_MAX_NODES = 2048
 _CODEGEN_MAX_DEPTH = 50
 
@@ -261,6 +272,15 @@ def _satisfying(test: Callable[..., bool], arity: int, bound: int) -> Iterator[t
     )
 
 
+def _search(falsified: Callable[..., bool], names: list[str], bound: int) -> Verdict:
+    """The first enumerated state of `names` on which `falsified` holds, as a
+    counterexample, or Valid when there is none."""
+    first = next(_satisfying(falsified, len(names), bound), None)
+    if first is not None:
+        return CounterexampleFound(State(zip(names, first)))
+    return Valid()
+
+
 # --- compiled assertions ---------------------------------------------------------
 
 
@@ -308,9 +328,10 @@ def _fits_codegen(a: Assertion) -> bool:
     return True
 
 
-def _sum_source(a: AExp, slots: dict[str, str]) -> str:
+def _sum_source(a: AExp, slot: Callable[[str], Optional[str]]) -> str:
     """A `+` tree as one flat sum: its literals folded into a constant and each
-    variable once, times its multiplicity.  Unlisted variables read 0."""
+    variable once, times its multiplicity.  `slot` names the Python variable
+    holding an IMP variable; one it maps to None reads 0."""
     constant = 0
     counts: dict[str, int] = {}
     stack = [a]
@@ -321,18 +342,18 @@ def _sum_source(a: AExp, slots: dict[str, str]) -> str:
             stack.append(node.right)
             stack.append(node.left)
         elif t is Var:
-            slot = slots.get(node.name)
-            if slot is not None:
-                counts[slot] = counts.get(slot, 0) + 1
+            held = slot(node.name)
+            if held is not None:
+                counts[held] = counts.get(held, 0) + 1
         else:
             constant += node.value
-    terms = [slot if k == 1 else f"{k} * {slot}" for slot, k in counts.items()]
+    terms = [held if k == 1 else f"{k} * {held}" for held, k in counts.items()]
     if constant or not terms:
         terms.append(str(constant))
     return " + ".join(terms)
 
 
-def _source(a: Assertion, slots: dict[str, str]) -> str:
+def _source(a: Assertion, slot: Callable[[str], Optional[str]]) -> str:
     """Python source true exactly where `a` holds.  Recurses only where the
     connective changes, so its depth is what `_fits_codegen` measured."""
     t = type(a)
@@ -341,18 +362,18 @@ def _source(a: Assertion, slots: dict[str, str]) -> str:
     if t is AFalse:
         return "False"
     if t is ACmp:
-        return f"{_sum_source(a.left, slots)} {_CMP_SOURCE[a.op]} {_sum_source(a.right, slots)}"
+        return f"{_sum_source(a.left, slot)} {_CMP_SOURCE[a.op]} {_sum_source(a.right, slot)}"
     if t is ANot:
         negated = False
         while type(a) is ANot:
             a, negated = a.inner, not negated
-        return f"not ({_source(a, slots)})" if negated else _source(a, slots)
+        return f"not ({_source(a, slot)})" if negated else _source(a, slot)
     if t is AImp:
         parts = []
         while type(a) is AImp:
-            parts.append(f"not ({_source(a.premise, slots)})")
+            parts.append(f"not ({_source(a.premise, slot)})")
             a = a.conclusion
-        parts.append(f"({_source(a, slots)})")
+        parts.append(f"({_source(a, slot)})")
         return " or ".join(parts)
     parts = []
     stack = [a]
@@ -362,7 +383,7 @@ def _source(a: Assertion, slots: dict[str, str]) -> str:
             stack.append(node.right)
             stack.append(node.left)
         else:
-            parts.append(f"({_source(node, slots)})")
+            parts.append(f"({_source(node, slot)})")
     return (" and " if t is AAnd else " or ").join(parts)
 
 
@@ -380,7 +401,7 @@ def _predicate(template: str, names: list[str], *assertions: Assertion) -> Calla
     sources = []
     for a in assertions:
         if _fits_codegen(a):
-            sources.append(_source(a, slots))
+            sources.append(_source(a, slots.get))
         else:
             walker = f"_walk{len(sources)}"
             env[walker] = _walker(a, names)
@@ -399,11 +420,7 @@ def entails(p: Assertion, q: Assertion, variables: Iterable[str], bound: int) ->
     names = _enumerated_names(variables, bound)
     if names is None:
         return Unknown(f"state space exceeds {ENUMERATION_LIMIT} states")
-    falsified = _predicate("({}) and not ({})", names, p, q)
-    first = next(_satisfying(falsified, len(names), bound), None)
-    if first is not None:
-        return CounterexampleFound(State(zip(names, first)))
-    return Valid()
+    return _search(_predicate("({}) and not ({})", names, p, q), names, bound)
 
 
 def check_valid(formula: Assertion, variables: Iterable[str], bound: int) -> Verdict:
@@ -479,85 +496,307 @@ class MissingAnnotationError(Exception):
         self.span = span
 
 
+ENTRY_LABEL = "entry: precondition establishes computed precondition"
+
+
 @dataclass(frozen=True, slots=True)
 class VerificationCondition:
+    """One VC: its label, its free variables in enumeration order, and a
+    predicate over their values that holds exactly where the VC fails.
+    `formula`, the VC as an assertion, is built on first read."""
+
     label: str
-    formula: Assertion
+    variables: tuple[str, ...]
+    falsified: Callable[..., bool]
+    _formula: Callable[[], Assertion] = field(repr=False, compare=False)
+
+    @property
+    def formula(self) -> Assertion:
+        return self._formula()
 
 
 @dataclass(frozen=True)
 class VcResult:
+    """Every loop's VCs in order, and the entry VC, that a stated precondition
+    establishes the computed one (None without a stated precondition).
+    `precondition`, the computed precondition, is built on first read."""
+
     conditions: tuple[VerificationCondition, ...]
-    precondition: Assertion
+    entry: Optional[VerificationCondition]
+    _trees: Callable[[], tuple[Assertion, tuple[tuple[str, Assertion], ...]]] = field(
+        repr=False, compare=False
+    )
+
+    @property
+    def precondition(self) -> Assertion:
+        return self._trees()[0]
 
 
-def vcgen(c: Com, post: Assertion, mode: Mode) -> VcResult:
-    """Verification conditions and computed precondition for a command whose
-    loops carry annotations, against a postcondition.
+def _loop_annotations(node: While, ordinal: int, mode: Mode) -> tuple[str, Assertion, AExp]:
+    """A loop's label, invariant and measure; raises MissingAnnotationError
+    without an invariant, or in total mode without a measure."""
+    if node.span is not None:
+        label = f"loop@{node.span.start_line}:{node.span.start_col}"
+    else:
+        label = f"loop#{ordinal}"
+    if node.invariant is None:
+        raise MissingAnnotationError(f"{label}: loop needs an invariant annotation", node.span)
+    if mode is Mode.TOTAL and node.measure is None:
+        raise MissingAnnotationError(
+            f"{label}: total-correctness check needs a measure annotation", node.span
+        )
+    return label, node.invariant, node.measure
 
-    Every loop needs an invariant; in total mode also a measure.  Each loop
-    in total mode gets a fresh snapshot variable `__z0`, `__z1`, ... that
-    freezes the measure across one body iteration.
+
+def _tree_vcs(c: Com, post: Assertion, mode: Mode) -> tuple[Assertion, tuple[tuple[str, Assertion], ...]]:
+    """The computed precondition and every VC as (label, formula), built by
+    the weakest-precondition walk: what reports print, and the reference for
+    the compiled VCs.
+
+    Each loop in total mode gets a fresh snapshot variable `__z0`, `__z1`, ...
+    that freezes the measure across one body iteration.
     """
-    conditions: list[VerificationCondition] = []
-    counters = {"snapshot": 0, "loop": 0}
+    conditions: list[tuple[str, Assertion]] = []
+    ordinal = 0
 
     def loop(node: While, post: Assertion) -> Assertion:
-        ordinal = counters["loop"]
-        counters["loop"] += 1
-        if node.span is not None:
-            label = f"loop@{node.span.start_line}:{node.span.start_col}"
-        else:
-            label = f"loop#{ordinal}"
-        inv = node.invariant
-        if inv is None:
-            raise MissingAnnotationError(
-                f"{label}: loop needs an invariant annotation", node.span
-            )
+        nonlocal ordinal
+        label, inv, measure = _loop_annotations(node, ordinal, mode)
+        snapshot = Var(f"{SNAPSHOT_PREFIX}{ordinal}")
+        ordinal += 1
         cond = bexp_to_assertion(node.cond)
         if mode is Mode.TOTAL:
-            if node.measure is None:
-                raise MissingAnnotationError(
-                    f"{label}: total-correctness check needs a measure annotation",
-                    node.span,
-                )
-            snapshot = Var(f"{SNAPSHOT_PREFIX}{counters['snapshot']}")
-            counters["snapshot"] += 1
-            body_post = AAnd(inv, ACmp(CmpOp.LT, node.measure, snapshot))
-            body_pre = _wp(node.body, body_post, loop)
+            body_pre = _wp(node.body, AAnd(inv, ACmp(CmpOp.LT, measure, snapshot)), loop)
+            conditions.append((
+                f"{label}: invariant preserved and measure decreases",
+                AImp(AAnd(AAnd(inv, cond), ACmp(CmpOp.EQ, measure, snapshot)), body_pre),
+            ))
             conditions.append(
-                VerificationCondition(
-                    f"{label}: invariant preserved and measure decreases",
-                    AImp(
-                        AAnd(AAnd(inv, cond), ACmp(CmpOp.EQ, node.measure, snapshot)),
-                        body_pre,
-                    ),
-                )
-            )
-            conditions.append(
-                VerificationCondition(
-                    f"{label}: measure non-negative",
-                    AImp(inv, ACmp(CmpOp.LE, NumLit(0), node.measure)),
-                )
+                (f"{label}: measure non-negative", AImp(inv, ACmp(CmpOp.LE, NumLit(0), measure)))
             )
         else:
             body_pre = _wp(node.body, inv, loop)
-            conditions.append(
-                VerificationCondition(
-                    f"{label}: invariant preserved",
-                    AImp(AAnd(inv, cond), body_pre),
-                )
-            )
+            conditions.append((f"{label}: invariant preserved", AImp(AAnd(inv, cond), body_pre)))
         conditions.append(
-            VerificationCondition(
-                f"{label}: exit establishes postcondition",
-                AImp(AAnd(inv, ANot(cond)), post),
-            )
+            (f"{label}: exit establishes postcondition", AImp(AAnd(inv, ANot(cond)), post))
         )
         return inv
 
     precondition = _wp(c, post, loop)
-    return VcResult(tuple(conditions), precondition)
+    return precondition, tuple(conditions)
+
+
+# --- compiled verification conditions ----------------------------------------------------
+#
+# Each VC is compiled to one Python function over the values of its free
+# variables, true where the VC fails:
+#
+#     def _vc(v_x, v_y):
+#      if not (<premise>): return False
+#      v_y = v_y + 1                 # an assignment rebinds a local
+#      if v_x < 3:                   # an `if` branches and joins again
+#       v_x = v_x + 1
+#      else:
+#       return not (<invariant>)     # a loop ends the walk with its invariant
+#      return not (<postcondition>)
+#
+# so the code after an `if` appears once, not once per branch as in the wp
+# tree.  Code is built backwards from the postcondition, in continuation-
+# passing form, as a list of items: an Assign (emitted only when its target is
+# live, i.e. read later), an (assertion, then items, else items) tuple for an
+# `if`, and an assertion to return for a loop or the end.
+
+
+class _Code(NamedTuple):
+    """Items for part of a command.  `fv` holds the variables read before
+    being written, from here to the end of the VC: the free variables of the
+    wp tree at this point.  `returns` when every path ends in a return."""
+
+    items: list
+    fv: frozenset[str]
+    returns: bool
+
+
+# A continuation: the code that runs next, and the continuation after it
+# (None after code that returns).
+_Cont = tuple  # (_Code, Optional[_Cont])
+
+
+def _local(name: str) -> str:
+    """The Python local holding an IMP variable in a compiled VC."""
+    return "v_" + name
+
+
+def _assertion_source(a: Assertion, env: dict[str, object]) -> str:
+    """Source for `a` over the locals.  An assertion too large to compile
+    becomes a call to a walker over its variables, bound in `env`."""
+    if _fits_codegen(a):
+        return _source(a, _local)
+    names = sorted(assertion_vars(a))
+    walker = f"_walk{len(env)}"
+    env[walker] = _walker(a, names)
+    return f"{walker}({', '.join(map(_local, names))})"
+
+
+def _render(items: list, indent: str, lines: list[str], env: dict[str, object]) -> None:
+    if not items:
+        lines.append(f"{indent}pass")
+    for item in items:
+        t = type(item)
+        if t is Assign:
+            lines.append(f"{indent}{_local(item.target)} = {_sum_source(item.rhs, _local)}")
+        elif t is tuple:
+            cond, then_items, else_items = item
+            lines.append(f"{indent}if {_assertion_source(cond, env)}:")
+            _render(then_items, indent + " ", lines, env)
+            lines.append(f"{indent}else:")
+            _render(else_items, indent + " ", lines, env)
+        else:
+            lines.append(f"{indent}return not ({_assertion_source(item, env)})")
+
+
+def _compiled(
+    specs: list[tuple[str, Assertion, frozenset[str], _Cont, Callable[[], Assertion]]]
+) -> tuple[VerificationCondition, ...]:
+    """VCs given as (label, premise, its variables, continuation k, formula),
+    each the VC `premise -> wp(k)`, compiled together: one compile costs less
+    than one per VC."""
+    env: dict[str, object] = {"__builtins__": {}}
+    lines: list[str] = []
+    variables = []
+    for _, premise, premise_vars, k, _ in specs:
+        code, rest = k
+        names = sorted(premise_vars | code.fv)
+        lines.append(f"def _vc{len(variables)}({', '.join(map(_local, names))}):")
+        lines.append(f" if not ({_assertion_source(premise, env)}): return False")
+        _render(code.items, " ", lines, env)
+        while not code.returns:
+            code, rest = rest
+            _render(code.items, " ", lines, env)
+        variables.append(tuple(names))
+    exec(compile("\n".join(lines), "<vc>", "exec"), env)
+    return tuple(
+        VerificationCondition(spec[0], names, env[f"_vc{i}"], spec[-1])
+        for i, (spec, names) in enumerate(zip(specs, variables))
+    )
+
+
+class _VcCompiler:
+    """One backward walk of an annotated command, mirroring `_wp`: returns
+    the code of the command and collects each loop's VCs, in vcgen's order,
+    as (label, premise, premise variables, continuation).  `deepest` is the
+    deepest nesting of `if`s, which bounds the generated indentation."""
+
+    def __init__(self, mode: Mode) -> None:
+        self.mode = mode
+        self.loops = 0
+        self.nesting = 0
+        self.deepest = 0
+        self.pending: list[tuple[str, Assertion, frozenset[str], _Cont]] = []
+
+    def walk(self, c: Com, k: _Cont) -> _Code:
+        """The code of `c`, which falls through to `k` unless it returns."""
+        t = type(c)
+        live = k[0].fv
+        if t is Skip or (t is Assign and c.target not in live):
+            return _Code([], live, False)
+        if t is Assign:
+            return _Code([c], (live - {c.target}) | vars_of(c.rhs), False)
+        if t is Seq:
+            codes = []
+            for part in reversed(seq_spine(c)):
+                codes.append(self.walk(part, k))
+                k = (codes[-1], k)
+            items: list = []
+            for code in reversed(codes):
+                items += code.items
+                if code.returns:
+                    break
+            return _Code(items, codes[-1].fv, code.returns)
+        if t is If:
+            self.nesting += 1
+            self.deepest = max(self.deepest, self.nesting)
+            then, other = self.walk(c.then_branch, k), self.walk(c.else_branch, k)
+            self.nesting -= 1
+            items = [(bexp_to_assertion(c.cond), then.items, other.items)]
+            return _Code(items, then.fv | other.fv | vars_of(c.cond), then.returns and other.returns)
+        if t is While:
+            return self.loop(c, k)
+        raise TypeError(f"not a command: {c!r}")
+
+    def loop(self, node: While, k: _Cont) -> _Code:
+        label, inv, measure = _loop_annotations(node, self.loops, self.mode)
+        snapshot = Var(f"{SNAPSHOT_PREFIX}{self.loops}")
+        self.loops += 1
+        cond = bexp_to_assertion(node.cond)
+        inv_vars = frozenset(assertion_vars(inv))
+        head_vars = inv_vars | vars_of(node.cond)
+        if self.mode is Mode.TOTAL:
+            measure_vars = vars_of(measure)
+            decrease_vars = inv_vars | measure_vars | {snapshot.name}
+            body_k = (_Code([AAnd(inv, ACmp(CmpOp.LT, measure, snapshot))], decrease_vars, True), None)
+            self.pending.append((
+                f"{label}: invariant preserved and measure decreases",
+                AAnd(AAnd(inv, cond), ACmp(CmpOp.EQ, measure, snapshot)),
+                head_vars | decrease_vars,
+                (self.walk(node.body, body_k), body_k),
+            ))
+            self.pending.append((
+                f"{label}: measure non-negative",
+                inv,
+                inv_vars,
+                (_Code([ACmp(CmpOp.LE, NumLit(0), measure)], measure_vars, True), None),
+            ))
+        else:
+            body_k = (_Code([inv], inv_vars, True), None)
+            self.pending.append((
+                f"{label}: invariant preserved",
+                AAnd(inv, cond),
+                head_vars,
+                (self.walk(node.body, body_k), body_k),
+            ))
+        self.pending.append(
+            (f"{label}: exit establishes postcondition", AAnd(inv, ANot(cond)), head_vars, k)
+        )
+        return _Code([inv], inv_vars, True)
+
+
+def vcgen(c: Com, post: Assertion, mode: Mode, pre: Optional[Assertion] = None) -> VcResult:
+    """Verification conditions and computed precondition for a command whose
+    loops carry annotations, against a postcondition, and with a stated
+    precondition `pre` also the entry VC.
+
+    Every loop needs an invariant; in total mode also a measure.  Each VC is
+    compiled to a predicate whose size is linear in the command's; the
+    formulas are built by the weakest-precondition walk only when read.  A
+    command whose `if`s nest too deeply to compile is decided on the formulas.
+    """
+    trees = functools.cache(lambda: _tree_vcs(c, post, mode))
+    compiler = _VcCompiler(mode)
+    end = (_Code([post], frozenset(assertion_vars(post)), True), None)
+    top = (compiler.walk(c, end), end)
+    if compiler.deepest > _CODEGEN_MAX_DEPTH:
+        precondition, formulas = trees()
+        conditions = tuple(_tree_condition(label, ATrue(), f, lambda f=f: f) for label, f in formulas)
+        if pre is None:
+            return VcResult(conditions, None, trees)
+        entry = _tree_condition(ENTRY_LABEL, pre, precondition, lambda: AImp(pre, precondition))
+        return VcResult(conditions, entry, trees)
+    specs = [(*spec, lambda i=i: trees()[1][i][1]) for i, spec in enumerate(compiler.pending)]
+    if pre is None:
+        return VcResult(_compiled(specs), None, trees)
+    specs.append((ENTRY_LABEL, pre, frozenset(assertion_vars(pre)), top, lambda: AImp(pre, trees()[0])))
+    *conditions, entry = _compiled(specs)
+    return VcResult(tuple(conditions), entry, trees)
+
+
+def _tree_condition(
+    label: str, premise: Assertion, conclusion: Assertion, formula: Callable[[], Assertion]
+) -> VerificationCondition:
+    """The VC `premise -> conclusion`, compiled by `_predicate`."""
+    names = sorted(assertion_vars(premise) | assertion_vars(conclusion))
+    falsified = _predicate("({}) and not ({})", names, premise, conclusion)
+    return VerificationCondition(label, tuple(names), falsified, formula)
 
 
 # --- semantic triple checking ---------------------------------------------------------------
@@ -606,18 +845,29 @@ def check_triple(
 
 @dataclass(frozen=True)
 class ReportEntry:
-    label: str
-    formula: Assertion
+    condition: VerificationCondition
     verdict: Verdict
+
+    @property
+    def label(self) -> str:
+        return self.condition.label
+
+    @property
+    def formula(self) -> Assertion:
+        return self.condition.formula
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     mode: Mode
     bound: int
-    precondition: Assertion
     vcs: tuple[ReportEntry, ...]
     triple_verdict: Verdict
+    vc_result: VcResult
+
+    @property
+    def precondition(self) -> Assertion:
+        return self.vc_result.precondition
 
     @property
     def all_valid(self) -> bool:
@@ -653,6 +903,14 @@ def _verdict_json(v: Verdict) -> dict:
     return {"verdict": "unknown", "detail": v.detail}
 
 
+def _decide(vc: VerificationCondition, bound: int) -> Verdict:
+    """Validity of a VC over its enumerated states."""
+    names = _enumerated_names(vc.variables, bound)
+    if names is None:
+        return Unknown(f"state space exceeds {ENUMERATION_LIMIT} states")
+    return _search(vc.falsified, names, bound)
+
+
 def verify(
     command: Com,
     precondition: Assertion,
@@ -661,30 +919,26 @@ def verify(
     fuel: int,
     mode: Mode,
 ) -> VerificationReport:
-    """Full pipeline: VCs via vcgen, each checked by bounded entailment, plus
-    a semantic check of the whole triple.
+    """Full pipeline: VCs via vcgen, each decided by its compiled predicate
+    over its own variables, plus a semantic check of the whole triple.
 
     The first report entry checks that the stated precondition establishes
-    the computed one; each VC is checked over its own variables, so snapshot
-    variables are enumerated where they occur.
+    the computed one; snapshot variables are enumerated where they occur.  A
+    triple whose precondition holds on no enumerated state is Unknown, not
+    vacuously Valid.  No formula is built until the report is printed.
     """
-    result = vcgen(command, postcondition, mode)
-    entries = [
-        ReportEntry(
-            "entry: precondition establishes computed precondition",
-            AImp(precondition, result.precondition),
-            entails(
-                precondition,
-                result.precondition,
-                assertion_vars(precondition) | assertion_vars(result.precondition),
-                bound,
-            ),
-        )
-    ]
-    for vc in result.conditions:
-        entries.append(
-            ReportEntry(vc.label, vc.formula, check_valid(vc.formula, assertion_vars(vc.formula), bound))
-        )
+    result = vcgen(command, postcondition, mode, precondition)
+    entries = tuple(
+        ReportEntry(vc, _decide(vc, bound)) for vc in (result.entry, *result.conditions)
+    )
     triple_vars = vars_of(command) | assertion_vars(precondition) | assertion_vars(postcondition)
     triple = check_triple(precondition, command, postcondition, triple_vars, bound, fuel, mode)
-    return VerificationReport(mode, bound, result.precondition, tuple(entries), triple)
+    # Every enumeration contains the all-zero state, so a precondition that
+    # holds there needs no search.
+    if (
+        type(triple) is Valid
+        and not eval_assertion(precondition, State())
+        and type(entails(precondition, AFalse(), triple_vars, bound)) is Valid
+    ):
+        triple = Unknown("precondition holds on no enumerated state")
+    return VerificationReport(mode, bound, entries, triple, result)

@@ -56,6 +56,21 @@ class TestStateSpec:
         with pytest.raises(ValueError):
             parse_state_spec(spec)
 
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("__z0", "uses the reserved '__' prefix"), ("__", "uses the reserved '__' prefix"),
+         ("while", "is a keyword"), ("invariant", "is a keyword"), ("true", "is a keyword")],
+    )
+    def test_names_no_program_can_mention(self, write, capsys, name, reason):
+        path = write("skip.imp", "skip")
+        assert main(["run", path, "--state", f"x=1,{name}=4"]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: identifier {name!r} in state spec {reason}\n"
+
+    def test_underscore_names_stay_legal(self):
+        assert parse_state_spec("_x=1,x_=2") == State.of(_x=1, x_=2)
+
 
 class TestRun:
     def test_skip_prints_nothing(self, write, capsys):
@@ -241,6 +256,20 @@ class TestVerify:
         assert main(["verify", path]) == EXIT_OK
         assert "triple: valid" in capsys.readouterr().out
 
+    def test_unsatisfiable_precondition_is_unknown(self, write, capsys):
+        # x = 1 holds on no state with x in [-0, 0]: no triple was checked
+        path = write("skip.imp", "skip")
+        code = main(["verify", path, "--pre", "x = 1", "--post", "x = 2", "--bound", "0"])
+        assert code == EXIT_UNKNOWN
+        assert capsys.readouterr().out == (
+            "mode: partial\n"
+            "bound: 0\n"
+            "computed precondition: x = 2\n"
+            "vc entry: precondition establishes computed precondition: x = 1 -> x = 2 -- valid\n"
+            "triple: unknown\n"
+            "  detail: precondition holds on no enumerated state\n"
+        )
+
 
 class TestNegativeBudgets:
     """A negative bound, fuel or case count is an input error, never a
@@ -381,6 +410,25 @@ class TestQuickcheck:
 
     def test_hex_seed_accepted(self, capsys):
         assert main(["quickcheck", "--suite", "small-big", "--cases", "5", "--seed", "0xC0FFEE"]) == EXIT_OK
+
+    @pytest.mark.parametrize("hex_text, decimal", [("0xC0FFEE", "12648430"), ("0x1f", "31")])
+    def test_hex_and_decimal_seeds_agree(self, capsys, hex_text, decimal):
+        outputs = []
+        for seed in (hex_text, decimal):
+            assert main(["quickcheck", "--suite", "hoare", "--cases", "3", "--seed", seed]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "seed",
+        ["\u0663", "1_0", "0X1F", "0x", "0o17", "0b11", "+5", "1e3", "", "-0x1"],
+        ids=["arabic-indic", "underscore", "upper-x", "bare-0x", "octal", "binary", "plus", "exponent", "empty", "negative-hex"],
+    )
+    def test_seed_outside_the_grammar_is_an_input_error(self, capsys, seed):
+        assert main(["quickcheck", "--suite", "small-big", "--cases", "1", f"--seed={seed}"]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"imptool: error: --seed must be an integer or 0x and hex digits, got {seed!r}\n"
 
     def test_suite_failure_exits_with_counterexample_code(self, capsys, monkeypatch):
         # the branch-swap mutation makes the small-big suite fail fast

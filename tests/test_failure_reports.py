@@ -25,13 +25,15 @@ def _flipped_bcomp(original):
 MUTANTS = {
     "small-big": (suite_small_big, smallstep, "small_step", lambda _: swapped_small_step),
     "compiler": (suite_compiler, machine, "bcomp", _flipped_bcomp),
+    # Breaks the wp trees, so the loop-free triple families fail; the loop
+    # fixtures pass, since verify decides VCs without building their trees.
     "hoare": (suite_hoare, hoare, "subst_assertion", lambda _: lambda a, name, replacement: a),
 }
 
 DIGESTS = {
     "small-big": "7427e07e5452bb57dc86fcc1bd5f63337f623e8b9f1a4bb6170f2f1052bae20e",
     "compiler": "62c7aad4aef9a595ba4e53023746ae354046c27dd4bcd935f564ab862d272fa6",
-    "hoare": "2016c2211c9ed69c5e7ed4a9db95d02d41242d70fe037a8aa2f9de7ff527b5fc",
+    "hoare": "78ed48d2db6fdb3a84c0bf71001f740180ce29c31dbbfd44093118139151ca86",
 }
 
 

@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 from functools import reduce
 
 import pytest
@@ -18,6 +20,7 @@ from imptool.hoare import (
     ATrue,
     CmpOp,
     CounterexampleFound,
+    ENTRY_LABEL,
     ENUMERATION_LIMIT,
     MissingAnnotationError,
     Mode,
@@ -41,6 +44,7 @@ from imptool.hoare import (
     _predicate,
     _value_tuples,
 )
+from imptool.harness import gen_assertion
 from imptool.parser import (
     parse_annotated_com,
     parse_assertion,
@@ -52,6 +56,7 @@ from imptool.syntax import (
     Assign,
     BoolLit,
     If,
+    Less,
     NumLit,
     Plus,
     Seq,
@@ -61,6 +66,7 @@ from imptool.syntax import (
     While,
     aval,
     bval,
+    seq_chain,
 )
 
 X_LT_0 = ACmp(CmpOp.LT, Var("x"), NumLit(0))
@@ -461,6 +467,114 @@ class TestVerify:
             set(entry) == {"label", "formula_text", "verdict"}
             for entry in payload["vcs"]
         )
+
+
+class TestVacuousTriple:
+    """A triple whose precondition holds on no enumerated state is unknown,
+    not vacuously valid; the entry VC is still decided as usual."""
+
+    def test_precondition_outside_the_bound(self):
+        report = verify(Skip(), parse_assertion("x = 1"), parse_assertion("x = 2"), 0, 10, Mode.PARTIAL)
+        assert [entry.verdict for entry in report.vcs] == [Valid()]
+        assert report.triple_verdict == Unknown("precondition holds on no enumerated state")
+        assert not report.all_valid
+
+    def test_satisfiable_away_from_zero_stays_valid(self):
+        report = verify(Skip(), parse_assertion("x = 1"), parse_assertion("x = 1"), 1, 10, Mode.PARTIAL)
+        assert report.all_valid
+
+    def test_check_triple_itself_is_unchanged(self):
+        assert check_triple(parse_assertion("x = 1"), Skip(), parse_assertion("x = 2"), {"x"}, 0, 10) == Valid()
+
+
+VC_BOUND = 1
+
+
+def random_pre_post(seed):
+    """A precondition and a postcondition, each over a random subset of the
+    command variables, so that free-variable sets differ between VCs."""
+    rng = random.Random(seed)
+    pre, post = (
+        gen_assertion(rng, depth, tuple(rng.sample(("x", "y", "z", "w"), rng.randint(1, 4))), (-3, 3))
+        for depth in (1, 2)
+    )
+    return pre, post
+
+
+class TestCompiledVcs:
+    """The compiled VCs against the weakest-precondition trees, which stay
+    the reference."""
+
+    @given(coms(max_leaves=6, annotated=True), st.integers(0, 2**32 - 1), st.sampled_from(tuple(Mode)))
+    @settings(max_examples=100, deadline=None)
+    def test_agree_with_the_tree_vcs(self, c, seed, mode):
+        pre, post = random_pre_post(seed)
+        try:
+            result = vcgen(c, post, mode, pre)
+        except MissingAnnotationError as err:
+            with pytest.raises(MissingAnnotationError, match=re.escape(str(err))):
+                hoare._tree_vcs(c, post, mode)
+            return
+        precondition, trees = hoare._tree_vcs(c, post, mode)
+        expected = [(ENTRY_LABEL, AImp(pre, precondition)), *trees]
+        got = [result.entry, *result.conditions]
+        assert [vc.label for vc in got] == [label for label, _ in expected]
+        assert result.precondition == precondition
+        for vc, (_, formula) in zip(got, expected):
+            assert vc.formula == formula
+            assert vc.variables == tuple(sorted(assertion_vars(formula)))
+            for values in _value_tuples(len(vc.variables), VC_BOUND):
+                state = State(zip(vc.variables, values))
+                assert vc.falsified(*values) == (not eval_assertion(formula, state))
+
+    @given(coms(max_leaves=6, annotated=True), st.integers(0, 2**32 - 1), st.sampled_from(tuple(Mode)))
+    @settings(max_examples=30, deadline=None)
+    def test_tree_fallback_gives_the_same_report(self, c, seed, mode):
+        pre, post = random_pre_post(seed)
+
+        def verdicts():
+            try:
+                report = verify(c, pre, post, VC_BOUND, 200, mode)
+            except MissingAnnotationError as err:
+                return str(err)
+            return [(e.label, e.verdict) for e in report.vcs], report.triple_verdict
+
+        compiled = verdicts()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hoare, "_CODEGEN_MAX_DEPTH", -1)  # every command decided on its trees
+            assert verdicts() == compiled
+
+    def test_deciding_builds_no_formula(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("formula built")
+
+        monkeypatch.setattr(hoare, "subst_assertion", refuse)
+        c = parse_annotated_com("x := x + 1; if (x < 3) { y := x } else { y := 2 }")
+        report = verify(c, parse_assertion("x < 5"), parse_assertion("y <= 2"), 4, 100, Mode.PARTIAL)
+        assert [entry.verdict for entry in report.vcs] == [Valid()]
+        assert report.triple_verdict == Valid()
+        with pytest.raises(AssertionError, match="formula built"):
+            report.precondition
+        with pytest.raises(AssertionError, match="formula built"):
+            report.vcs[0].formula
+
+    def test_sequential_ifs_stay_linear(self):
+        # wp copies the postcondition into both branches of each if: 2**16 copies
+        c = seq_chain([
+            If(Less(Var("x"), NumLit(i - 8)), Assign("y", Plus(Var("y"), NumLit(1))), Assign("z", Plus(Var("z"), NumLit(1))))
+            for i in range(16)
+        ])
+        report = verify(c, parse_assertion("y = 0 && z = 0"), parse_assertion("y + z = 16"), 20, 1_000, Mode.PARTIAL)
+        assert report.all_valid
+
+    def test_ifs_nested_past_the_indentation_limit_are_decided_on_formulas(self):
+        c = Assign("y", NumLit(1))
+        for _ in range(120):
+            c = If(Less(Var("x"), NumLit(2)), c, Skip())
+        post = parse_assertion("y = 1")
+        assert verify(c, parse_assertion("x < 2"), post, 2, 1_000, Mode.PARTIAL).all_valid
+        report = verify(c, ATrue(), post, 2, 1_000, Mode.PARTIAL)
+        assert report.vcs[0].verdict == CounterexampleFound(State.of(x=2, y=-2))
 
 
 def _loops(c):
