@@ -320,7 +320,7 @@ def cmd_quickcheck(args: argparse.Namespace) -> int:
 # --- argument parsing ---------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="imptool",
         description="Run, trace, compile, execute, and verify IMP programs.",
@@ -367,13 +367,28 @@ def _build_parser() -> argparse.ArgumentParser:
     quick_p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     quick_p.set_defaults(func=cmd_quickcheck)
 
-    return parser
+    return parser, sub.choices
+
+
+def _attach_dash_values(argv: list[str], commands: dict[str, argparse.ArgumentParser]) -> list[str]:
+    """argparse takes a value that starts with `-` and is no plain negative number
+    (`--pre -1<x`) for a missing value: join each value after a value-taking option
+    to it (`--pre=-1<x`), unless it is itself one of the subcommand's options."""
+    options = commands[argv[0]]._option_string_actions if argv and argv[0] in commands else {}
+    out: list[str] = []
+    for arg in argv:
+        after = options.get(out[-1]) if out and "--" not in out else None
+        if after and after.nargs is None and arg.startswith("-") and arg.split("=", 1)[0] not in options:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv, commands))
     except _BadOptionValue as err:
         return _fail(f"imptool: error: {err}")
     if hasattr(sys, "set_int_max_str_digits"):  # IMP integers are unbounded

@@ -16,6 +16,11 @@ computed precondition, each VC's `formula`) are built only when read, as
 when a report is printed.  A command whose `if`s nest too deeply to compile
 is decided on its formulas.
 
+A triple is checked by running its command from every enumerated state that
+satisfies the precondition, by one Python function compiled per check that
+counts rules, and so runs out of fuel, exactly as `big_step` does; a command
+nesting its `if`s and loops too deeply to compile is run by `big_step`.
+
 Assertions are quantifier-free formulas over program variables, evaluated
 directly on states.  Entailment and triple validity are decided by
 exhaustively enumerating states within a bound, so a Valid verdict always
@@ -76,9 +81,11 @@ ENUMERATION_LIMIT = 10**7
 # the formula's size, which a check whose premise rarely holds never earns
 # back, and CPython's tokenizer rejects source nested more than 200
 # parentheses deep (generated source nests at most two per level) or
-# indented more than 100 levels (a compiled VC indents one per nested `if`).
+# indented more than 100 levels (a compiled VC indents one per nested `if`),
+# and CPython 3.10-3.12 reject more than 20 statically nested loops.
 _CODEGEN_MAX_NODES = 2048
 _CODEGEN_MAX_DEPTH = 50
+_CODEGEN_MAX_LOOPS = 20
 
 
 # --- assertions -----------------------------------------------------------------
@@ -328,10 +335,14 @@ def _fits_codegen(a: Assertion) -> bool:
     return True
 
 
-def _sum_source(a: AExp, slot: Callable[[str], Optional[str]]) -> str:
-    """A `+` tree as one flat sum: its literals folded into a constant and each
-    variable once, times its multiplicity.  `slot` names the Python variable
-    holding an IMP variable; one it maps to None reads 0."""
+def _local(name: str) -> str:
+    """The Python local holding an IMP variable in generated code."""
+    return "v_" + name
+
+
+def _sum_source(a: AExp) -> str:
+    """A `+` tree as one flat sum over the locals: its literals folded into a
+    constant and each variable once, times its multiplicity."""
     constant = 0
     counts: dict[str, int] = {}
     stack = [a]
@@ -342,18 +353,16 @@ def _sum_source(a: AExp, slot: Callable[[str], Optional[str]]) -> str:
             stack.append(node.right)
             stack.append(node.left)
         elif t is Var:
-            held = slot(node.name)
-            if held is not None:
-                counts[held] = counts.get(held, 0) + 1
+            counts[node.name] = counts.get(node.name, 0) + 1
         else:
             constant += node.value
-    terms = [held if k == 1 else f"{k} * {held}" for held, k in counts.items()]
+    terms = [_local(name) if k == 1 else f"{k} * {_local(name)}" for name, k in counts.items()]
     if constant or not terms:
         terms.append(str(constant))
     return " + ".join(terms)
 
 
-def _source(a: Assertion, slot: Callable[[str], Optional[str]]) -> str:
+def _source(a: Assertion) -> str:
     """Python source true exactly where `a` holds.  Recurses only where the
     connective changes, so its depth is what `_fits_codegen` measured."""
     t = type(a)
@@ -362,18 +371,18 @@ def _source(a: Assertion, slot: Callable[[str], Optional[str]]) -> str:
     if t is AFalse:
         return "False"
     if t is ACmp:
-        return f"{_sum_source(a.left, slot)} {_CMP_SOURCE[a.op]} {_sum_source(a.right, slot)}"
+        return f"{_sum_source(a.left)} {_CMP_SOURCE[a.op]} {_sum_source(a.right)}"
     if t is ANot:
         negated = False
         while type(a) is ANot:
             a, negated = a.inner, not negated
-        return f"not ({_source(a, slot)})" if negated else _source(a, slot)
+        return f"not ({_source(a)})" if negated else _source(a)
     if t is AImp:
         parts = []
         while type(a) is AImp:
-            parts.append(f"not ({_source(a.premise, slot)})")
+            parts.append(f"not ({_source(a.premise)})")
             a = a.conclusion
-        parts.append(f"({_source(a, slot)})")
+        parts.append(f"({_source(a)})")
         return " or ".join(parts)
     parts = []
     stack = [a]
@@ -383,31 +392,30 @@ def _source(a: Assertion, slot: Callable[[str], Optional[str]]) -> str:
             stack.append(node.right)
             stack.append(node.left)
         else:
-            parts.append(f"({_source(node, slot)})")
+            parts.append(f"({_source(node)})")
     return (" and " if t is AAnd else " or ").join(parts)
 
 
-def _walker(a: Assertion, names: list[str]) -> Callable[..., bool]:
-    return lambda *values: eval_assertion(a, State(zip(names, values)))
+def _assertion_source(a: Assertion, env: dict[str, object]) -> str:
+    """Source for `a` over the locals.  An assertion too large to compile
+    becomes a call to `eval_assertion` on its variables, bound in `env`."""
+    if _fits_codegen(a):
+        return _source(a)
+    names = sorted(assertion_vars(a))
+    walker = f"_walk{len(env)}"
+    env[walker] = lambda *values: eval_assertion(a, State(zip(names, values)))
+    return f"{walker}({', '.join(map(_local, names))})"
 
 
 def _predicate(template: str, names: list[str], *assertions: Assertion) -> Callable[..., bool]:
     """A predicate over the values of `names`, in order: `template` with each
-    `{}` replaced by the next assertion's source, compiled once.  An
-    assertion too large to compile is evaluated by `eval_assertion`."""
-    params = ", ".join(f"_{i}" for i in range(len(names)))
-    slots = {name: f"_{i}" for i, name in enumerate(names)}
+    `{}` replaced by the next assertion's source, compiled once.  Any other
+    variable reads 0."""
     env: dict[str, object] = {"__builtins__": {}}
-    sources = []
-    for a in assertions:
-        if _fits_codegen(a):
-            sources.append(_source(a, slots.get))
-        else:
-            walker = f"_walk{len(sources)}"
-            env[walker] = _walker(a, names)
-            sources.append(f"{walker}({params})")
-    code = compile(f"lambda {params}: {template.format(*sources)}", "<assertion>", "eval")
-    return eval(code, env)
+    sources = [_assertion_source(a, env) for a in assertions]
+    others = sorted(set().union(*map(assertion_vars, assertions)).difference(names))
+    params = ", ".join([*map(_local, names), *(f"{_local(name)}=0" for name in others)])
+    return eval(compile(f"lambda {params}: {template.format(*sources)}", "<assertion>", "eval"), env)
 
 
 def entails(p: Assertion, q: Assertion, variables: Iterable[str], bound: int) -> Verdict:
@@ -421,11 +429,6 @@ def entails(p: Assertion, q: Assertion, variables: Iterable[str], bound: int) ->
     if names is None:
         return Unknown(f"state space exceeds {ENUMERATION_LIMIT} states")
     return _search(_predicate("({}) and not ({})", names, p, q), names, bound)
-
-
-def check_valid(formula: Assertion, variables: Iterable[str], bound: int) -> Verdict:
-    """Validity of a formula over the enumerated states."""
-    return entails(ATrue(), formula, variables, bound)
 
 
 # --- weakest preconditions ----------------------------------------------------------
@@ -622,29 +625,13 @@ class _Code(NamedTuple):
 _Cont = tuple  # (_Code, Optional[_Cont])
 
 
-def _local(name: str) -> str:
-    """The Python local holding an IMP variable in a compiled VC."""
-    return "v_" + name
-
-
-def _assertion_source(a: Assertion, env: dict[str, object]) -> str:
-    """Source for `a` over the locals.  An assertion too large to compile
-    becomes a call to a walker over its variables, bound in `env`."""
-    if _fits_codegen(a):
-        return _source(a, _local)
-    names = sorted(assertion_vars(a))
-    walker = f"_walk{len(env)}"
-    env[walker] = _walker(a, names)
-    return f"{walker}({', '.join(map(_local, names))})"
-
-
 def _render(items: list, indent: str, lines: list[str], env: dict[str, object]) -> None:
     if not items:
         lines.append(f"{indent}pass")
     for item in items:
         t = type(item)
         if t is Assign:
-            lines.append(f"{indent}{_local(item.target)} = {_sum_source(item.rhs, _local)}")
+            lines.append(f"{indent}{_local(item.target)} = {_sum_source(item.rhs)}")
         elif t is tuple:
             cond, then_items, else_items = item
             lines.append(f"{indent}if {_assertion_source(cond, env)}:")
@@ -800,6 +787,66 @@ def _tree_condition(
 
 
 # --- semantic triple checking ---------------------------------------------------------------
+#
+# A triple's command is compiled to one Python function.  Its local `n`
+# counts the rules `big_step` applies, one per node visited, with the counts
+# of straight-line code folded into constants.  A loop becomes `while True:`
+# that breaks where its test fails; each iteration adds the body's rules and
+# the next test to `n`, and returns None once `n` exceeds the fuel, as the
+# function does at its end.
+
+
+def _triple_run(command: Com, names: list[str], out_names: list[str], fuel: int) -> Callable[..., Optional[tuple]]:
+    """A function from the values of `names` to the final values of
+    `out_names`, None where the fuel runs out: `command` compiled, or run by
+    `big_step` when its `if`s and loops nest too deeply to compile or a
+    literal is too long for `str` (CPython limits int-to-text conversion)."""
+    env: dict[str, object] = {"__builtins__": {}}
+    lines = [f"def _run({', '.join(map(_local, names))}):", " n = 0"]
+    lines += [f" {_local(name)} = 0" for name in sorted((vars_of(command) | set(out_names)) - set(names))]
+
+    def block(c: Com, depth: int, loops: int, pending: int) -> int:
+        """Append the code of `c`; return the rules counted since the last `n +=`."""
+        indent = " " * depth
+        todo = [c]
+        while todo:
+            node = todo.pop()
+            pending += 1
+            t = type(node)
+            if t is Seq:
+                todo += [node.second, node.first]
+            elif t is Assign:
+                lines.append(f"{indent}{_local(node.target)} = {_sum_source(node.rhs)}")
+            elif (t is If or t is While) and depth > _CODEGEN_MAX_DEPTH or t is While and loops == _CODEGEN_MAX_LOOPS:
+                raise RecursionError("too deep to compile")
+            elif t is If:
+                lines.append(f"{indent}if {_assertion_source(bexp_to_assertion(node.cond), env)}:")
+                lines.append(f"{indent} n += {block(node.then_branch, depth + 1, loops, pending)}")
+                lines.append(f"{indent}else:")
+                lines.append(f"{indent} n += {block(node.else_branch, depth + 1, loops, pending)}")
+                pending = 0
+            elif t is While:
+                lines.append(f"{indent}n += {pending}")
+                lines.append(f"{indent}while True:")
+                lines.append(f"{indent} if not ({_assertion_source(bexp_to_assertion(node.cond), env)}): break")
+                lines.append(f"{indent} n += {block(node.body, depth + 1, loops + 1, 1)}")
+                lines.append(f"{indent} if n > {fuel}: return None")
+                pending = 0
+            elif t is not Skip:
+                raise TypeError(f"not a command: {node!r}")
+        return pending
+
+    try:
+        lines.append(f" n += {block(command, 1, 0, 0)}")
+    except (RecursionError, ValueError):
+        def run(*values: int) -> Optional[tuple[int, ...]]:
+            outcome = big_step(command, State(zip(names, values)), fuel)
+            return tuple(map(outcome.final.read, out_names)) if type(outcome) is Terminated else None
+        return run
+    lines.append(f" if n > {fuel}: return None")
+    lines.append(f" return ({''.join(_local(name) + ', ' for name in out_names)})")
+    exec(compile("\n".join(lines), "<run>", "exec"), env)
+    return env["_run"]
 
 
 def check_triple(
@@ -811,8 +858,9 @@ def check_triple(
     fuel: int,
     mode: Mode = Mode.PARTIAL,
 ) -> Verdict:
-    """Check a triple semantically by running the command from every
-    enumerated initial state satisfying the precondition.
+    """Check a triple semantically by running the command, compiled once to
+    count fuel exactly as `big_step` does, from every enumerated initial
+    state satisfying the precondition.
 
     In partial mode fuel exhaustion is never a counterexample, only tallied;
     in total mode termination within fuel is part of the claim.  Raises
@@ -824,17 +872,14 @@ def check_triple(
     pre_holds = _predicate("{}", names, pre_assertion)
     post_names = sorted(assertion_vars(post_assertion))
     post_holds = _predicate("{}", post_names, post_assertion)
+    run = _triple_run(command, names, post_names, fuel)
     exhausted = 0
     for values in _satisfying(pre_holds, len(names), bound):
-        s = State(zip(names, values))
-        outcome = big_step(command, s, fuel)
-        if type(outcome) is Terminated:
-            if not post_holds(*map(outcome.final.read, post_names)):
-                return CounterexampleFound(s)
-        elif mode is Mode.TOTAL:
-            return CounterexampleFound(s)
-        else:
+        final = run(*values)
+        if final is None and mode is Mode.PARTIAL:
             exhausted += 1
+        elif final is None or not post_holds(*final):
+            return CounterexampleFound(State(zip(names, values)))
     if exhausted:
         return Unknown(f"{exhausted} initial state(s) ran out of fuel")
     return Valid()

@@ -1,14 +1,31 @@
 """Shared test helpers: hypothesis strategies over the language ASTs, a
-random instruction-list generator, and a swapped-branch mutant of the
-small-step semantics.
+random instruction-list generator, the enumerated states and a reference
+triple check, and a swapped-branch mutant of the small-step semantics.
 
 Command strategies only build right-nested Seq spines, matching what the
 concrete syntax can express; round-trip tests rely on that.
 """
 
+import itertools
+
 from hypothesis import strategies as st
 
-from imptool.hoare import AAnd, ACmp, AFalse, AImp, ANot, AOr, ATrue, CmpOp
+from imptool.bigstep import Terminated, big_step
+from imptool.hoare import (
+    AAnd,
+    ACmp,
+    AFalse,
+    AImp,
+    ANot,
+    AOr,
+    ATrue,
+    CmpOp,
+    CounterexampleFound,
+    Mode,
+    Unknown,
+    Valid,
+    eval_assertion,
+)
 from imptool.machine import Add, Jmp, JmpGe, JmpLess, Load, LoadI, Store
 from imptool.smallstep import ProgConfig
 from imptool.syntax import (
@@ -94,6 +111,34 @@ def states():
     return st.dictionaries(names, small_ints, max_size=4).map(
         lambda d: State(d.items())
     )
+
+
+def enumerate_states(variables, bound):
+    """Every state giving each listed variable a value in [-bound, bound] and
+    every other identifier 0: sorted names, values ascending."""
+    ordered = sorted(set(variables))
+    for combo in itertools.product(range(-bound, bound + 1), repeat=len(ordered)):
+        yield State(zip(ordered, combo))
+
+
+def reference_check_triple(pre, command, post, variables, bound, fuel, mode):
+    """`hoare.check_triple` by `big_step` and `eval_assertion` from every
+    enumerated state: the definition the compiled runs must match."""
+    exhausted = 0
+    for s in enumerate_states(variables, bound):
+        if not eval_assertion(pre, s):
+            continue
+        outcome = big_step(command, s, fuel)
+        if type(outcome) is Terminated:
+            if not eval_assertion(post, outcome.final):
+                return CounterexampleFound(s)
+        elif mode is Mode.TOTAL:
+            return CounterexampleFound(s)
+        else:
+            exhausted += 1
+    if exhausted:
+        return Unknown(f"{exhausted} initial state(s) ran out of fuel")
+    return Valid()
 
 
 def swapped_small_step(cfg):

@@ -368,10 +368,10 @@ class TestBadSource:
         "command, text",
         [
             (command, "x := " + " + ".join(["1"] * 5000))
-            for command in ["run", "compile", "trace", "verify"]
+            for command in ["run", "compile", "trace"]
         ]
         + [("verify", "x := 1; " + "if (x < 2) { " * 300 + "skip" + " } else { skip }" * 300)],
-        ids=["run-long-sum", "compile-long-sum", "trace-long-sum", "verify-long-sum", "verify-nested-if"],
+        ids=["run-long-sum", "compile-long-sum", "trace-long-sum", "verify-nested-if"],
     )
     def test_deep_input_that_parses(self, write, capsys, command, text):
         path = write("deep.imp", text)
@@ -379,6 +379,21 @@ class TestBadSource:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{path}: nesting too deep\n"
+
+    def test_long_sum_verifies(self, write, capsys):
+        # the triple's compiled run adds the sum as one flat expression, and
+        # nothing else evaluates or prints it
+        path = write("sum.imp", "x := " + " + ".join(["1"] * 5000))
+        assert main(["verify", path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "mode: partial\n"
+            "bound: 5\n"
+            "computed precondition: true\n"
+            "vc entry: precondition establishes computed precondition: true -> true -- valid\n"
+            "triple: valid\n"
+        )
 
 
 class TestQuickcheck:
@@ -466,6 +481,43 @@ class TestAsciiIntegers:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "non-negative" in captured.err
+
+
+class TestDashValues:
+    """A value after a value-taking option reaches that option even when it
+    starts with `-`, unless it is itself one of the subcommand's options."""
+
+    def test_precondition_starting_with_minus(self, write, capsys):
+        path = write("inc.imp", "x := x + 1")
+        outputs = []
+        for args in (["--pre", "-1<x", "--post", "0<x"], ["--pre=-1<x", "--post=0<x"]):
+            assert main(["verify", path, *args]) == EXIT_OK
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err == ""
+        assert "triple: valid" in outputs[0].out
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["quickcheck", "--seed", "-0x1"], "--seed must be an integer or 0x and hex digits, got '-0x1'"),
+            (["verify", "{path}", "--bound", "-x"], "--bound must be a non-negative integer, got '-x'"),
+        ],
+        ids=["seed", "bound"],
+    )
+    def test_malformed_value_is_one_line(self, write, capsys, args, message):
+        path = write("skip.imp", "skip")
+        assert main([arg.format(path=path) for arg in args]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"imptool: error: {message}\n"
+
+    def test_an_option_is_not_taken_as_a_value(self, write, capsys):
+        path = write("skip.imp", "skip")
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", path, "--pre", "--post", "true"])
+        assert exited.value.code == 2
+        assert "argument --pre: expected one argument" in capsys.readouterr().err
 
 
 def test_prints_integers_of_any_size(write, capsys):

@@ -1,13 +1,13 @@
-import itertools
 import random
 import re
+import sys
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import aexps, assertions, bexps, coms, names, states
+from conftest import aexps, assertions, bexps, coms, enumerate_states, names, reference_check_triple, states
 from imptool import hoare
 from imptool.bigstep import Terminated, big_step
 from imptool.hoare import (
@@ -29,7 +29,6 @@ from imptool.hoare import (
     assertion_vars,
     bexp_to_assertion,
     check_triple,
-    check_valid,
     entails,
     erase,
     eval_assertion,
@@ -163,9 +162,9 @@ class TestEntails:
         assert isinstance(got, Unknown)
         assert got.detail
 
-    def test_check_valid(self):
-        assert check_valid(parse_assertion("x < 0 -> x <= 0"), {"x"}, 4) == Valid()
-        got = check_valid(parse_assertion("x <= 0"), {"x"}, 4)
+    def test_validity_is_entailment_from_true(self):
+        assert entails(ATrue(), parse_assertion("x < 0 -> x <= 0"), {"x"}, 4) == Valid()
+        got = entails(ATrue(), parse_assertion("x <= 0"), {"x"}, 4)
         assert got == CounterexampleFound(State.of(x=1))
 
     @given(assertions(6), st.integers(min_value=1, max_value=2))
@@ -180,14 +179,6 @@ class TestEntails:
             return
         if entails(p, q, shared, 2) == Valid() and entails(q, r, shared, 2) == Valid():
             assert entails(p, r, shared, 2) == Valid()
-
-
-def enumerate_states(variables, bound):
-    """Every state giving each listed variable a value in [-bound, bound] and
-    every other identifier 0: sorted names, values ascending."""
-    ordered = sorted(set(variables))
-    for combo in itertools.product(range(-bound, bound + 1), repeat=len(ordered)):
-        yield State(zip(ordered, combo))
 
 
 def reference_entails(p, q, variables, bound):
@@ -257,7 +248,7 @@ class TestCompiledPredicate:
         # a bool is an int to Python but never reaches generated source
         odd = ACmp(CmpOp.LT, Var("x"), NumLit(True))
         assert not _fits_codegen(odd)
-        assert check_valid(odd, {"x"}, 2) == reference_entails(ATrue(), odd, {"x"}, 2)
+        assert entails(ATrue(), odd, {"x"}, 2) == reference_entails(ATrue(), odd, {"x"}, 2)
 
     @pytest.mark.parametrize(
         "formula, compiled",
@@ -270,7 +261,7 @@ class TestCompiledPredicate:
         # reference is the equivalent 1000 * x < 5, i.e. x < 1
         reference = ACmp(CmpOp.LT, Var("x"), NumLit(1)) if formula is SUM_CHAIN else formula
         for listed, bound in (({"x", "y"}, 3), ({"x"}, 2)):
-            got = check_valid(formula, listed, bound)
+            got = entails(ATrue(), formula, listed, bound)
             assert got == reference_entails(ATrue(), reference, listed, bound)
             # {F} skip {!F} fails at the first state where F holds
             triple = check_triple(formula, Skip(), ANot(formula), listed, bound, 10)
@@ -281,18 +272,16 @@ class TestNegativeBound:
     def test_entails_rejects(self):
         with pytest.raises(ValueError):
             entails(ATrue(), AFalse(), {"x"}, -1)
-
-    def test_check_valid_rejects(self):
         with pytest.raises(ValueError):
-            check_valid(AFalse(), set(), -1)
+            entails(ATrue(), AFalse(), set(), -1)
 
     def test_check_triple_rejects(self):
         with pytest.raises(ValueError):
             check_triple(parse_assertion("x = 1"), Skip(), parse_assertion("x = 2"), {"x"}, -1, 10)
 
     def test_zero_bound_enumerates_the_zero_state(self):
-        assert check_valid(X_LE_0, {"x", "y"}, 0) == Valid()
-        assert check_valid(X_LT_0, {"x", "y"}, 0) == CounterexampleFound(State())
+        assert entails(ATrue(), X_LE_0, {"x", "y"}, 0) == Valid()
+        assert entails(ATrue(), X_LT_0, {"x", "y"}, 0) == CounterexampleFound(State())
 
 
 class TestWp:
@@ -343,7 +332,7 @@ class TestVcgen:
             "loop@1:1: exit establishes postcondition": "0 <= x && !(0 < x) -> x = 0",
         }
         for vc in got.conditions:
-            assert check_valid(vc.formula, assertion_vars(vc.formula), 8) == Valid()
+            assert entails(ATrue(), vc.formula, assertion_vars(vc.formula), 8) == Valid()
 
     def test_partial_mode_skips_measure_conditions(self):
         ann = parse_annotated_com(COUNTDOWN_ANN)
@@ -419,6 +408,94 @@ class TestCheckTriple:
             ATrue(), parse_com("x := x + 1"), parse_assertion("x = 1"), {"x"}, 3, 100
         )
         assert got == CounterexampleFound(State.of(x=-3))
+
+
+def nested_whiles(depth):
+    """`depth` loops, each the body of the one outside it, that all exit at
+    once: x < 1 fails after the innermost body, an `if`, sets x to 1."""
+    c = If(Less(Var("x"), NumLit(1)), Assign("x", NumLit(1)), Skip())
+    for _ in range(depth):
+        c = While(Less(Var("x"), NumLit(1)), c)
+    return c
+
+
+class TestCompiledRun:
+    """The compiled run of `check_triple` against `big_step`, the reference."""
+
+    @given(coms(max_leaves=12), st.sets(names), st.data(), st.integers(0, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_big_step(self, c, listed, data, fuel):
+        ordered, out = sorted(listed), ["w", "x", "y", "z"]
+        values = data.draw(st.tuples(*[st.integers(-6, 6) for _ in ordered]))
+        state = State(zip(ordered, values))
+        outcome = big_step(c, state, fuel)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hoare, "big_step", None)  # the run must be the compiled one
+            got = hoare._triple_run(c, ordered, out, fuel)(*values)
+            if type(outcome) is not Terminated:
+                assert got is None
+                return
+            assert got == tuple(map(outcome.final.read, out))
+            # the run terminates with exactly `rules_applied` fuel, not one less
+            rules = outcome.rules_applied
+            assert hoare._triple_run(c, ordered, out, rules)(*values) == got
+            assert hoare._triple_run(c, ordered, out, rules - 1)(*values) is None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "while (0 < x) { x := x + -1 }",
+            "y := 0; while (0 < x) { if (x < 2) { y := y + 1 } else { skip }; x := x + -1 }",
+            "while (0 < x) { y := x; while (0 < y) { y := y + -1 }; x := x + -1 }; skip",
+        ],
+    )
+    def test_exact_fuel_where_loops_exit(self, text):
+        c = parse_com(text)
+        for x in range(-1, 4):
+            rules = big_step(c, State.of(x=x), 10_000).rules_applied
+            assert hoare._triple_run(c, ["x"], ["x", "y"], rules)(x) is not None
+            assert hoare._triple_run(c, ["x"], ["x", "y"], rules - 1)(x) is None
+
+    @given(coms(max_leaves=8), assertions(4), assertions(4), st.sets(names, max_size=3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_check_triple_agrees_with_the_reference(self, c, pre, post, listed, data):
+        bound, fuel = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 40))
+        for mode in Mode:
+            expected = reference_check_triple(pre, c, post, listed, bound, fuel, mode)
+            assert check_triple(pre, c, post, listed, bound, fuel, mode) == expected
+
+    @pytest.mark.parametrize(
+        "command, compiled",
+        [
+            (nested_whiles(20), True),
+            (nested_whiles(21), False),
+            (reduce(lambda c, _: If(Less(Var("x"), NumLit(2)), c, Skip()), range(20), Assign("y", NumLit(1))), True),
+            (reduce(lambda c, _: If(Less(Var("x"), NumLit(2)), c, Skip()), range(120), Assign("y", NumLit(1))), False),
+        ],
+        ids=["20-whiles", "21-whiles", "20-ifs", "120-ifs"],
+    )
+    def test_too_deep_to_compile_runs_by_big_step(self, monkeypatch, command, compiled):
+        calls = []
+        monkeypatch.setattr(hoare, "big_step", lambda *args: calls.append(args) or big_step(*args))
+        post = parse_assertion("x = 1 || y = 1")
+        for mode in Mode:
+            for fuel in (40, 1_000):
+                expected = reference_check_triple(ATrue(), command, post, {"x"}, 2, fuel, mode)
+                assert check_triple(ATrue(), command, post, {"x"}, 2, fuel, mode) == expected
+        assert bool(calls) is not compiled
+
+    def test_literal_too_long_to_print_runs_by_big_step(self):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this CPython converts ints of any length to text")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default, which the CLI lifts
+        try:
+            c = Assign("x", NumLit(10**5000))
+            for mode in Mode:
+                got = check_triple(ATrue(), c, parse_assertion("y < 1"), {"y"}, 1, 10, mode)
+                assert got == CounterexampleFound(State.of(y=1))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestVerify:
