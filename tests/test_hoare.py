@@ -272,6 +272,9 @@ class TestNegativeBound:
     def test_entails_rejects(self):
         with pytest.raises(ValueError):
             entails(ATrue(), AFalse(), {"x"}, -1)
+
+    def test_check_valid_rejects(self):
+        # validity is entailment from true
         with pytest.raises(ValueError):
             entails(ATrue(), AFalse(), set(), -1)
 
