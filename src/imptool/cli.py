@@ -370,6 +370,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+def _named_action(options: dict[str, argparse.Action], arg: str) -> argparse.Action | None:
+    """The option `arg` names: exactly, or as argparse resolves a unique prefix
+    of a long option (`--bou` for `--bound`)."""
+    if arg in options:
+        return options[arg]
+    hits = {action for name, action in options.items() if arg.startswith("--") and name.startswith(arg)}
+    return hits.pop() if len(hits) == 1 else None
+
+
 def _attach_dash_values(argv: list[str], commands: dict[str, argparse.ArgumentParser]) -> list[str]:
     """argparse takes a value that starts with `-` and is no plain negative number
     (`--pre -1<x`) for a missing value: join each value after a value-taking option
@@ -377,8 +386,9 @@ def _attach_dash_values(argv: list[str], commands: dict[str, argparse.ArgumentPa
     options = commands[argv[0]]._option_string_actions if argv and argv[0] in commands else {}
     out: list[str] = []
     for arg in argv:
-        after = options.get(out[-1]) if out and "--" not in out else None
-        if after and after.nargs is None and arg.startswith("-") and arg.split("=", 1)[0] not in options:
+        after = _named_action(options, out[-1]) if out and "--" not in out else None
+        dash_value = arg.startswith("-") and not _named_action(options, arg.split("=", 1)[0])
+        if after and after.nargs is None and dash_value:
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -391,7 +401,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv, commands))
     except _BadOptionValue as err:
         return _fail(f"imptool: error: {err}")
-    if hasattr(sys, "set_int_max_str_digits"):  # IMP integers are unbounded
+    # IMP integers are unbounded: lift the int-to-text digit limit while the
+    # command runs, and give the caller its own limit back afterwards.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
@@ -404,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
         # devnull so that the flush at exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

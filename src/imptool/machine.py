@@ -5,9 +5,11 @@ It halts cleanly as soon as the pc leaves [0, len(program)); a negative pc
 halts exactly like running off the end.  Popping an empty stack is an error,
 reported on the step it occurs.
 
-`exec1` is the single-step semantics.  One run loop iterates it, keeping
-only the current configuration; `execute`, `exec_n` and `steps_to_halt`
-read their answers off that loop.
+One register-local run loop holds the instruction semantics: it keeps the
+pc, the stack and the store in plain locals and builds a `MachineConfig`
+only when it stops.  `exec1`, the single-step semantics, is that loop's
+one-step case; `execute`, `exec_n` and `steps_to_halt` read their answers
+off the same loop.
 """
 
 from __future__ import annotations
@@ -77,6 +79,9 @@ class JmpGe:
 Instr = Union[LoadI, Load, Add, Store, Jmp, JmpLess, JmpGe]
 Program = Sequence[Instr]
 
+# How many operands each instruction pops; the others pop none.
+_POPS = {Add: 2, Store: 1, JmpLess: 2, JmpGe: 2}
+
 
 @dataclass(frozen=True, slots=True)
 class MachineConfig:
@@ -116,59 +121,65 @@ class StackUnderflowError(Exception):
 # --- execution -----------------------------------------------------------------
 
 
-def exec1(prog: Program, cfg: MachineConfig) -> Optional[MachineConfig]:
-    """One machine step; None when the pc is outside the program."""
-    pc = cfg.pc
-    if pc < 0 or pc >= len(prog):
-        return None
-    instr = prog[pc]
-    t = type(instr)
-    s = cfg.state
-    stk = cfg.stack
-    if t is LoadI:
-        return MachineConfig(pc + 1, s, (instr.value,) + stk)
-    if t is Load:
-        return MachineConfig(pc + 1, s, (s.read(instr.name),) + stk)
-    if t is Add:
-        if len(stk) < 2:
-            raise StackUnderflowError(cfg)
-        return MachineConfig(pc + 1, s, (stk[1] + stk[0],) + stk[2:])
-    if t is Store:
-        if not stk:
-            raise StackUnderflowError(cfg)
-        return MachineConfig(pc + 1, s.update(instr.name, stk[0]), stk[1:])
-    if t is Jmp:
-        return MachineConfig(pc + 1 + instr.offset, s, stk)
-    if t is JmpLess:
-        if len(stk) < 2:
-            raise StackUnderflowError(cfg)
-        taken = stk[1] < stk[0]
-        return MachineConfig(pc + 1 + (instr.offset if taken else 0), s, stk[2:])
-    if t is JmpGe:
-        if len(stk) < 2:
-            raise StackUnderflowError(cfg)
-        taken = stk[1] >= stk[0]
-        return MachineConfig(pc + 1 + (instr.offset if taken else 0), s, stk[2:])
-    raise TypeError(f"not an instruction: {instr!r}")
-
-
 def _run(prog: Program, cfg: MachineConfig, fuel: int) -> tuple[MachineConfig, int, StopReason]:
-    """Iterate `exec1` from cfg for at most fuel steps (none when fuel is
-    negative): the last configuration, the steps taken, and why the run
-    stopped.  A configuration that cannot step is classified as such even
-    when the fuel is spent, so halting exactly at the limit is a halt."""
-    steps = 0
-    while True:
-        try:
-            nxt = exec1(prog, cfg)
-        except StackUnderflowError:
-            return cfg, steps, StopReason.STACK_UNDERFLOW
-        if nxt is None:
-            return cfg, steps, StopReason.OUT_OF_PROGRAM
+    """Run from cfg for at most fuel steps (none when fuel is negative): the
+    last configuration, the steps taken, and why the run stopped.  A
+    configuration that cannot step is classified as such even when the fuel
+    is spent, so halting exactly at the limit is a halt.  A non-instruction
+    raises TypeError when the loop would step it.
+
+    The pc, the stack (top at the end of a list) and the store live in
+    locals; zero bindings are dropped when the final `State` is built."""
+    pc, end, steps = cfg.pc, len(prog), 0
+    stack = list(reversed(cfg.stack))
+    store = dict(cfg.state.items())
+    push, pop = stack.append, stack.pop
+    reason = StopReason.OUT_OF_PROGRAM
+    while 0 <= pc < end:
+        instr = prog[pc]
+        t = type(instr)
+        if len(stack) < _POPS.get(t, 0):
+            reason = StopReason.STACK_UNDERFLOW
+            break
         if steps >= fuel:
-            return cfg, steps, StopReason.FUEL_EXHAUSTED
-        cfg = nxt
+            reason = StopReason.FUEL_EXHAUSTED
+            break
         steps += 1
+        pc += 1
+        if t is Load:
+            push(store.get(instr.name, 0))
+        elif t is LoadI:
+            push(instr.value)
+        elif t is Add:
+            top = pop()
+            stack[-1] += top
+        elif t is Store:
+            store[instr.name] = pop()
+        elif t is JmpGe:
+            top = pop()
+            if pop() >= top:
+                pc += instr.offset
+        elif t is JmpLess:
+            top = pop()
+            if pop() < top:
+                pc += instr.offset
+        elif t is Jmp:
+            pc += instr.offset
+        else:
+            raise TypeError(f"not an instruction: {instr!r}")
+    return MachineConfig(pc, State(store), tuple(reversed(stack))), steps, reason
+
+
+def exec1(prog: Program, cfg: MachineConfig) -> Optional[MachineConfig]:
+    """One machine step, the run loop's one-step case: None when the pc is
+    outside the program; raises StackUnderflowError when the step pops an
+    empty stack."""
+    last, steps, reason = _run(prog, cfg, 1)
+    if steps:
+        return last
+    if reason is StopReason.STACK_UNDERFLOW:
+        raise StackUnderflowError(cfg)
+    return None
 
 
 def execute(prog: Program, cfg: MachineConfig, fuel: int) -> MachineOutcome:

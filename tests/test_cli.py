@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import imptool
 from conftest import swapped_small_step
-from imptool import smallstep
+from imptool import cli, smallstep
 from imptool.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_FUEL_EXHAUSTED,
@@ -490,10 +491,11 @@ class TestDashValues:
     def test_precondition_starting_with_minus(self, write, capsys):
         path = write("inc.imp", "x := x + 1")
         outputs = []
-        for args in (["--pre", "-1<x", "--post", "0<x"], ["--pre=-1<x", "--post=0<x"]):
+        abbreviated = ["--pr", "-1<x", "--pos", "0<x"]
+        for args in (["--pre", "-1<x", "--post", "0<x"], ["--pre=-1<x", "--post=0<x"], abbreviated):
             assert main(["verify", path, *args]) == EXIT_OK
             outputs.append(capsys.readouterr())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0].err == ""
         assert "triple: valid" in outputs[0].out
 
@@ -502,8 +504,12 @@ class TestDashValues:
         [
             (["quickcheck", "--seed", "-0x1"], "--seed must be an integer or 0x and hex digits, got '-0x1'"),
             (["verify", "{path}", "--bound", "-x"], "--bound must be a non-negative integer, got '-x'"),
+            (
+                ["verify", "{path}", "--pre", "true", "--post", "true", "--bou", "-x"],
+                "--bound must be a non-negative integer, got '-x'",
+            ),
         ],
-        ids=["seed", "bound"],
+        ids=["seed", "bound", "abbreviated-bound"],
     )
     def test_malformed_value_is_one_line(self, write, capsys, args, message):
         path = write("skip.imp", "skip")
@@ -511,6 +517,13 @@ class TestDashValues:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"imptool: error: {message}\n"
+
+    def test_an_abbreviated_option_is_not_taken_as_a_value(self, write, capsys):
+        path = write("skip.imp", "skip")
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", path, "--pre", "--pos", "true"])
+        assert exited.value.code == 2
+        assert "argument --pre: expected one argument" in capsys.readouterr().err
 
     def test_an_option_is_not_taken_as_a_value(self, write, capsys):
         path = write("skip.imp", "skip")
@@ -530,7 +543,57 @@ def test_prints_integers_of_any_size(write, capsys):
     assert i_line == "i=14500"
     digits = x_line.removeprefix("x=")
     assert len(digits) == 4365
-    assert digits == str(2**14500)
+    assert digits == _str_of_any_size(2**14500)
+
+
+def _str_of_any_size(n):
+    """str(n) past CPython's int-to-text digit limit, which `main` restores
+    when it returns."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this CPython has no int-to-text limit")
+class TestIntTextLimit:
+    """`main` lifts the int-to-text digit limit only while its command runs."""
+
+    def _limit_after(self, args):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4321)
+        try:
+            code = main(args)
+            return code, sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    def test_restored_after_a_run(self, write, capsys):
+        # the run prints 4,365 digits, so the limit is lifted while it runs
+        path = write("double.imp", "x := 1; i := 0; while (i < 14500) { x := x + x; i := i + 1 }")
+        assert self._limit_after(["run", path]) == (EXIT_OK, 4321)
+        assert len(capsys.readouterr().out.splitlines()[1]) == len("x=") + 4365
+
+    def test_restored_after_nesting_too_deep(self, write, capsys):
+        path = write("deep.imp", "x := " + " + ".join(["1"] * 5000))
+        assert self._limit_after(["run", path]) == (EXIT_PARSE_ERROR, 4321)
+        assert capsys.readouterr().err == f"{path}: nesting too deep\n"
+
+    def test_restored_after_a_closed_pipe(self, write, monkeypatch):
+        def closed_pipe(args):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "cmd_run", closed_pipe)
+        redirected = []
+        monkeypatch.setattr(os, "open", lambda *args: -1)
+        monkeypatch.setattr(os, "dup2", lambda *fds: redirected.append(fds))
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(fileno=lambda: 1))
+        assert self._limit_after(["run", write("skip.imp", "skip")]) == (EXIT_OK, 4321)
+        assert redirected == [(-1, 1)]
 
 
 def test_closed_pipe_exits_quietly(write):

@@ -93,6 +93,10 @@ class TestExec1:
         with pytest.raises(StackUnderflowError):
             exec1(prog, cfg0(stack=stack))
 
+    def test_non_instruction_raises_type_error(self):
+        with pytest.raises(TypeError, match="not an instruction: 'LoadI'"):
+            exec1(["LoadI"], cfg0())
+
 
 class TestExecute:
     def test_empty_program_halts_immediately(self):
@@ -111,6 +115,15 @@ class TestExecute:
     def test_self_loop_exhausts_fuel(self):
         got = execute([Jmp(-1)], cfg0(), 5)
         assert got == StuckOrExhausted(cfg0(), 5, StopReason.FUEL_EXHAUSTED)
+
+    def test_preloaded_stack_keeps_its_order(self):
+        got = execute([Add(), Store("x")], MachineConfig(0, State(), (2, 3, 9)), 10)
+        assert got == Halted(MachineConfig(2, State.of(x=5), (9,)), 2)
+
+    def test_storing_zero_unbinds_the_name(self):
+        got = execute([LoadI(0), Store("x")], MachineConfig(0, State.of(x=4)), 10)
+        assert got.final.state == State()
+        assert repr(got.final.state) == "State()"
 
     def test_underflow_reported_with_position(self):
         got = execute([LoadI(1), Add()], cfg0(), 10)
@@ -182,9 +195,9 @@ _instrs = st.one_of(
 def _runs(draw):
     """A program, a start configuration whose pc may lie just outside it, and
     a budget that may be negative."""
-    prog = draw(st.lists(_instrs, max_size=8))
+    prog = draw(st.lists(_instrs, max_size=12))
     pc = draw(st.integers(min_value=-1, max_value=len(prog) + 1))
-    stack = tuple(draw(st.lists(small_ints, max_size=2)))
+    stack = tuple(draw(st.lists(small_ints, max_size=4)))
     fuel = draw(st.integers(min_value=-2, max_value=40))
     return prog, MachineConfig(pc, draw(states()), stack), fuel
 
