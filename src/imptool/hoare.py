@@ -13,13 +13,11 @@ every VC to one Python function whose size is linear in the command's: an
 assignment rebinds a local, and an `if` branches and joins again where the
 formula copies the postcondition into both branches.  The formulas (the
 computed precondition, each VC's `formula`) are built only when read, as
-when a report is printed.  A command whose `if`s nest too deeply to compile
-is decided on its formulas.
+when a report is printed.
 
 A triple is checked by running its command from every enumerated state that
 satisfies the precondition, by one Python function compiled per check that
-counts rules, and so runs out of fuel, exactly as `big_step` does; a command
-nesting its `if`s and loops too deeply to compile is run by `big_step`.
+counts rules, and so runs out of fuel, exactly as `big_step` does.
 
 Assertions are quantifier-free formulas over program variables, evaluated
 directly on states.  Entailment and triple validity are decided by
@@ -27,11 +25,17 @@ exhaustively enumerating states within a bound, so a Valid verdict always
 means valid-within-bound and a counterexample is always a genuine state.
 The bound must be non-negative.
 
-Each check compiles every assertion it evaluates once, into a Python lambda
+Each check compiles every assertion it evaluates once, into a Python function
 over the enumerated values (Feeley & Lapalme, "Using closures for code
 generation", 1987), and enumerates plain value tuples; a State is built only
-where one is needed.  Formulas too large or too deeply nested for CPython's
-compiler are evaluated by `eval_assertion`, which remains the reference.
+where one is needed.
+
+All generated code passes one gate, `_generated`, which compiles it and
+reports where CPython refuses it: source nested deeper than its compiler
+takes (200 parentheses, 100 indentation levels, 20 nested loops), or a
+literal longer than its int-to-text limit.  There each caller falls back on
+its reference: an assertion is evaluated by `eval_assertion`, the VCs are
+decided on their formulas, and a triple's command is run by `big_step`.
 """
 
 from __future__ import annotations
@@ -75,17 +79,6 @@ SNAPSHOT_PREFIX = "__z"
 
 # Entailment refuses to enumerate more states than this.
 ENUMERATION_LIMIT = 10**7
-
-# Assertions within both limits are compiled to Python source; larger ones
-# are evaluated by walking the tree.  Compiling costs time in proportion to
-# the formula's size, which a check whose premise rarely holds never earns
-# back, and CPython's tokenizer rejects source nested more than 200
-# parentheses deep (generated source nests at most two per level) or
-# indented more than 100 levels (a compiled VC indents one per nested `if`),
-# and CPython 3.10-3.12 reject more than 20 statically nested loops.
-_CODEGEN_MAX_NODES = 2048
-_CODEGEN_MAX_DEPTH = 50
-_CODEGEN_MAX_LOOPS = 20
 
 
 # --- assertions -----------------------------------------------------------------
@@ -294,47 +287,6 @@ def _search(falsified: Callable[..., bool], names: list[str], bound: int) -> Ver
 _CMP_SOURCE = {CmpOp.LT: "<", CmpOp.LE: "<=", CmpOp.EQ: "=="}
 
 
-def _fits_codegen(a: Assertion) -> bool:
-    """Whether `a` is small and shallow enough to compile.
-
-    One iterative pass counts every node, arithmetic included, and measures
-    the nesting of the generated source: a chain of one connective (and the
-    conclusions of an implication chain) is emitted flat, and so is all
-    arithmetic, so only a change of connective nests.  Literals must be
-    plain ints.
-    """
-    nodes = 0
-    stack: list[tuple[object, int]] = [(a, 1)]  # depth 0: an arithmetic node
-    while stack:
-        node, depth = stack.pop()
-        nodes += 1
-        if nodes > _CODEGEN_MAX_NODES or depth > _CODEGEN_MAX_DEPTH:
-            return False
-        t = type(node)
-        if depth == 0:
-            if t is Plus:
-                stack.append((node.left, 0))
-                stack.append((node.right, 0))
-            elif not (t is Var or (t is NumLit and type(node.value) is int)):
-                return False
-        elif t is ACmp:
-            if node.op not in _CMP_SOURCE:
-                return False
-            stack.append((node.left, 0))
-            stack.append((node.right, 0))
-        elif t is ANot:
-            stack.append((node.inner, depth + (type(node.inner) is not ANot)))
-        elif t is AAnd or t is AOr:
-            stack.append((node.left, depth + (type(node.left) is not t)))
-            stack.append((node.right, depth + (type(node.right) is not t)))
-        elif t is AImp:
-            stack.append((node.premise, depth + 1))
-            stack.append((node.conclusion, depth + (type(node.conclusion) is not AImp)))
-        elif not (t is ATrue or t is AFalse):
-            return False
-    return True
-
-
 def _local(name: str) -> str:
     """The Python local holding an IMP variable in generated code."""
     return "v_" + name
@@ -364,7 +316,7 @@ def _sum_source(a: AExp) -> str:
 
 def _source(a: Assertion) -> str:
     """Python source true exactly where `a` holds.  Recurses only where the
-    connective changes, so its depth is what `_fits_codegen` measured."""
+    connective changes."""
     t = type(a)
     if t is ATrue:
         return "True"
@@ -396,26 +348,31 @@ def _source(a: Assertion) -> str:
     return (" and " if t is AAnd else " or ").join(parts)
 
 
-def _assertion_source(a: Assertion, env: dict[str, object]) -> str:
-    """Source for `a` over the locals.  An assertion too large to compile
-    becomes a call to `eval_assertion` on its variables, bound in `env`."""
-    if _fits_codegen(a):
-        return _source(a)
-    names = sorted(assertion_vars(a))
-    walker = f"_walk{len(env)}"
-    env[walker] = lambda *values: eval_assertion(a, State(zip(names, values)))
-    return f"{walker}({', '.join(map(_local, names))})"
-
-
-def _predicate(template: str, names: list[str], *assertions: Assertion) -> Callable[..., bool]:
-    """A predicate over the values of `names`, in order: `template` with each
-    `{}` replaced by the next assertion's source, compiled once.  Any other
-    variable reads 0."""
+def _generated(build: Callable[[], list[str]]) -> Optional[dict[str, object]]:
+    """The names defined by the Python lines `build()` returns, compiled and
+    run once without builtins, or None where CPython refuses the source.  It
+    refuses by raising SyntaxError (too many nested parentheses, indentation
+    levels or statically nested blocks), RecursionError or MemoryError (too
+    deep for its compiler or parser), or ValueError (a literal past the
+    int-to-text limit)."""
     env: dict[str, object] = {"__builtins__": {}}
-    sources = [_assertion_source(a, env) for a in assertions]
-    others = sorted(set().union(*map(assertion_vars, assertions)).difference(names))
+    try:
+        exec(compile("\n".join(build()), "<generated>", "exec"), env)
+    except (SyntaxError, RecursionError, MemoryError, ValueError):
+        return None
+    return env
+
+
+def _predicate(names: list[str], a: Assertion) -> Callable[..., bool]:
+    """A predicate over the values of `names`, in order, true where `a`
+    holds: compiled once, or walked by `eval_assertion` where CPython refuses
+    to compile it.  Any other variable reads 0."""
+    others = sorted(assertion_vars(a).difference(names))
     params = ", ".join([*map(_local, names), *(f"{_local(name)}=0" for name in others)])
-    return eval(compile(f"lambda {params}: {template.format(*sources)}", "<assertion>", "eval"), env)
+    env = _generated(lambda: [f"def _holds({params}):", f" return {_source(a)}"])
+    if env is None:
+        return lambda *values: eval_assertion(a, State(zip(names, values)))
+    return env["_holds"]
 
 
 def entails(p: Assertion, q: Assertion, variables: Iterable[str], bound: int) -> Verdict:
@@ -428,7 +385,7 @@ def entails(p: Assertion, q: Assertion, variables: Iterable[str], bound: int) ->
     names = _enumerated_names(variables, bound)
     if names is None:
         return Unknown(f"state space exceeds {ENUMERATION_LIMIT} states")
-    return _search(_predicate("({}) and not ({})", names, p, q), names, bound)
+    return _search(_predicate(names, AAnd(p, ANot(q))), names, bound)
 
 
 # --- weakest preconditions ----------------------------------------------------------
@@ -557,7 +514,9 @@ def _tree_vcs(c: Com, post: Assertion, mode: Mode) -> tuple[Assertion, tuple[tup
     the compiled VCs.
 
     Each loop in total mode gets a fresh snapshot variable `__z0`, `__z1`, ...
-    that freezes the measure across one body iteration.
+    that freezes the measure across one body iteration: its decreases VC
+    assigns the measure to it in front of the body, so it stays free only in
+    the exit VCs of loops nested in that body.
     """
     conditions: list[tuple[str, Assertion]] = []
     ordinal = 0
@@ -565,15 +524,15 @@ def _tree_vcs(c: Com, post: Assertion, mode: Mode) -> tuple[Assertion, tuple[tup
     def loop(node: While, post: Assertion) -> Assertion:
         nonlocal ordinal
         label, inv, measure = _loop_annotations(node, ordinal, mode)
-        snapshot = Var(f"{SNAPSHOT_PREFIX}{ordinal}")
+        snapshot = f"{SNAPSHOT_PREFIX}{ordinal}"
         ordinal += 1
         cond = bexp_to_assertion(node.cond)
         if mode is Mode.TOTAL:
-            body_pre = _wp(node.body, AAnd(inv, ACmp(CmpOp.LT, measure, snapshot)), loop)
-            conditions.append((
-                f"{label}: invariant preserved and measure decreases",
-                AImp(AAnd(AAnd(inv, cond), ACmp(CmpOp.EQ, measure, snapshot)), body_pre),
-            ))
+            decreased = AAnd(inv, ACmp(CmpOp.LT, measure, Var(snapshot)))
+            body_pre = _wp(Seq(Assign(snapshot, measure), node.body), decreased, loop)
+            conditions.append(
+                (f"{label}: invariant preserved and measure decreases", AImp(AAnd(inv, cond), body_pre))
+            )
             conditions.append(
                 (f"{label}: measure non-negative", AImp(inv, ACmp(CmpOp.LE, NumLit(0), measure)))
             )
@@ -625,7 +584,7 @@ class _Code(NamedTuple):
 _Cont = tuple  # (_Code, Optional[_Cont])
 
 
-def _render(items: list, indent: str, lines: list[str], env: dict[str, object]) -> None:
+def _render(items: list, indent: str, lines: list[str]) -> None:
     if not items:
         lines.append(f"{indent}pass")
     for item in items:
@@ -634,36 +593,39 @@ def _render(items: list, indent: str, lines: list[str], env: dict[str, object]) 
             lines.append(f"{indent}{_local(item.target)} = {_sum_source(item.rhs)}")
         elif t is tuple:
             cond, then_items, else_items = item
-            lines.append(f"{indent}if {_assertion_source(cond, env)}:")
-            _render(then_items, indent + " ", lines, env)
+            lines.append(f"{indent}if {_source(cond)}:")
+            _render(then_items, indent + " ", lines)
             lines.append(f"{indent}else:")
-            _render(else_items, indent + " ", lines, env)
+            _render(else_items, indent + " ", lines)
         else:
-            lines.append(f"{indent}return not ({_assertion_source(item, env)})")
+            lines.append(f"{indent}return not ({_source(item)})")
 
 
 def _compiled(
     specs: list[tuple[str, Assertion, frozenset[str], _Cont, Callable[[], Assertion]]]
-) -> tuple[VerificationCondition, ...]:
+) -> Optional[tuple[VerificationCondition, ...]]:
     """VCs given as (label, premise, its variables, continuation k, formula),
     each the VC `premise -> wp(k)`, compiled together: one compile costs less
-    than one per VC."""
-    env: dict[str, object] = {"__builtins__": {}}
-    lines: list[str] = []
-    variables = []
-    for _, premise, premise_vars, k, _ in specs:
-        code, rest = k
-        names = sorted(premise_vars | code.fv)
-        lines.append(f"def _vc{len(variables)}({', '.join(map(_local, names))}):")
-        lines.append(f" if not ({_assertion_source(premise, env)}): return False")
-        _render(code.items, " ", lines, env)
-        while not code.returns:
-            code, rest = rest
-            _render(code.items, " ", lines, env)
-        variables.append(tuple(names))
-    exec(compile("\n".join(lines), "<vc>", "exec"), env)
+    than one per VC.  None where CPython refuses the source."""
+    variables = [sorted(premise_vars | k[0].fv) for _, _, premise_vars, k, _ in specs]
+
+    def source() -> list[str]:
+        lines: list[str] = []
+        for i, ((_, premise, _, k, _), names) in enumerate(zip(specs, variables)):
+            code, rest = k
+            lines.append(f"def _vc{i}({', '.join(map(_local, names))}):")
+            lines.append(f" if not ({_source(premise)}): return False")
+            _render(code.items, " ", lines)
+            while not code.returns:
+                code, rest = rest
+                _render(code.items, " ", lines)
+        return lines
+
+    env = _generated(source)
+    if env is None:
+        return None
     return tuple(
-        VerificationCondition(spec[0], names, env[f"_vc{i}"], spec[-1])
+        VerificationCondition(spec[0], tuple(names), env[f"_vc{i}"], spec[-1])
         for i, (spec, names) in enumerate(zip(specs, variables))
     )
 
@@ -671,14 +633,11 @@ def _compiled(
 class _VcCompiler:
     """One backward walk of an annotated command, mirroring `_wp`: returns
     the code of the command and collects each loop's VCs, in vcgen's order,
-    as (label, premise, premise variables, continuation).  `deepest` is the
-    deepest nesting of `if`s, which bounds the generated indentation."""
+    as (label, premise, premise variables, continuation)."""
 
     def __init__(self, mode: Mode) -> None:
         self.mode = mode
         self.loops = 0
-        self.nesting = 0
-        self.deepest = 0
         self.pending: list[tuple[str, Assertion, frozenset[str], _Cont]] = []
 
     def walk(self, c: Com, k: _Cont) -> _Code:
@@ -701,10 +660,7 @@ class _VcCompiler:
                     break
             return _Code(items, codes[-1].fv, code.returns)
         if t is If:
-            self.nesting += 1
-            self.deepest = max(self.deepest, self.nesting)
             then, other = self.walk(c.then_branch, k), self.walk(c.else_branch, k)
-            self.nesting -= 1
             items = [(bexp_to_assertion(c.cond), then.items, other.items)]
             return _Code(items, then.fv | other.fv | vars_of(c.cond), then.returns and other.returns)
         if t is While:
@@ -713,20 +669,20 @@ class _VcCompiler:
 
     def loop(self, node: While, k: _Cont) -> _Code:
         label, inv, measure = _loop_annotations(node, self.loops, self.mode)
-        snapshot = Var(f"{SNAPSHOT_PREFIX}{self.loops}")
+        snapshot = f"{SNAPSHOT_PREFIX}{self.loops}"
         self.loops += 1
         cond = bexp_to_assertion(node.cond)
         inv_vars = frozenset(assertion_vars(inv))
         head_vars = inv_vars | vars_of(node.cond)
         if self.mode is Mode.TOTAL:
             measure_vars = vars_of(measure)
-            decrease_vars = inv_vars | measure_vars | {snapshot.name}
-            body_k = (_Code([AAnd(inv, ACmp(CmpOp.LT, measure, snapshot))], decrease_vars, True), None)
+            decreased = AAnd(inv, ACmp(CmpOp.LT, measure, Var(snapshot)))
+            body_k = (_Code([decreased], inv_vars | measure_vars | {snapshot}, True), None)
             self.pending.append((
                 f"{label}: invariant preserved and measure decreases",
-                AAnd(AAnd(inv, cond), ACmp(CmpOp.EQ, measure, snapshot)),
-                head_vars | decrease_vars,
-                (self.walk(node.body, body_k), body_k),
+                AAnd(inv, cond),
+                head_vars,
+                (self.walk(Seq(Assign(snapshot, measure), node.body), body_k), body_k),
             ))
             self.pending.append((
                 f"{label}: measure non-negative",
@@ -755,35 +711,32 @@ def vcgen(c: Com, post: Assertion, mode: Mode, pre: Optional[Assertion] = None) 
 
     Every loop needs an invariant; in total mode also a measure.  Each VC is
     compiled to a predicate whose size is linear in the command's; the
-    formulas are built by the weakest-precondition walk only when read.  A
-    command whose `if`s nest too deeply to compile is decided on the formulas.
+    formulas are built by the weakest-precondition walk only when read.
+    Where CPython refuses to compile the VCs, they are decided on the
+    formulas.
     """
     trees = functools.cache(lambda: _tree_vcs(c, post, mode))
     compiler = _VcCompiler(mode)
     end = (_Code([post], frozenset(assertion_vars(post)), True), None)
     top = (compiler.walk(c, end), end)
-    if compiler.deepest > _CODEGEN_MAX_DEPTH:
-        precondition, formulas = trees()
-        conditions = tuple(_tree_condition(label, ATrue(), f, lambda f=f: f) for label, f in formulas)
-        if pre is None:
-            return VcResult(conditions, None, trees)
-        entry = _tree_condition(ENTRY_LABEL, pre, precondition, lambda: AImp(pre, precondition))
-        return VcResult(conditions, entry, trees)
     specs = [(*spec, lambda i=i: trees()[1][i][1]) for i, spec in enumerate(compiler.pending)]
+    if pre is not None:
+        specs.append((ENTRY_LABEL, pre, frozenset(assertion_vars(pre)), top, lambda: AImp(pre, trees()[0])))
+    conditions = _compiled(specs)
+    if conditions is None:
+        precondition, formulas = trees()
+        if pre is not None:
+            formulas += ((ENTRY_LABEL, AImp(pre, precondition)),)
+        conditions = tuple(_tree_condition(label, formula) for label, formula in formulas)
     if pre is None:
-        return VcResult(_compiled(specs), None, trees)
-    specs.append((ENTRY_LABEL, pre, frozenset(assertion_vars(pre)), top, lambda: AImp(pre, trees()[0])))
-    *conditions, entry = _compiled(specs)
-    return VcResult(tuple(conditions), entry, trees)
+        return VcResult(conditions, None, trees)
+    return VcResult(conditions[:-1], conditions[-1], trees)
 
 
-def _tree_condition(
-    label: str, premise: Assertion, conclusion: Assertion, formula: Callable[[], Assertion]
-) -> VerificationCondition:
-    """The VC `premise -> conclusion`, compiled by `_predicate`."""
-    names = sorted(assertion_vars(premise) | assertion_vars(conclusion))
-    falsified = _predicate("({}) and not ({})", names, premise, conclusion)
-    return VerificationCondition(label, tuple(names), falsified, formula)
+def _tree_condition(label: str, formula: Assertion) -> VerificationCondition:
+    """The VC `formula`, decided on it by `_predicate`."""
+    names = sorted(assertion_vars(formula))
+    return VerificationCondition(label, tuple(names), _predicate(names, ANot(formula)), lambda: formula)
 
 
 # --- semantic triple checking ---------------------------------------------------------------
@@ -799,13 +752,11 @@ def _tree_condition(
 def _triple_run(command: Com, names: list[str], out_names: list[str], fuel: int) -> Callable[..., Optional[tuple]]:
     """A function from the values of `names` to the final values of
     `out_names`, None where the fuel runs out: `command` compiled, or run by
-    `big_step` when its `if`s and loops nest too deeply to compile or a
-    literal is too long for `str` (CPython limits int-to-text conversion)."""
-    env: dict[str, object] = {"__builtins__": {}}
+    `big_step` where CPython refuses to compile it."""
     lines = [f"def _run({', '.join(map(_local, names))}):", " n = 0"]
     lines += [f" {_local(name)} = 0" for name in sorted((vars_of(command) | set(out_names)) - set(names))]
 
-    def block(c: Com, depth: int, loops: int, pending: int) -> int:
+    def block(c: Com, depth: int, pending: int) -> int:
         """Append the code of `c`; return the rules counted since the last `n +=`."""
         indent = " " * depth
         todo = [c]
@@ -817,36 +768,37 @@ def _triple_run(command: Com, names: list[str], out_names: list[str], fuel: int)
                 todo += [node.second, node.first]
             elif t is Assign:
                 lines.append(f"{indent}{_local(node.target)} = {_sum_source(node.rhs)}")
-            elif (t is If or t is While) and depth > _CODEGEN_MAX_DEPTH or t is While and loops == _CODEGEN_MAX_LOOPS:
-                raise RecursionError("too deep to compile")
             elif t is If:
-                lines.append(f"{indent}if {_assertion_source(bexp_to_assertion(node.cond), env)}:")
-                lines.append(f"{indent} n += {block(node.then_branch, depth + 1, loops, pending)}")
+                lines.append(f"{indent}if {_source(bexp_to_assertion(node.cond))}:")
+                lines.append(f"{indent} n += {block(node.then_branch, depth + 1, pending)}")
                 lines.append(f"{indent}else:")
-                lines.append(f"{indent} n += {block(node.else_branch, depth + 1, loops, pending)}")
+                lines.append(f"{indent} n += {block(node.else_branch, depth + 1, pending)}")
                 pending = 0
             elif t is While:
                 lines.append(f"{indent}n += {pending}")
                 lines.append(f"{indent}while True:")
-                lines.append(f"{indent} if not ({_assertion_source(bexp_to_assertion(node.cond), env)}): break")
-                lines.append(f"{indent} n += {block(node.body, depth + 1, loops + 1, 1)}")
+                lines.append(f"{indent} if not ({_source(bexp_to_assertion(node.cond))}): break")
+                lines.append(f"{indent} n += {block(node.body, depth + 1, 1)}")
                 lines.append(f"{indent} if n > {fuel}: return None")
                 pending = 0
             elif t is not Skip:
                 raise TypeError(f"not a command: {node!r}")
         return pending
 
-    try:
-        lines.append(f" n += {block(command, 1, 0, 0)}")
-    except (RecursionError, ValueError):
-        def run(*values: int) -> Optional[tuple[int, ...]]:
-            outcome = big_step(command, State(zip(names, values)), fuel)
-            return tuple(map(outcome.final.read, out_names)) if type(outcome) is Terminated else None
-        return run
-    lines.append(f" if n > {fuel}: return None")
-    lines.append(f" return ({''.join(_local(name) + ', ' for name in out_names)})")
-    exec(compile("\n".join(lines), "<run>", "exec"), env)
-    return env["_run"]
+    def source() -> list[str]:
+        lines.append(f" n += {block(command, 1, 0)}")
+        lines.append(f" if n > {fuel}: return None")
+        lines.append(f" return ({''.join(_local(name) + ', ' for name in out_names)})")
+        return lines
+
+    env = _generated(source)
+    if env is not None:
+        return env["_run"]
+
+    def run(*values: int) -> Optional[tuple[int, ...]]:
+        outcome = big_step(command, State(zip(names, values)), fuel)
+        return tuple(map(outcome.final.read, out_names)) if type(outcome) is Terminated else None
+    return run
 
 
 def check_triple(
@@ -869,9 +821,9 @@ def check_triple(
     names = _enumerated_names(variables, bound)
     if names is None:
         return Unknown(f"state space exceeds {ENUMERATION_LIMIT} states")
-    pre_holds = _predicate("{}", names, pre_assertion)
+    pre_holds = _predicate(names, pre_assertion)
     post_names = sorted(assertion_vars(post_assertion))
-    post_holds = _predicate("{}", post_names, post_assertion)
+    post_holds = _predicate(post_names, post_assertion)
     run = _triple_run(command, names, post_names, fuel)
     exhausted = 0
     for values in _satisfying(pre_holds, len(names), bound):

@@ -39,7 +39,6 @@ from imptool.hoare import (
     verify,
     wp_loop_free,
     _enumerated_names,
-    _fits_codegen,
     _predicate,
     _value_tuples,
 )
@@ -213,9 +212,33 @@ NOT_CHAIN = not_chain(300, ACmp(CmpOp.LE, Var("x"), Var("y")))
 AND_CHAIN = reduce(AAnd, [ACmp(CmpOp.LE, Plus(Var("x"), NumLit(-i)), Var("y")) for i in range(150)])
 SUM_CHAIN = ACmp(CmpOp.LT, reduce(Plus, [Var("x")] * 1000), NumLit(5))
 DEEP = nested_not_and(60)
+DEEPER = nested_not_and(150)  # 300 nested parentheses: past the parser's 200
 WIDE = balanced_conjunction(
     [ACmp(CmpOp.LE, Plus(Var("x"), NumLit(i)), Plus(Var("y"), NumLit(-i))) for i in range(-150, 150)]
 )
+
+
+def refuse_to_compile(mp):
+    """Make CPython refuse all generated code: the one switch that sends every
+    caller of the gate to its fallback.  Returns the callers refused, by name."""
+    refused = set()
+    mp.setattr(hoare, "_generated", lambda build: refused.add(build.__qualname__.split(".")[0]))
+    return refused
+
+
+@pytest.fixture
+def refusals(monkeypatch):
+    """The callers of the gate, by name, whose code CPython refused, in order."""
+    refused, gate = [], hoare._generated
+
+    def watched(build):
+        env = gate(build)
+        if env is None:
+            refused.append(build.__qualname__.split(".")[0])
+        return env
+
+    monkeypatch.setattr(hoare, "_generated", watched)
+    return refused
 
 
 class TestCompiledPredicate:
@@ -224,9 +247,10 @@ class TestCompiledPredicate:
         # names outside `listed` read 0 on both sides
         ordered = sorted(listed)
         values = data.draw(st.tuples(*[st.integers(-7, 7) for _ in ordered]))
-        state = State(zip(ordered, values))
-        assert _fits_codegen(a)
-        assert _predicate("{}", ordered, a)(*values) == eval_assertion(a, state)
+        expected = eval_assertion(a, State(zip(ordered, values)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hoare, "eval_assertion", None)  # the predicate must be the compiled one
+            assert _predicate(ordered, a)(*values) == expected
 
     @given(assertions(6), assertions(6), st.sets(names), st.integers(0, 2))
     @settings(max_examples=60)
@@ -237,26 +261,31 @@ class TestCompiledPredicate:
     @settings(max_examples=30)
     def test_tree_walk_fallback_agrees(self, p, q, listed, bound):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hoare, "_CODEGEN_MAX_NODES", 0)
+            refuse_to_compile(mp)
             assert entails(p, q, listed, bound) == reference_entails(p, q, listed, bound)
 
-    def test_mixed_compiled_premise_and_walked_conclusion(self):
-        assert _fits_codegen(X_LT_0) and not _fits_codegen(WIDE)
-        assert entails(X_LT_0, WIDE, {"x", "y"}, 3) == reference_entails(X_LT_0, WIDE, {"x", "y"}, 3)
+    def test_mixed_compiled_premise_and_walked_conclusion(self, refusals):
+        # check_triple compiles its precondition and its run, and walks the
+        # postcondition CPython refuses; entails walks the whole refused check
+        listed = {"x", "y"}
+        for post in (DEEPER, ANot(DEEPER)):
+            expected = reference_check_triple(X_LT_0, Skip(), post, listed, 3, 10, Mode.PARTIAL)
+            assert check_triple(X_LT_0, Skip(), post, listed, 3, 10) == expected
+            assert entails(X_LT_0, post, listed, 3) == reference_entails(X_LT_0, post, listed, 3)
+        assert refusals == ["_predicate"] * 4
 
-    def test_literals_must_be_plain_ints(self):
-        # a bool is an int to Python but never reaches generated source
+    def test_literals_must_be_plain_ints(self, refusals):
+        # a bool is an int to Python: folded into a sum's constant, it reads as 1
         odd = ACmp(CmpOp.LT, Var("x"), NumLit(True))
-        assert not _fits_codegen(odd)
         assert entails(ATrue(), odd, {"x"}, 2) == reference_entails(ATrue(), odd, {"x"}, 2)
+        assert not refusals
 
     @pytest.mark.parametrize(
         "formula, compiled",
-        [(NOT_CHAIN, True), (AND_CHAIN, True), (SUM_CHAIN, True), (DEEP, False), (WIDE, False)],
-        ids=["not-300", "and-150", "plus-1000", "not-and-60", "wide-300"],
+        [(NOT_CHAIN, True), (AND_CHAIN, True), (SUM_CHAIN, True), (DEEP, True), (WIDE, True), (DEEPER, False)],
+        ids=["not-300", "and-150", "plus-1000", "not-and-60", "wide-300", "not-and-150"],
     )
-    def test_chains_on_both_sides_of_the_gate(self, formula, compiled):
-        assert _fits_codegen(formula) is compiled
+    def test_chains_on_both_sides_of_the_gate(self, refusals, formula, compiled):
         # eval_assertion exceeds the recursion limit on the sum chain, so its
         # reference is the equivalent 1000 * x < 5, i.e. x < 1
         reference = ACmp(CmpOp.LT, Var("x"), NumLit(1)) if formula is SUM_CHAIN else formula
@@ -266,6 +295,7 @@ class TestCompiledPredicate:
             # {F} skip {!F} fails at the first state where F holds
             triple = check_triple(formula, Skip(), ANot(formula), listed, bound, 10)
             assert triple == reference_entails(reference, AFalse(), listed, bound)
+        assert bool(refusals) is not compiled
 
 
 class TestNegativeBound:
@@ -330,7 +360,7 @@ class TestVcgen:
         rendered = {vc.label: pretty_assertion(vc.formula) for vc in got.conditions}
         assert rendered == {
             "loop@1:1: invariant preserved and measure decreases":
-                "0 <= x && 0 < x && x = __z0 -> 0 <= x + -1 && x + -1 < __z0",
+                "0 <= x && 0 < x -> 0 <= x + -1 && x + -1 < x",
             "loop@1:1: measure non-negative": "0 <= x -> 0 <= x",
             "loop@1:1: exit establishes postcondition": "0 <= x && !(0 < x) -> x = 0",
         }
@@ -363,16 +393,33 @@ class TestVcgen:
         assert got.conditions
         assert all(vc.label.startswith("loop#0: ") for vc in got.conditions)
 
-    def test_snapshot_variables_are_fresh_per_loop(self):
+    def test_outer_snapshot_is_free_only_where_the_inner_loop_exits(self):
+        # each decreases VC assigns its own snapshot; the inner loop's exit
+        # continues into the outer body, whose end compares with __z0
         ann = parse_annotated_com(
-            "while (0 < x) invariant (0 <= x) measure (x) { x := x + -1 }; "
-            "while (0 < y) invariant (0 <= y) measure (y) { y := y + -1 }"
+            "while (0 < x) invariant (0 <= x) measure (x) { "
+            "y := x; while (0 < y) invariant (0 <= y) measure (y) { y := y + -1 }; x := x + -1 }"
         )
         got = vcgen(ann, ATrue(), Mode.TOTAL)
-        snap_vars = set()
-        for vc in got.conditions:
-            snap_vars |= {v for v in assertion_vars(vc.formula) if v.startswith("__z")}
-        assert snap_vars == {"__z0", "__z1"}
+        free = {vc.label: {v for v in assertion_vars(vc.formula) if v.startswith("__z")} for vc in got.conditions}
+        assert {label: names for label, names in free.items() if names} == {
+            "loop@1:56: exit establishes postcondition": {"__z0"}
+        }
+
+    def test_decrease_reads_the_measure_before_the_iteration(self):
+        # the measure reaches 4 at bound 2, where the body leaves it unchanged;
+        # an enumerated snapshot in [-2, 2] never met it there
+        ann = parse_annotated_com(
+            "while (0 < x + y) invariant (0 <= x && 0 <= y) measure (x + y) { if (3 < x + y) { skip } "
+            "else { if (0 < x) { x := x + -1 } else { y := y + -1 } } }"
+        )
+        pre, post = parse_assertion("0 <= x && 0 <= y"), parse_assertion("x = 0 && y = 0")
+        report = verify(ann, pre, post, 2, 1_000, Mode.TOTAL)
+        verdicts = {entry.label: entry.verdict for entry in report.vcs}
+        assert verdicts["loop@1:1: invariant preserved and measure decreases"] == CounterexampleFound(
+            State.of(x=2, y=2)
+        )
+        assert report.triple_verdict == CounterexampleFound(State.of(x=2, y=2))
 
 
 class TestCheckTriple:
@@ -497,6 +544,17 @@ class TestCompiledRun:
             for mode in Mode:
                 got = check_triple(ATrue(), c, parse_assertion("y < 1"), {"y"}, 1, 10, mode)
                 assert got == CounterexampleFound(State.of(y=1))
+            huge = ACmp(CmpOp.LT, Var("x"), NumLit(10**5000))
+            assert entails(ATrue(), huge, {"x"}, 1) == reference_entails(ATrue(), huge, {"x"}, 1)
+            expected = reference_check_triple(huge, Skip(), X_LT_0, {"x"}, 1, 10, Mode.PARTIAL)
+            assert check_triple(huge, Skip(), X_LT_0, {"x"}, 1, 10) == expected
+            x_lt_1 = ACmp(CmpOp.LT, Var("x"), NumLit(1))
+            report = verify(c, ATrue(), x_lt_1, 1, 10, Mode.PARTIAL)
+            for entry in report.vcs:
+                variables = assertion_vars(entry.formula)
+                assert entry.verdict == reference_entails(ATrue(), entry.formula, variables, 1)
+            expected = reference_check_triple(ATrue(), c, x_lt_1, {"x"}, 1, 10, Mode.PARTIAL)
+            assert report.triple_verdict == expected
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -621,8 +679,10 @@ class TestCompiledVcs:
 
         compiled = verdicts()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hoare, "_CODEGEN_MAX_DEPTH", -1)  # every command decided on its trees
+            refused = refuse_to_compile(mp)
             assert verdicts() == compiled
+        # VCs decided on their formulas, every assertion walked, the triple run by big_step
+        assert type(compiled) is str or refused == {"_compiled", "_predicate", "_triple_run"}
 
     def test_deciding_builds_no_formula(self, monkeypatch):
         def refuse(*args):
@@ -647,7 +707,7 @@ class TestCompiledVcs:
         report = verify(c, parse_assertion("y = 0 && z = 0"), parse_assertion("y + z = 16"), 20, 1_000, Mode.PARTIAL)
         assert report.all_valid
 
-    def test_ifs_nested_past_the_indentation_limit_are_decided_on_formulas(self):
+    def test_ifs_nested_past_the_indentation_limit_are_decided_on_formulas(self, refusals):
         c = Assign("y", NumLit(1))
         for _ in range(120):
             c = If(Less(Var("x"), NumLit(2)), c, Skip())
@@ -655,6 +715,7 @@ class TestCompiledVcs:
         assert verify(c, parse_assertion("x < 2"), post, 2, 1_000, Mode.PARTIAL).all_valid
         report = verify(c, ATrue(), post, 2, 1_000, Mode.PARTIAL)
         assert report.vcs[0].verdict == CounterexampleFound(State.of(x=2, y=-2))
+        assert "_compiled" in refusals
 
 
 def _loops(c):
