@@ -111,8 +111,25 @@ def parse_state_spec(spec: str) -> State:
     return State(pairs)
 
 
-def _read_file(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+class _InputError(Exception):
+    """An input a command cannot use, as `FILE: message`: `main` prints it as
+    one line and exits with EXIT_PARSE_ERROR."""
+
+
+def _read_file(path: str, parse):
+    """`parse` applied to the text of input file `path`."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, ParseError) as err:
+        raise _InputError(f"{path}: {err}") from None
+
+
+def _initial_state(args: argparse.Namespace) -> State:
+    """The `--state` bindings; a bad spec is reported against the input file."""
+    try:
+        return parse_state_spec(args.state)
+    except ValueError as err:
+        raise _InputError(f"{args.file}: {err}") from None
 
 
 def _print_state_lines(names: set[str], state: State) -> None:
@@ -152,12 +169,8 @@ def _seed(text: str) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        text = _read_file(args.file)
-        command = parse_annotated_com(text)
-        initial = parse_state_spec(args.state)
-    except (OSError, ParseError, ValueError) as err:
-        return _fail(f"{args.file}: {err}")
+    command = _read_file(args.file, parse_annotated_com)
+    initial = _initial_state(args)
     outcome = big_step(command, initial, args.fuel)
     if type(outcome) is FuelExhausted:
         print(f"fuel exhausted after {args.fuel} rule applications", file=sys.stderr)
@@ -167,12 +180,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    try:
-        text = _read_file(args.file)
-        command = erase(parse_annotated_com(text))
-        initial = parse_state_spec(args.state)
-    except (OSError, ParseError, ValueError) as err:
-        return _fail(f"{args.file}: {err}")
+    command = erase(_read_file(args.file, parse_annotated_com))
+    initial = _initial_state(args)
     configs = islice(small_steps(ProgConfig(command, initial)), args.max_steps + 1)
     for index, last in enumerate(configs):
         if args.format == "machine-readable":
@@ -196,26 +205,20 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    try:
-        text = _read_file(args.file)
-        command = parse_annotated_com(text)
-    except (OSError, ParseError) as err:
-        return _fail(f"{args.file}: {err}")
-    asm_text = pretty_asm(ccomp(command))
+    asm_text = pretty_asm(ccomp(_read_file(args.file, parse_annotated_com)))
     if args.output:
-        Path(args.output).write_text(asm_text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(asm_text, encoding="utf-8")
+        except OSError as err:
+            return _fail(f"{args.output}: {err}")
     else:
         sys.stdout.write(asm_text)
     return EXIT_OK
 
 
 def cmd_exec(args: argparse.Namespace) -> int:
-    try:
-        text = _read_file(args.file)
-        program = parse_asm(text)
-        initial = parse_state_spec(args.state)
-    except (OSError, ParseError, ValueError) as err:
-        return _fail(f"{args.file}: {err}")
+    program = _read_file(args.file, parse_asm)
+    initial = _initial_state(args)
     start = MachineConfig(args.pc, initial, ())
     outcome = execute(program, start, args.max_steps)
     if type(outcome) is StuckOrExhausted:
@@ -251,11 +254,7 @@ def _verdict_lines(verdict) -> tuple[str, list[str]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        text = _read_file(args.file)
-        command = parse_annotated_com(text)
-    except (OSError, ParseError) as err:
-        return _fail(f"{args.file}: {err}")
+    command = _read_file(args.file, parse_annotated_com)
     assertions = []
     for option, source in (("--pre", args.pre), ("--post", args.post)):
         try:
@@ -410,6 +409,8 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
+    except _InputError as err:
+        return _fail(str(err))
     except RecursionError:
         return _fail(f"{getattr(args, 'file', 'imptool')}: nesting too deep")
     except BrokenPipeError:

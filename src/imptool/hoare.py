@@ -4,16 +4,15 @@ of triples.
 
 There is one command type, `Com`: a `While` node carries its own optional
 invariant and measure, which `vcgen` reads and every semantics ignores.
-`wp_loop_free` and the VC formulas share one weakest-precondition walk and
-differ only in what they do at a loop.
 
-VCs are decided by compiled per-VC predicates, not by their formulas.  A
-second walk, mirroring the first in continuation-passing form, compiles
-every VC to one Python function whose size is linear in the command's: an
-assignment rebinds a local, and an `if` branches and joins again where the
-formula copies the postcondition into both branches.  The formulas (the
-computed precondition, each VC's `formula`) are built only when read, as
-when a report is printed.
+One backward walk, `_VcCompiler.walk`, turns a command into a short list of
+items per VC, and two back ends read them.  `_render` compiles every VC to
+one Python function whose size is linear in the command's: an assignment
+rebinds a local, and an `if` branches and joins again.  `_tree` builds the
+weakest precondition as an assertion, copying the postcondition into both
+branches of an `if`.  VCs are decided by the compiled functions, not by their
+formulas; the formulas (`wp_loop_free`, the computed precondition, each VC's
+`formula`) are built only when asked for, as when a report is printed.
 
 A triple is checked by running its command from every enumerated state that
 satisfies the precondition, by one Python function compiled per check that
@@ -388,42 +387,7 @@ def entails(p: Assertion, q: Assertion, variables: Iterable[str], bound: int) ->
     return _search(_predicate(names, AAnd(p, ANot(q))), names, bound)
 
 
-# --- weakest preconditions ----------------------------------------------------------
-
-
-def _wp(c: Com, post: Assertion, loop: Callable[[While, Assertion], Assertion]) -> Assertion:
-    """Weakest precondition of `c` for `post`; each loop's precondition is
-    whatever `loop(node, post)` returns."""
-    t = type(c)
-    if t is Skip:
-        return post
-    if t is Assign:
-        return subst_assertion(post, c.target, c.rhs)
-    if t is Seq:
-        for part in reversed(seq_spine(c)):
-            post = _wp(part, post, loop)
-        return post
-    if t is If:
-        cond = bexp_to_assertion(c.cond)
-        return AAnd(
-            AImp(cond, _wp(c.then_branch, post, loop)),
-            AImp(ANot(cond), _wp(c.else_branch, post, loop)),
-        )
-    if t is While:
-        return loop(c, post)
-    raise TypeError(f"not a command: {c!r}")
-
-
-def _no_loops(c: While, post: Assertion) -> Assertion:
-    raise ValueError("wp_loop_free: command contains a while loop")
-
-
-def wp_loop_free(c: Com, post: Assertion) -> Assertion:
-    """Weakest precondition of a loop-free command.
-
-    Raises ValueError if the command contains a while loop.
-    """
-    return _wp(c, post, _no_loops)
+# --- verification conditions -------------------------------------------------------------
 
 
 def erase(c: Com) -> Com:
@@ -438,9 +402,6 @@ def erase(c: Com) -> Com:
     if t is Skip or t is Assign:
         return c
     raise TypeError(f"not a command: {c!r}")
-
-
-# --- verification conditions -------------------------------------------------------------
 
 
 class Mode(Enum):
@@ -463,7 +424,7 @@ ENTRY_LABEL = "entry: precondition establishes computed precondition"
 class VerificationCondition:
     """One VC: its label, its free variables in enumeration order, and a
     predicate over their values that holds exactly where the VC fails.
-    `formula`, the VC as an assertion, is built on first read."""
+    `formula`, the VC as an assertion, is built when read."""
 
     label: str
     variables: tuple[str, ...]
@@ -479,17 +440,16 @@ class VerificationCondition:
 class VcResult:
     """Every loop's VCs in order, and the entry VC, that a stated precondition
     establishes the computed one (None without a stated precondition).
-    `precondition`, the computed precondition, is built on first read."""
+    `precondition`, the computed precondition, is built on first read, and
+    that one build is also the conclusion of the entry VC's formula."""
 
     conditions: tuple[VerificationCondition, ...]
     entry: Optional[VerificationCondition]
-    _trees: Callable[[], tuple[Assertion, tuple[tuple[str, Assertion], ...]]] = field(
-        repr=False, compare=False
-    )
+    _precondition: Callable[[], Assertion] = field(repr=False, compare=False)
 
     @property
     def precondition(self) -> Assertion:
-        return self._trees()[0]
+        return self._precondition()
 
 
 def _loop_annotations(node: While, ordinal: int, mode: Mode) -> tuple[str, Assertion, AExp]:
@@ -506,46 +466,6 @@ def _loop_annotations(node: While, ordinal: int, mode: Mode) -> tuple[str, Asser
             f"{label}: total-correctness check needs a measure annotation", node.span
         )
     return label, node.invariant, node.measure
-
-
-def _tree_vcs(c: Com, post: Assertion, mode: Mode) -> tuple[Assertion, tuple[tuple[str, Assertion], ...]]:
-    """The computed precondition and every VC as (label, formula), built by
-    the weakest-precondition walk: what reports print, and the reference for
-    the compiled VCs.
-
-    Each loop in total mode gets a fresh snapshot variable `__z0`, `__z1`, ...
-    that freezes the measure across one body iteration: its decreases VC
-    assigns the measure to it in front of the body, so it stays free only in
-    the exit VCs of loops nested in that body.
-    """
-    conditions: list[tuple[str, Assertion]] = []
-    ordinal = 0
-
-    def loop(node: While, post: Assertion) -> Assertion:
-        nonlocal ordinal
-        label, inv, measure = _loop_annotations(node, ordinal, mode)
-        snapshot = f"{SNAPSHOT_PREFIX}{ordinal}"
-        ordinal += 1
-        cond = bexp_to_assertion(node.cond)
-        if mode is Mode.TOTAL:
-            decreased = AAnd(inv, ACmp(CmpOp.LT, measure, Var(snapshot)))
-            body_pre = _wp(Seq(Assign(snapshot, measure), node.body), decreased, loop)
-            conditions.append(
-                (f"{label}: invariant preserved and measure decreases", AImp(AAnd(inv, cond), body_pre))
-            )
-            conditions.append(
-                (f"{label}: measure non-negative", AImp(inv, ACmp(CmpOp.LE, NumLit(0), measure)))
-            )
-        else:
-            body_pre = _wp(node.body, inv, loop)
-            conditions.append((f"{label}: invariant preserved", AImp(AAnd(inv, cond), body_pre)))
-        conditions.append(
-            (f"{label}: exit establishes postcondition", AImp(AAnd(inv, ANot(cond)), post))
-        )
-        return inv
-
-    precondition = _wp(c, post, loop)
-    return precondition, tuple(conditions)
 
 
 # --- compiled verification conditions ----------------------------------------------------
@@ -566,7 +486,8 @@ def _tree_vcs(c: Com, post: Assertion, mode: Mode) -> tuple[Assertion, tuple[tup
 # tree.  Code is built backwards from the postcondition, in continuation-
 # passing form, as a list of items: an Assign (emitted only when its target is
 # live, i.e. read later), an (assertion, then items, else items) tuple for an
-# `if`, and an assertion to return for a loop or the end.
+# `if`, and an assertion to return for a loop or the end.  `_render` emits the
+# items as Python; `_tree` reads the wp formula off the same items.
 
 
 class _Code(NamedTuple):
@@ -584,7 +505,24 @@ class _Code(NamedTuple):
 _Cont = tuple  # (_Code, Optional[_Cont])
 
 
+def _returning(a: Assertion) -> _Cont:
+    """The continuation that returns `a`."""
+    return (_Code([a], frozenset(assertion_vars(a)), True), None)
+
+
+def _items(k: _Cont) -> list:
+    """The items that run from continuation `k` up to its first return."""
+    code, rest = k
+    items = list(code.items)
+    while not code.returns:
+        code, rest = rest
+        items += code.items
+    return items
+
+
 def _render(items: list, indent: str, lines: list[str]) -> None:
+    """The Python back end: `items` as statements, returning True where the
+    VC fails."""
     if not items:
         lines.append(f"{indent}pass")
     for item in items:
@@ -601,41 +539,59 @@ def _render(items: list, indent: str, lines: list[str]) -> None:
             lines.append(f"{indent}return not ({_source(item)})")
 
 
+def _tree(items: list, post: Optional[Assertion] = None) -> Assertion:
+    """The formula back end: the weakest precondition of `items` for `post`,
+    the assertion holding where they fall through.  An assignment
+    substitutes, an `if` copies the post into both branches, and a returned
+    assertion replaces it."""
+    for item in reversed(items):
+        t = type(item)
+        if t is Assign:
+            post = subst_assertion(post, item.target, item.rhs)
+        elif t is tuple:
+            cond, then_items, else_items = item
+            post = AAnd(AImp(cond, _tree(then_items, post)), AImp(ANot(cond), _tree(else_items, post)))
+        else:
+            post = item
+    return post
+
+
 def _compiled(
-    specs: list[tuple[str, Assertion, frozenset[str], _Cont, Callable[[], Assertion]]]
-) -> Optional[tuple[VerificationCondition, ...]]:
-    """VCs given as (label, premise, its variables, continuation k, formula),
-    each the VC `premise -> wp(k)`, compiled together: one compile costs less
-    than one per VC.  None where CPython refuses the source."""
-    variables = [sorted(premise_vars | k[0].fv) for _, _, premise_vars, k, _ in specs]
+    specs: list[tuple[str, Assertion, frozenset[str], _Cont]], wp: Callable[[_Cont], Assertion]
+) -> tuple[VerificationCondition, ...]:
+    """VCs given as (label, premise, its variables, continuation k), each the
+    VC `premise -> wp(k)`, compiled together: one compile costs less than one
+    per VC.  Each formula is built when read, or at once where CPython
+    refuses the source and the VC is decided on it."""
+    variables = [sorted(premise_vars | k[0].fv) for _, _, premise_vars, k in specs]
 
     def source() -> list[str]:
         lines: list[str] = []
-        for i, ((_, premise, _, k, _), names) in enumerate(zip(specs, variables)):
-            code, rest = k
+        for i, ((_, premise, _, k), names) in enumerate(zip(specs, variables)):
             lines.append(f"def _vc{i}({', '.join(map(_local, names))}):")
             lines.append(f" if not ({_source(premise)}): return False")
-            _render(code.items, " ", lines)
-            while not code.returns:
-                code, rest = rest
-                _render(code.items, " ", lines)
+            _render(_items(k), " ", lines)
         return lines
 
     env = _generated(source)
-    if env is None:
-        return None
-    return tuple(
-        VerificationCondition(spec[0], tuple(names), env[f"_vc{i}"], spec[-1])
-        for i, (spec, names) in enumerate(zip(specs, variables))
-    )
+    conditions = []
+    for i, ((label, premise, _, k), names) in enumerate(zip(specs, variables)):
+        if env is None:
+            formula = AImp(premise, wp(k))
+            falsified, read = _predicate(names, ANot(formula)), lambda f=formula: f
+        else:
+            falsified, read = env[f"_vc{i}"], lambda p=premise, k=k: AImp(p, wp(k))
+        conditions.append(VerificationCondition(label, tuple(names), falsified, read))
+    return tuple(conditions)
 
 
 class _VcCompiler:
-    """One backward walk of an annotated command, mirroring `_wp`: returns
-    the code of the command and collects each loop's VCs, in vcgen's order,
-    as (label, premise, premise variables, continuation)."""
+    """The one backward walk of an annotated command: returns the code of the
+    command and collects each loop's VCs, in vcgen's order, as (label,
+    premise, premise variables, continuation).  Without a mode, as for
+    `wp_loop_free`, a loop raises ValueError."""
 
-    def __init__(self, mode: Mode) -> None:
+    def __init__(self, mode: Optional[Mode]) -> None:
         self.mode = mode
         self.loops = 0
         self.pending: list[tuple[str, Assertion, frozenset[str], _Cont]] = []
@@ -668,12 +624,15 @@ class _VcCompiler:
         raise TypeError(f"not a command: {c!r}")
 
     def loop(self, node: While, k: _Cont) -> _Code:
+        if self.mode is None:
+            raise ValueError("wp_loop_free: command contains a while loop")
         label, inv, measure = _loop_annotations(node, self.loops, self.mode)
         snapshot = f"{SNAPSHOT_PREFIX}{self.loops}"
         self.loops += 1
         cond = bexp_to_assertion(node.cond)
         inv_vars = frozenset(assertion_vars(inv))
         head_vars = inv_vars | vars_of(node.cond)
+        at_head = _Code([inv], inv_vars, True)
         if self.mode is Mode.TOTAL:
             measure_vars = vars_of(measure)
             decreased = AAnd(inv, ACmp(CmpOp.LT, measure, Var(snapshot)))
@@ -691,7 +650,7 @@ class _VcCompiler:
                 (_Code([ACmp(CmpOp.LE, NumLit(0), measure)], measure_vars, True), None),
             ))
         else:
-            body_k = (_Code([inv], inv_vars, True), None)
+            body_k = (at_head, None)
             self.pending.append((
                 f"{label}: invariant preserved",
                 AAnd(inv, cond),
@@ -701,7 +660,15 @@ class _VcCompiler:
         self.pending.append(
             (f"{label}: exit establishes postcondition", AAnd(inv, ANot(cond)), head_vars, k)
         )
-        return _Code([inv], inv_vars, True)
+        return at_head
+
+
+def wp_loop_free(c: Com, post: Assertion) -> Assertion:
+    """Weakest precondition of a loop-free command.
+
+    Raises ValueError if the command contains a while loop.
+    """
+    return _tree(_VcCompiler(None).walk(c, _returning(post)).items, post)
 
 
 def vcgen(c: Com, post: Assertion, mode: Mode, pre: Optional[Assertion] = None) -> VcResult:
@@ -711,32 +678,21 @@ def vcgen(c: Com, post: Assertion, mode: Mode, pre: Optional[Assertion] = None) 
 
     Every loop needs an invariant; in total mode also a measure.  Each VC is
     compiled to a predicate whose size is linear in the command's; the
-    formulas are built by the weakest-precondition walk only when read.
-    Where CPython refuses to compile the VCs, they are decided on the
-    formulas.
+    formulas are built from the same walk, and only when read.  Where
+    CPython refuses to compile the VCs, they are decided on the formulas.
     """
-    trees = functools.cache(lambda: _tree_vcs(c, post, mode))
     compiler = _VcCompiler(mode)
-    end = (_Code([post], frozenset(assertion_vars(post)), True), None)
+    end = _returning(post)
     top = (compiler.walk(c, end), end)
-    specs = [(*spec, lambda i=i: trees()[1][i][1]) for i, spec in enumerate(compiler.pending)]
+    precondition = functools.cache(lambda: _tree(_items(top)))
+    specs = compiler.pending
     if pre is not None:
-        specs.append((ENTRY_LABEL, pre, frozenset(assertion_vars(pre)), top, lambda: AImp(pre, trees()[0])))
-    conditions = _compiled(specs)
-    if conditions is None:
-        precondition, formulas = trees()
-        if pre is not None:
-            formulas += ((ENTRY_LABEL, AImp(pre, precondition)),)
-        conditions = tuple(_tree_condition(label, formula) for label, formula in formulas)
+        specs.append((ENTRY_LABEL, pre, frozenset(assertion_vars(pre)), top))
+    # The entry VC's formula shares the precondition's one build.
+    conditions = _compiled(specs, lambda k: precondition() if k is top else _tree(_items(k)))
     if pre is None:
-        return VcResult(conditions, None, trees)
-    return VcResult(conditions[:-1], conditions[-1], trees)
-
-
-def _tree_condition(label: str, formula: Assertion) -> VerificationCondition:
-    """The VC `formula`, decided on it by `_predicate`."""
-    names = sorted(assertion_vars(formula))
-    return VerificationCondition(label, tuple(names), _predicate(names, ANot(formula)), lambda: formula)
+        return VcResult(conditions, None, precondition)
+    return VcResult(conditions[:-1], conditions[-1], precondition)
 
 
 # --- semantic triple checking ---------------------------------------------------------------

@@ -356,14 +356,6 @@ def parse_annotated_com(text: str) -> Com:
     return _parse(text, _Parser.statements, allow_annotations=True)
 
 
-def parse_aexp(text: str) -> AExp:
-    return _parse(text, _Parser.aexp)
-
-
-def parse_bexp(text: str) -> BExp:
-    return _parse(text, _Parser.bexp)
-
-
 def parse_assertion(text: str) -> Assertion:
     return _parse(text, _Parser.assertion)
 

@@ -1,6 +1,6 @@
 """Shared test helpers: hypothesis strategies over the language ASTs, a
-random instruction-list generator, the enumerated states and a reference
-triple check, and a swapped-branch mutant of the small-step semantics.
+random instruction-list generator, the enumerated states, a reference
+triple check and reference VCs, and a swapped-branch mutant of the small-step semantics.
 
 Command strategies only build right-nested Seq spines, matching what the
 concrete syntax can express; round-trip tests rely on that.
@@ -22,9 +22,13 @@ from imptool.hoare import (
     CmpOp,
     CounterexampleFound,
     Mode,
+    SNAPSHOT_PREFIX,
     Unknown,
     Valid,
+    _loop_annotations,
+    bexp_to_assertion,
     eval_assertion,
+    subst_assertion,
 )
 from imptool.machine import Add, Jmp, JmpGe, JmpLess, Load, LoadI, Store
 from imptool.smallstep import ProgConfig
@@ -139,6 +143,57 @@ def reference_check_triple(pre, command, post, variables, bound, fuel, mode):
     if exhausted:
         return Unknown(f"{exhausted} initial state(s) ran out of fuel")
     return Valid()
+
+
+def reference_vcs(c, post, mode):
+    """The computed precondition and every VC as (label, formula), built by
+    the weakest-precondition walk over the command tree: the definition the
+    VCs of `hoare.vcgen` and `hoare.wp_loop_free` must match.
+
+    Each loop in total mode gets a fresh snapshot variable `__z0`, `__z1`, ...
+    that freezes the measure across one body iteration: its decreases VC
+    assigns the measure to it in front of the body, so it stays free only in
+    the exit VCs of loops nested in that body.
+    """
+    conditions = []
+    ordinal = 0
+
+    def wp(c, post):
+        t = type(c)
+        if t is Skip:
+            return post
+        if t is Assign:
+            return subst_assertion(post, c.target, c.rhs)
+        if t is Seq:
+            return wp(c.first, wp(c.second, post))
+        if t is If:
+            cond = bexp_to_assertion(c.cond)
+            return AAnd(AImp(cond, wp(c.then_branch, post)), AImp(ANot(cond), wp(c.else_branch, post)))
+        return loop(c, post)
+
+    def loop(node, post):
+        nonlocal ordinal
+        label, inv, measure = _loop_annotations(node, ordinal, mode)
+        snapshot = f"{SNAPSHOT_PREFIX}{ordinal}"
+        ordinal += 1
+        cond = bexp_to_assertion(node.cond)
+        if mode is Mode.TOTAL:
+            decreased = AAnd(inv, ACmp(CmpOp.LT, measure, Var(snapshot)))
+            body_pre = wp(Seq(Assign(snapshot, measure), node.body), decreased)
+            conditions.append(
+                (f"{label}: invariant preserved and measure decreases", AImp(AAnd(inv, cond), body_pre))
+            )
+            conditions.append(
+                (f"{label}: measure non-negative", AImp(inv, ACmp(CmpOp.LE, NumLit(0), measure)))
+            )
+        else:
+            body_pre = wp(node.body, inv)
+            conditions.append((f"{label}: invariant preserved", AImp(AAnd(inv, cond), body_pre)))
+        conditions.append((f"{label}: exit establishes postcondition", AImp(AAnd(inv, ANot(cond)), post)))
+        return inv
+
+    precondition = wp(c, post)
+    return precondition, tuple(conditions)
 
 
 def swapped_small_step(cfg):

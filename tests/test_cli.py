@@ -186,6 +186,14 @@ class TestCompile:
         path = write("bad.imp", "x +")
         assert main(["compile", path]) == EXIT_PARSE_ERROR
 
+    def test_unwritable_output_file(self, write, tmp_path, capsys):
+        src = write("incr.imp", "x := x + 1")
+        out = tmp_path / "no-such-dir" / "incr.asm"
+        assert main(["compile", src, "-o", str(out)]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{out}: [Errno 2] No such file or directory: '{out}'\n"
+
 
 class TestExec:
     def test_compiled_increment(self, write, capsys):
@@ -328,6 +336,17 @@ class TestBadSource:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{path}: 1:6: unexpected character '{digit}'\n"
+
+    @pytest.mark.parametrize("command", ["run", "trace", "compile", "exec", "verify"])
+    def test_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.imp"
+        path.write_bytes("x := 1 // café\n".encode("latin-1"))
+        assert main([command, str(path)]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{path}: 'utf-8' codec can't decode byte 0xe9 in position 13: invalid continuation byte\n"
+        )
 
     def test_non_ascii_digit_in_postcondition(self, write, capsys):
         path = write("ok.imp", "x := 1")

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import aexps, assertions, bexps, coms, enumerate_states, names, reference_check_triple, states
+from conftest import (
+    aexps,
+    assertions,
+    bexps,
+    coms,
+    enumerate_states,
+    names,
+    reference_check_triple,
+    reference_vcs,
+    states,
+)
 from imptool import hoare
 from imptool.bigstep import Terminated, big_step
 from imptool.hoare import (
@@ -640,8 +650,9 @@ def random_pre_post(seed):
 
 
 class TestCompiledVcs:
-    """The compiled VCs against the weakest-precondition trees, which stay
-    the reference."""
+    """The VCs and formulas read off the one walk, against the
+    weakest-precondition walk over the command tree, which stays the
+    reference."""
 
     @given(coms(max_leaves=6, annotated=True), st.integers(0, 2**32 - 1), st.sampled_from(tuple(Mode)))
     @settings(max_examples=100, deadline=None)
@@ -651,13 +662,15 @@ class TestCompiledVcs:
             result = vcgen(c, post, mode, pre)
         except MissingAnnotationError as err:
             with pytest.raises(MissingAnnotationError, match=re.escape(str(err))):
-                hoare._tree_vcs(c, post, mode)
+                reference_vcs(c, post, mode)
             return
-        precondition, trees = hoare._tree_vcs(c, post, mode)
+        precondition, trees = reference_vcs(c, post, mode)
         expected = [(ENTRY_LABEL, AImp(pre, precondition)), *trees]
         got = [result.entry, *result.conditions]
         assert [vc.label for vc in got] == [label for label, _ in expected]
         assert result.precondition == precondition
+        if not trees:  # no loop
+            assert wp_loop_free(c, post) == precondition
         for vc, (_, formula) in zip(got, expected):
             assert vc.formula == formula
             assert vc.variables == tuple(sorted(assertion_vars(formula)))
@@ -697,6 +710,24 @@ class TestCompiledVcs:
             report.precondition
         with pytest.raises(AssertionError, match="formula built"):
             report.vcs[0].formula
+
+    def test_precondition_and_entry_formula_share_one_build(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return subst_assertion(*args)
+
+        monkeypatch.setattr(hoare, "subst_assertion", counted)
+        c = parse_annotated_com("x := x + 1; if (x < 3) { y := x } else { y := 2 }")
+        report = verify(c, parse_assertion("x < 5"), parse_assertion("y <= 2"), 4, 100, Mode.PARTIAL)
+        assert calls == []
+        precondition = report.precondition
+        built = len(calls)
+        assert built > 0
+        assert report.vcs[0].formula == AImp(parse_assertion("x < 5"), precondition)
+        assert report.precondition is precondition
+        assert len(calls) == built
 
     def test_sequential_ifs_stay_linear(self):
         # wp copies the postcondition into both branches of each if: 2**16 copies

@@ -18,11 +18,9 @@ from imptool.hoare import (
 from imptool.machine import Add, Jmp, JmpGe, JmpLess, Load, LoadI, Store
 from imptool.parser import (
     ParseError,
-    parse_aexp,
     parse_annotated_com,
     parse_asm,
     parse_assertion,
-    parse_bexp,
     parse_com,
     pretty_aexp,
     pretty_asm,
@@ -44,6 +42,19 @@ from imptool.syntax import (
     Var,
     While,
 )
+
+# Expressions are parsed where a command holds them, after this prefix.
+ASSIGN = "x := "
+
+
+def rhs_of(text):
+    """An arithmetic expression, parsed as the right side of an assignment."""
+    return parse_com(ASSIGN + text).rhs
+
+
+def cond_of(text):
+    """A boolean expression, parsed as the condition of an `if`."""
+    return parse_com(f"if ({text}) {{ skip }} else {{ skip }}").cond
 
 
 class TestParseCom:
@@ -72,32 +83,32 @@ class TestParseCom:
         assert got == Seq(Skip(), Seq(Assign("x", NumLit(1)), Skip()))
 
     def test_plus_is_left_associative(self):
-        assert parse_aexp("x + 1 + 2") == Plus(Plus(Var("x"), NumLit(1)), NumLit(2))
+        assert rhs_of("x + 1 + 2") == Plus(Plus(Var("x"), NumLit(1)), NumLit(2))
 
     def test_parenthesized_aexp(self):
-        assert parse_aexp("x + (1 + 2)") == Plus(Var("x"), Plus(NumLit(1), NumLit(2)))
+        assert rhs_of("x + (1 + 2)") == Plus(Var("x"), Plus(NumLit(1), NumLit(2)))
 
     def test_negative_literal(self):
-        assert parse_aexp("x + -1") == Plus(Var("x"), NumLit(-1))
+        assert rhs_of("x + -1") == Plus(Var("x"), NumLit(-1))
 
     def test_and_is_left_associative(self):
-        got = parse_bexp("true && false && x < 1")
+        got = cond_of("true && false && x < 1")
         assert got == And(
             And(BoolLit(True), BoolLit(False)), Less(Var("x"), NumLit(1))
         )
 
     def test_not_binds_tightest(self):
-        got = parse_bexp("!true && false")
+        got = cond_of("!true && false")
         assert got == And(Not(BoolLit(True)), BoolLit(False))
 
     def test_parenthesized_bexp(self):
-        got = parse_bexp("!(true && false)")
+        got = cond_of("!(true && false)")
         assert got == Not(And(BoolLit(True), BoolLit(False)))
 
     def test_comparison_inside_parens_stays_arithmetic_grouping(self):
         # '(' may open either a bexp or an aexp; backtracking resolves it
-        assert parse_bexp("(x + 1) < y") == Less(Plus(Var("x"), NumLit(1)), Var("y"))
-        assert parse_bexp("(x < y)") == Less(Var("x"), Var("y"))
+        assert cond_of("(x + 1) < y") == Less(Plus(Var("x"), NumLit(1)), Var("y"))
+        assert cond_of("(x < y)") == Less(Var("x"), Var("y"))
 
     def test_comments_and_whitespace(self):
         text = "// setup\nx := 1;  // write\nskip\n"
@@ -173,10 +184,10 @@ class TestParseErrors:
 
     def test_nesting_too_deep_points_at_current_token(self):
         with pytest.raises(ParseError) as exc:
-            parse_aexp("(" * 2000 + "1" + ")" * 2000)
+            rhs_of("(" * 2000 + "1" + ")" * 2000)
         assert str(exc.value).endswith(": nesting too deep")
         assert exc.value.span.start_line == 1
-        assert exc.value.span.start_col <= 2000
+        assert exc.value.span.start_col <= len(ASSIGN) + 2000
 
 
 class TestAnnotations:
@@ -278,12 +289,12 @@ class TestPretty:
 
 @given(aexps())
 def test_aexp_round_trip(a):
-    assert parse_aexp(pretty_aexp(a)) == a
+    assert rhs_of(pretty_aexp(a)) == a
 
 
 @given(bexps())
 def test_bexp_round_trip(b):
-    assert parse_bexp(pretty_bexp(b)) == b
+    assert cond_of(pretty_bexp(b)) == b
 
 
 @given(assertions())
