@@ -4,6 +4,11 @@ Fuel counts big-step rule applications, one per AST node visited by the
 derivation.  The evaluator keeps an explicit work list instead of recursing,
 so sequence chains hundreds of thousands of commands deep evaluate without
 touching the interpreter call stack.
+
+A configuration (work list and state) that comes back proves the run never
+ends.  `big_step` looks for one with Brent's cycle-finding algorithm (Brent,
+BIT 20, 1980), sampled each time a `while` condition holds, and then returns
+`FuelExhausted` at once, as the full run would.
 """
 
 from __future__ import annotations
@@ -29,9 +34,13 @@ BigStepOutcome = Union[Terminated, FuelExhausted]
 
 
 def big_step(c: Com, s: State, fuel: int) -> BigStepOutcome:
-    """Evaluate a command, spending one unit of fuel per rule application."""
+    """Evaluate a command, spending one unit of fuel per rule application;
+    a repeated configuration returns `FuelExhausted` at once."""
     todo: list[Com] = [c]
     count = 0
+    saved_bindings = None
+    saved_todo: list[Com] = []
+    power, lam = 1, 0
     while todo:
         if count >= fuel:
             return FuelExhausted()
@@ -51,6 +60,12 @@ def big_step(c: Com, s: State, fuel: int) -> BigStepOutcome:
             if bval(node.cond, s):
                 todo.append(node)
                 todo.append(node.body)
+                # States compare by their binding dicts, with no method call.
+                if s._bindings == saved_bindings and todo == saved_todo:
+                    return FuelExhausted()
+                lam += 1
+                if lam == power:
+                    saved_bindings, saved_todo, power, lam = s._bindings, todo[:], 2 * power, 0
         else:
             raise TypeError(f"not a command: {node!r}")
     return Terminated(s, count)

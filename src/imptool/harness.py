@@ -7,7 +7,9 @@ functions of (cases, config): same inputs, byte-identical reports.
 Generated loops are biased toward progress (the loop-condition variable gets
 incremented toward its limit) so that most loopy programs terminate within
 the suite fuel; cases where both semantics run out of fuel are skipped as
-agreement-on-divergence and reported.
+agreement-on-divergence and reported.  A run that repeats a configuration
+returns at once as if it had spent its fuel, so a case is skipped only when
+each semantics either proves such a lasso or exhausts its fuel.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .hoare import (
     verify,
     wp_loop_free,
 )
-from .machine import Halted, MachineConfig, ccomp, exec_n, execute, steps_to_halt
+from .machine import Halted, MachineConfig, StopReason, StuckOrExhausted, ccomp, exec_n, execute, steps_to_halt
 from .smallstep import ProgConfig, TraceStatus, star_run
 from .syntax import (
     And,
@@ -345,6 +347,8 @@ def _check_small_big(program: Com, initial: State, fuel: int):
 
     When one side finishes and the other has not at the base fuel, the slow
     side is re-run at cross_fuel(fuel); only mutual exhaustion is skipped.
+    A run that repeats a configuration stops there, so a skip costs only the
+    steps up to the first repeat where there is one.
     """
     trace = star_run(ProgConfig(program, initial), fuel)
     big = big_step(program, initial, fuel)
@@ -374,13 +378,27 @@ def _check_small_big(program: Com, initial: State, fuel: int):
 def _check_compiler(program: Com, initial: State, fuel: int):
     """The compiled program halts at the end of the code with an empty stack
     in exactly the state big_step computed, and the exec/exec_n/steps_to_halt
-    views of the run agree."""
+    views of the run agree.
+
+    Where big_step runs out of fuel, the machine must not halt either (the
+    compiler preserves non-termination).  If it stops after m steps anyway,
+    big_step is re-run at (m + 1) * (1 + node_count(program)) rules: each
+    loop iteration of the compiled code executes at least one backward jump,
+    and a loop-free stretch of big-step visits at most node_count nodes, so
+    that budget is enough for any program the machine simulates correctly.
+    Only a case where both run out of fuel is skipped.
+    """
+    code = ccomp(program)
+    start = MachineConfig(0, initial, ())
     big = big_step(program, initial, fuel)
     if type(big) is FuelExhausted:
-        return _SKIPPED
-    code = ccomp(program)
+        ran = execute(code, start, fuel)
+        if type(ran) is StuckOrExhausted and ran.reason is StopReason.FUEL_EXHAUSTED:
+            return _SKIPPED
+        big = big_step(program, initial, (ran.steps_taken + 1) * (1 + node_count(program)))
+        if type(big) is FuelExhausted:
+            return "compiled code simulates the source program", f"machine halts where big-step diverges: {ran!r}"
     budget = max(big.rules_applied, 1) * COMPILER_FUEL_FACTOR * (1 + node_count(program))
-    start = MachineConfig(0, initial, ())
     outcome = execute(code, start, budget)
     if type(outcome) is not Halted:
         problem = f"machine did not halt: {outcome!r}"

@@ -10,6 +10,11 @@ pc, the stack and the store in plain locals and builds a `MachineConfig`
 only when it stops.  `exec1`, the single-step semantics, is that loop's
 one-step case; `execute`, `exec_n` and `steps_to_halt` read their answers
 off the same loop.
+
+A configuration (pc, stack and store) that comes back proves the run never
+ends.  The loop finds one with Brent's cycle-finding algorithm (Brent, BIT 20,
+1980) and skips the whole periods left in the fuel, so every answer is the
+one the full run would give.
 """
 
 from __future__ import annotations
@@ -129,12 +134,20 @@ def _run(prog: Program, cfg: MachineConfig, fuel: int) -> tuple[MachineConfig, i
     raises TypeError when the loop would step it.
 
     The pc, the stack (top at the end of a list) and the store live in
-    locals; zero bindings are dropped when the final `State` is built."""
+    locals; zero bindings are dropped when the final `State` is built.
+
+    Every run that never ends takes a backward jump infinitely often, so the
+    configuration after each taken backward jump is sampled for Brent's
+    check.  A repeat proves the configuration recurs every `period` steps
+    from then on, so whole periods of the remaining fuel are skipped: the
+    result is that of the full run."""
     pc, end, steps = cfg.pc, len(prog), 0
     stack = list(reversed(cfg.stack))
     store = dict(cfg.state.items())
     push, pop = stack.append, stack.pop
     reason = StopReason.OUT_OF_PROGRAM
+    saved_pc, saved_stack, saved_store, saved_steps = None, None, None, 0
+    power, lam = 1, 0
     while 0 <= pc < end:
         instr = prog[pc]
         t = type(instr)
@@ -148,25 +161,38 @@ def _run(prog: Program, cfg: MachineConfig, fuel: int) -> tuple[MachineConfig, i
         pc += 1
         if t is Load:
             push(store.get(instr.name, 0))
-        elif t is LoadI:
+            continue
+        if t is LoadI:
             push(instr.value)
-        elif t is Add:
+            continue
+        if t is Add:
             top = pop()
             stack[-1] += top
-        elif t is Store:
+            continue
+        if t is Store:
             store[instr.name] = pop()
-        elif t is JmpGe:
-            top = pop()
-            if pop() >= top:
-                pc += instr.offset
-        elif t is JmpLess:
+            continue
+        if t is JmpGe:
             top = pop()
             if pop() < top:
-                pc += instr.offset
-        elif t is Jmp:
-            pc += instr.offset
-        else:
+                continue
+        elif t is JmpLess:
+            top = pop()
+            if pop() >= top:
+                continue
+        elif t is not Jmp:
             raise TypeError(f"not an instruction: {instr!r}")
+        offset = instr.offset
+        pc += offset
+        if offset >= 0:
+            continue
+        if pc == saved_pc and stack == saved_stack and store == saved_store:
+            period = steps - saved_steps
+            steps += (fuel - steps) // period * period
+        lam += 1
+        if lam == power:
+            saved_pc, saved_stack, saved_store, saved_steps = pc, stack[:], dict(store), steps
+            power, lam = 2 * power, 0
     return MachineConfig(pc, State(store), tuple(reversed(stack))), steps, reason
 
 

@@ -3,15 +3,19 @@
 The step function `small_step` is deterministic, so the reflexive-transitive
 closure from a configuration is one sequence.  `small_steps` yields it lazily,
 one configuration at a time, and works on programs that never end; the `trace`
-command prints it as it goes.  `star_run` takes a bounded prefix of it and
+command prints it as it goes.  `star_run` runs a bounded prefix of it and
 keeps only the last configuration.
+
+A configuration that comes back proves the run never ends.  `star_run` finds
+one with Brent's cycle-finding algorithm (Brent, BIT 20, 1980), skips the
+whole periods left in the fuel and steps out the rest, so it returns exactly
+what the full run would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import Iterator, Optional
 
 from .syntax import Assign, Com, If, Seq, Skip, State, While, aval, bval
@@ -84,10 +88,25 @@ def small_steps(cfg: ProgConfig) -> Iterator[ProgConfig]:
 def star_run(cfg: ProgConfig, max_steps: int) -> StepTrace:
     """Run small steps from cfg, stopping at a final config or at max_steps.
 
-    Only the last configuration is kept.  A negative max_steps takes no step.
+    Only the last configuration is kept, and the one Brent's check compares
+    against (saved after steps 1, 3, 7, 15, ...).  A repeat `p` steps after
+    it puts the run back there every `p` steps, so only the fuel left modulo
+    `p` is stepped.  A negative max_steps takes no step.
     """
-    steps = 0
-    for steps, cfg in enumerate(islice(small_steps(cfg), max(max_steps, 0) + 1)):
-        pass
+    fuel, steps = max(max_steps, 0), 0
+    saved, saved_steps, saved_bindings = cfg, 0, cfg.state._bindings
+    while steps < fuel:
+        nxt = small_step(cfg)
+        if nxt is None:
+            break
+        cfg = nxt
+        steps += 1
+        # States compare by their binding dicts, with no method call per step.
+        if cfg.state._bindings == saved_bindings and cfg.command == saved.command:
+            for _ in range((fuel - steps) % (steps - saved_steps)):
+                cfg = small_step(cfg)
+            return StepTrace(cfg, fuel, TraceStatus.FUEL_EXHAUSTED)
+        if steps == 2 * saved_steps + 1:
+            saved, saved_steps, saved_bindings = cfg, steps, cfg.state._bindings
     status = TraceStatus.COMPLETED if cfg.is_final else TraceStatus.FUEL_EXHAUSTED
     return StepTrace(cfg, steps, status)

@@ -1,16 +1,21 @@
 """Shared test helpers: hypothesis strategies over the language ASTs, a
 random instruction-list generator, the enumerated states, a reference
-triple check and reference VCs, and a swapped-branch mutant of the small-step semantics.
+triple check and reference VCs, the plain run loops without a cycle check,
+a swapped-branch mutant of the small-step semantics, and a way to build
+one-line mutants of library functions.
 
 Command strategies only build right-nested Seq spines, matching what the
 concrete syntax can express; round-trip tests rely on that.
 """
 
+import inspect
 import itertools
+import sys
+from itertools import islice
 
 from hypothesis import strategies as st
 
-from imptool.bigstep import Terminated, big_step
+from imptool.bigstep import FuelExhausted, Terminated, big_step
 from imptool.hoare import (
     AAnd,
     ACmp,
@@ -30,8 +35,8 @@ from imptool.hoare import (
     eval_assertion,
     subst_assertion,
 )
-from imptool.machine import Add, Jmp, JmpGe, JmpLess, Load, LoadI, Store
-from imptool.smallstep import ProgConfig
+from imptool.machine import _POPS, Add, Jmp, JmpGe, JmpLess, Load, LoadI, MachineConfig, StopReason, Store
+from imptool.smallstep import ProgConfig, StepTrace, TraceStatus, small_steps
 from imptool.syntax import (
     And,
     Assign,
@@ -233,3 +238,96 @@ def gen_instrs(rng, length, variables=("x", "y", "z", "w")):
         lambda: JmpGe(rng.randint(-8, 8)),
     )
     return [makers[rng.randrange(7)]() for _ in range(length)]
+
+
+# --- the run loops without a cycle check ------------------------------------------
+# Each spends its fuel step by step, however often a configuration repeats:
+# the definition the library's run loops, which skip the fuel once they find
+# a repeat, must match.
+
+
+def reference_big_step(c, s, fuel):
+    """`bigstep.big_step` without its cycle check."""
+    todo = [c]
+    count = 0
+    while todo:
+        if count >= fuel:
+            return FuelExhausted()
+        node = todo.pop()
+        count += 1
+        t = type(node)
+        if t is Assign:
+            s = s.update(node.target, aval(node.rhs, s))
+        elif t is Seq:
+            todo.append(node.second)
+            todo.append(node.first)
+        elif t is If:
+            todo.append(node.then_branch if bval(node.cond, s) else node.else_branch)
+        elif t is While:
+            if bval(node.cond, s):
+                todo.append(node)
+                todo.append(node.body)
+        elif t is not Skip:
+            raise TypeError(f"not a command: {node!r}")
+    return Terminated(s, count)
+
+
+def reference_star_run(cfg, max_steps):
+    """`smallstep.star_run` without its cycle check."""
+    steps = 0
+    for steps, cfg in enumerate(islice(small_steps(cfg), max(max_steps, 0) + 1)):
+        pass
+    status = TraceStatus.COMPLETED if cfg.is_final else TraceStatus.FUEL_EXHAUSTED
+    return StepTrace(cfg, steps, status)
+
+
+def reference_run(prog, cfg, fuel):
+    """`machine._run` without its cycle check."""
+    pc, end, steps = cfg.pc, len(prog), 0
+    stack = list(reversed(cfg.stack))
+    store = dict(cfg.state.items())
+    reason = StopReason.OUT_OF_PROGRAM
+    while 0 <= pc < end:
+        instr = prog[pc]
+        t = type(instr)
+        if len(stack) < _POPS.get(t, 0):
+            reason = StopReason.STACK_UNDERFLOW
+            break
+        if steps >= fuel:
+            reason = StopReason.FUEL_EXHAUSTED
+            break
+        steps += 1
+        pc += 1
+        if t is Load:
+            stack.append(store.get(instr.name, 0))
+        elif t is LoadI:
+            stack.append(instr.value)
+        elif t is Add:
+            top = stack.pop()
+            stack[-1] += top
+        elif t is Store:
+            store[instr.name] = stack.pop()
+        elif t is JmpGe:
+            top = stack.pop()
+            if stack.pop() >= top:
+                pc += instr.offset
+        elif t is JmpLess:
+            top = stack.pop()
+            if stack.pop() < top:
+                pc += instr.offset
+        elif t is Jmp:
+            pc += instr.offset
+        else:
+            raise TypeError(f"not an instruction: {instr!r}")
+    return MachineConfig(pc, State(store), tuple(reversed(stack))), steps, reason
+
+
+def mutant(fn, old, new):
+    """`fn` rebuilt from its source with the one line holding `old` changed
+    to hold `new`, over a copy of its module's globals.  Patch it over the
+    original to check that a test catches the change."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, f"{old!r} is not one line of {fn.__name__}"
+    namespace = dict(vars(sys.modules[fn.__module__]))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import imptool
-from conftest import swapped_small_step
+from conftest import reference_run, swapped_small_step
 from imptool import cli, smallstep
 from imptool.cli import (
     EXIT_COUNTEREXAMPLE,
@@ -20,7 +20,8 @@ from imptool.cli import (
     main,
     parse_state_spec,
 )
-from imptool.parser import parse_com
+from imptool.machine import MachineConfig, ccomp
+from imptool.parser import parse_com, pretty_asm
 from imptool.syntax import State
 
 
@@ -37,6 +38,19 @@ def write(tmp_path):
         return str(path)
 
     return _write
+
+
+def cli_env():
+    """The environment for running this imptool's CLI in a fresh interpreter."""
+    src = str(Path(imptool.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_cli(*args, timeout):
+    """Run the CLI in a fresh interpreter, failing past `timeout` seconds."""
+    return subprocess.run(
+        [sys.executable, "-m", "imptool", *args], capture_output=True, text=True, env=cli_env(), timeout=timeout
+    )
 
 
 class TestStateSpec:
@@ -93,6 +107,14 @@ class TestRun:
         assert main(["run", path, "--fuel", "10"]) == EXIT_FUEL_EXHAUSTED
         err = capsys.readouterr().err
         assert "fuel" in err
+
+    def test_looping_program_returns_at_once(self, write):
+        # The configuration repeats, which proves the run never ends: no need
+        # to spend a billion rule applications to say so.
+        path = write("loop.imp", "while (0 < 1) { x := x }")
+        done = run_cli("run", path, "--fuel", "1000000000", timeout=10)
+        assert (done.returncode, done.stdout) == (EXIT_FUEL_EXHAUSTED, "")
+        assert done.stderr == "fuel exhausted after 1000000000 rule applications\n"
 
     def test_parse_error_names_file_and_position(self, write, capsys):
         path = write("bad.imp", "x := := 1")
@@ -210,6 +232,18 @@ class TestExec:
         path = write("spin.asm", "JMP -1")
         assert main(["exec", path, "--max-steps", "5"]) == EXIT_FUEL_EXHAUSTED
         assert "5" in capsys.readouterr().err
+
+    def test_looping_program_returns_at_once(self, write):
+        code = ccomp(parse_com("while (0 < 1) { x := x }"))
+        # Each iteration runs each of the six instructions once.
+        period = len(code)
+        assert period == 6
+        fuel = 10**12
+        small = 10 * period + fuel % period
+        pc = reference_run(code, MachineConfig(0, State(), ()), small)[0].pc
+        done = run_cli("exec", write("loop.asm", pretty_asm(code)), "--max-steps", str(fuel), timeout=10)
+        assert (done.returncode, done.stdout) == (EXIT_FUEL_EXHAUSTED, "")
+        assert done.stderr == f"fuel exhausted after {fuel} steps at pc={pc}\n"
 
     def test_stack_underflow(self, write, capsys):
         path = write("broken.asm", "ADD")
@@ -617,13 +651,11 @@ class TestIntTextLimit:
 
 def test_closed_pipe_exits_quietly(write):
     path = write("loop.imp", "while (true) { x := x + 1 }")
-    src = str(Path(imptool.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "imptool", "trace", path],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=cli_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()

@@ -1,0 +1,223 @@
+"""A repeated configuration proves divergence.
+
+The run loops of big-step, small-step and the machine stop spending fuel once
+a configuration repeats.  They must return exactly what the plain loops in
+conftest (`reference_big_step`, `reference_star_run`, `reference_run`) return
+at the same fuel, including fuels far beyond the first repeat.
+
+At a large fuel the plain loops would take seconds, so there the reference
+runs at an equivalent small fuel instead: `equivalent_fuel` keeps every
+configuration of the reference run (no Brent), and a run that repeats after
+`first` steps with period `p` is at step `fuel` where it is at step
+`first + (fuel - first) % p`.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import coms, mutant, reference_big_step, reference_run, reference_star_run, states
+from imptool import bigstep, harness, machine, smallstep
+from imptool.bigstep import FuelExhausted
+from imptool.harness import GenConfig, case_seed, gen_com, gen_state, suite_compiler, suite_small_big
+from imptool.machine import Jmp, JmpGe, JmpLess, Load, LoadI, MachineConfig, StopReason, Store, ccomp
+from imptool.smallstep import ProgConfig, StepTrace, small_step
+from imptool.syntax import State
+
+LARGE = 10**6
+# How many steps of a reference run `equivalent_fuel` keeps before giving up.
+ORACLE_STEPS = 2_000
+GEN = GenConfig(seed=7)
+
+
+def equivalent_fuel(step, cfg, fuel):
+    """A fuel of at most ORACLE_STEPS after which the reference run from
+    `cfg` is where it is after `fuel` steps: `fuel` itself when it is small
+    or the run stops within ORACLE_STEPS, and None when the run neither
+    stops nor repeats that soon.  `step` gives the next configuration, or
+    None where the run stops."""
+    if fuel <= ORACLE_STEPS:
+        return fuel
+    seen = {}
+    for n in range(ORACLE_STEPS + 1):
+        if cfg in seen:
+            first = seen[cfg]
+            return first + (fuel - first) % (n - first)
+        seen[cfg] = n
+        cfg = step(cfg)
+        if cfg is None:
+            return fuel
+    return None
+
+
+def machine_step(code):
+    def step(cfg):
+        last, steps, _ = reference_run(code, cfg, 1)
+        return last if steps else None
+
+    return step
+
+
+def reference_machine(prog, cfg, fuel):
+    """`reference_run`, at an equivalent fuel where `fuel` is large."""
+    reduced = equivalent_fuel(machine_step(prog), cfg, fuel)
+    last, steps, reason = reference_run(prog, cfg, reduced)
+    return last, steps + fuel - reduced, reason
+
+
+def machine_views(code, start, fuel):
+    return (
+        machine.execute(code, start, fuel),
+        machine.exec_n(code, start, fuel),
+        machine.steps_to_halt(code, start, fuel),
+    )
+
+
+def mismatch(program, initial, fuel):
+    """Where big_step, star_run or the machine (execute, exec_n and
+    steps_to_halt on the compiled code) differ from the reference at
+    `fuel`, or None.  A large fuel whose reference needs more than
+    ORACLE_STEPS steps is not checked."""
+    reduced = equivalent_fuel(small_step, ProgConfig(program, initial), fuel)
+    if reduced is not None:
+        if reduced == fuel:
+            expected = reference_big_step(program, initial, fuel)
+        else:  # the small-step run repeats, so the program never ends
+            expected = FuelExhausted()
+        got = bigstep.big_step(program, initial, fuel)
+        if got != expected:
+            return f"big_step at {fuel}: {got!r} != {expected!r}"
+        ref = reference_star_run(ProgConfig(program, initial), reduced)
+        expected = StepTrace(ref.last, ref.steps_taken + fuel - reduced, ref.status)
+        got = smallstep.star_run(ProgConfig(program, initial), fuel)
+        if got != expected:
+            return f"star_run at {fuel}: {got!r} != {expected!r}"
+    code = ccomp(program)
+    start = MachineConfig(0, initial, ())
+    if equivalent_fuel(machine_step(code), start, fuel) is not None:
+        got = machine_views(code, start, fuel)
+        with mock.patch.object(machine, "_run", reference_machine):
+            expected = machine_views(code, start, fuel)
+        if got != expected:
+            return f"machine at {fuel}: {got!r} != {expected!r}"
+    return None
+
+
+def fuels(rng):
+    return (0, 1, 2, rng.randint(3, 300), LARGE + rng.randint(0, 50))
+
+
+def first_mismatch(cases):
+    """The first generated case (program and state from `gen_com` and
+    `gen_state`) on which some fuel gives a mismatch, or None."""
+    for k in range(cases):
+        rng = random.Random(case_seed(GEN.seed, k))
+        program, initial = gen_com(GEN, rng), gen_state(GEN, rng)
+        for fuel in fuels(rng):
+            problem = mismatch(program, initial, fuel)
+            if problem is not None:
+                return k, problem
+    return None
+
+
+generated = st.randoms(use_true_random=False).map(lambda rng: (gen_com(GEN, rng), gen_state(GEN, rng)))
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(generated | st.tuples(coms(), states()), st.randoms(use_true_random=False))
+    def test_every_fuel(self, case, rng):
+        program, initial = case
+        for fuel in fuels(rng):
+            assert mismatch(program, initial, fuel) is None
+
+    def test_generated_cases(self):
+        assert first_mismatch(200) is None
+
+
+class TestMutantsAreCaught:
+    """One-line mutants of the cycle checks.  A check that ignores part of
+    the configuration fires where nothing repeats, and a loop that stops at
+    a repeat ends a run that never ends; each must be caught."""
+
+    def test_big_step_comparing_only_the_state(self, monkeypatch):
+        broken = mutant(
+            bigstep.big_step, "s._bindings == saved_bindings and todo == saved_todo", "s._bindings == saved_bindings"
+        )
+        monkeypatch.setattr(bigstep, "big_step", broken)
+        assert first_mismatch(200) is not None
+
+    def test_star_run_comparing_only_the_state(self, monkeypatch):
+        broken = mutant(
+            smallstep.star_run,
+            "cfg.state._bindings == saved_bindings and cfg.command == saved.command",
+            "cfg.state._bindings == saved_bindings",
+        )
+        monkeypatch.setattr(smallstep, "star_run", broken)
+        assert first_mismatch(200) is not None
+
+    @pytest.mark.parametrize(
+        "check", ["pc == saved_pc and store == saved_store", "store == saved_store"], ids=["stack-blind", "store-only"]
+    )
+    def test_machine_check_blind_to_the_stack(self, monkeypatch, check):
+        broken = mutant(machine._run, "pc == saved_pc and stack == saved_stack and store == saved_store", check)
+        monkeypatch.setattr(machine, "_run", broken)
+        assert growing_stack_mismatch() is not None
+
+    def test_big_step_terminating_on_a_cycle(self, monkeypatch):
+        broken = mutant(
+            bigstep.big_step,
+            "if s._bindings == saved_bindings and todo == saved_todo:",
+            "if s._bindings == saved_bindings and todo == saved_todo:\n                    return Terminated(s, count)",
+        )
+        monkeypatch.setattr(harness, "big_step", broken)
+        result = suite_small_big(1000, GenConfig())
+        assert result.failures
+        assert all("small-step terminated: False; big-step terminated: True" in f.observed for f in result.failures)
+
+    def test_machine_halting_on_a_cycle(self, monkeypatch):
+        broken = mutant(
+            machine._run,
+            "steps += (fuel - steps) // period * period",
+            "reason = StopReason.OUT_OF_PROGRAM; break",
+        )
+        monkeypatch.setattr(machine, "_run", broken)
+        result = suite_compiler(1000, GenConfig())
+        assert result.failures
+        assert all("machine halts where big-step diverges" in f.observed for f in result.failures)
+
+
+# A loop whose backward jump is a JmpLess, one whose is a JmpGe, and one
+# whose stack grows by one on each iteration, so that it never repeats.
+BACKWARD_JMPLESS = [Load("x"), Store("y"), LoadI(0), LoadI(1), JmpLess(-5)]
+BACKWARD_JMPGE = [LoadI(2), Store("x"), LoadI(1), LoadI(0), JmpGe(-5)]
+GROWING_STACK = [LoadI(1), Jmp(-2)]
+
+
+def growing_stack_mismatch():
+    """The first fuel at which `execute` of GROWING_STACK differs from the
+    reference, with what it returned, or None."""
+    start = MachineConfig(0, State(), ())
+    for fuel in (0, 1, 2, 3, 10, 1_001):
+        got = machine.execute(GROWING_STACK, start, fuel)
+        if (got.last, got.steps_taken, got.reason) != reference_run(GROWING_STACK, start, fuel):
+            return fuel, got
+    return None
+
+
+class TestMachine:
+    @pytest.mark.parametrize("code", [BACKWARD_JMPLESS, BACKWARD_JMPGE], ids=["jmpless", "jmpge"])
+    @pytest.mark.parametrize("fuel", [*range(12), 10**12, 10**12 + 1, 10**12 + 3])
+    def test_repeating_loop(self, code, fuel):
+        start = MachineConfig(0, State.of(x=3), ())
+        with mock.patch.object(machine, "_run", reference_machine):
+            expected = machine_views(code, start, fuel)
+        assert machine_views(code, start, fuel) == expected
+
+    def test_growing_stack_runs_to_the_fuel_limit(self):
+        assert growing_stack_mismatch() is None
+        got = machine.execute(GROWING_STACK, MachineConfig(0, State(), ()), 1_001)
+        assert (got.steps_taken, got.reason, len(got.last.stack)) == (1_001, StopReason.FUEL_EXHAUSTED, 501)
