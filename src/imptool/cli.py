@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from itertools import islice
 from pathlib import Path
 
 from .bigstep import FuelExhausted, big_step
@@ -38,6 +37,7 @@ from .machine import (
     execute,
 )
 from .parser import (
+    IDENT_RE,
     INTEGER_RE,
     KEYWORDS,
     ParseError,
@@ -58,7 +58,6 @@ EXIT_STACK_UNDERFLOW = 3
 EXIT_COUNTEREXAMPLE = 4
 EXIT_UNKNOWN = 5
 
-_IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 _HEX_RE = re.compile(r"0x[0-9A-Fa-f]+")
 
 
@@ -96,7 +95,7 @@ def parse_state_spec(spec: str) -> State:
         name, _, value_text = chunk.partition("=")
         name = name.strip()
         value_text = value_text.strip()
-        if not name or name[0].isdigit() or not set(name) <= _IDENT_CHARS:
+        if not IDENT_RE.fullmatch(name):
             raise ValueError(f"bad identifier {name!r} in state spec")
         if name in KEYWORDS:
             raise ValueError(f"identifier {name!r} in state spec is a keyword")
@@ -182,8 +181,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     command = erase(_read_file(args.file, parse_annotated_com))
     initial = _initial_state(args)
-    configs = islice(small_steps(ProgConfig(command, initial)), args.max_steps + 1)
-    for index, last in enumerate(configs):
+    for index, last in zip(range(args.max_steps + 1), small_steps(ProgConfig(command, initial))):
         if args.format == "machine-readable":
             record = {
                 "step_index": index,
@@ -192,8 +190,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             }
             print(json.dumps(record, sort_keys=True))
         else:
-            bindings = ", ".join(f"{k}={v}" for k, v in sorted(last.state.items()))
-            print(f"{index}: {pretty_com(last.command)} | {bindings}")
+            print(f"{index}: {pretty_com(last.command)} | {last.state}")
     status = TraceStatus.COMPLETED if last.is_final else TraceStatus.FUEL_EXHAUSTED
     if args.format == "machine-readable":
         print(json.dumps({"status": status.value}, sort_keys=True))
@@ -248,8 +245,7 @@ def _verdict_lines(verdict) -> tuple[str, list[str]]:
     if t is Valid:
         return _good("valid"), []
     if t is CounterexampleFound:
-        bindings = ", ".join(f"{k}={v}" for k, v in verdict.state.items()) or "all variables = 0"
-        return _bad("counterexample"), [f"  counterexample: {bindings}"]
+        return _bad("counterexample"), [f"  counterexample: {str(verdict.state) or 'all variables = 0'}"]
     return _bad("unknown"), [f"  detail: {verdict.detail}"]
 
 

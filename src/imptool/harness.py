@@ -39,7 +39,9 @@ from .hoare import (
     verify,
     wp_loop_free,
 )
-from .machine import Halted, MachineConfig, StopReason, StuckOrExhausted, ccomp, exec_n, execute, steps_to_halt
+# Nothing here calls exec_n or steps_to_halt, but bench/tracing.py wraps both
+# by name in this module, so they stay importable from it.
+from .machine import Halted, MachineConfig, StopReason, StuckOrExhausted, ccomp, exec_n, execute, steps_to_halt  # noqa: F401
 from .smallstep import ProgConfig, TraceStatus, star_run
 from .syntax import (
     And,
@@ -294,7 +296,7 @@ def gen_assertion(
 
 
 def _state_text(s: State) -> str:
-    return ", ".join(f"{k}={v}" for k, v in s.items()) or "(all zero)"
+    return str(s) or "(all zero)"
 
 
 # What a check returns for a case skipped as agreement on divergence; a
@@ -377,8 +379,9 @@ def _check_small_big(program: Com, initial: State, fuel: int):
 
 def _check_compiler(program: Com, initial: State, fuel: int):
     """The compiled program halts at the end of the code with an empty stack
-    in exactly the state big_step computed, and the exec/exec_n/steps_to_halt
-    views of the run agree.
+    in exactly the state big_step computed.  The halting run is not replayed
+    through `exec_n` or `steps_to_halt`: they read their answers off the
+    same run loop as `execute`, so they could not disagree with it.
 
     Where big_step runs out of fuel, the machine must not halt either (the
     compiler preserves non-termination).  If it stops after m steps anyway,
@@ -411,10 +414,6 @@ def _check_compiler(program: Com, initial: State, fuel: int):
             _state_text(outcome.final.state),
             _state_text(big.final),
         )
-    elif (halted_in := steps_to_halt(code, start, budget)) != outcome.steps_taken:
-        problem = f"steps_to_halt {halted_in} != executed steps {outcome.steps_taken}"
-    elif (replay := exec_n(code, start, outcome.steps_taken)) != outcome.final:
-        problem = f"exec_n replay {replay!r} != halted config {outcome.final!r}"
     else:
         return None
     return "compiled code simulates the source program", problem

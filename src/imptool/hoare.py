@@ -16,7 +16,8 @@ formulas; the formulas (`wp_loop_free`, the computed precondition, each VC's
 
 A triple is checked by running its command from every enumerated state that
 satisfies the precondition, by one Python function compiled per check that
-counts rules, and so runs out of fuel, exactly as `big_step` does.
+counts rules, and so runs out of fuel, exactly as `big_step` does; like
+`big_step`, it stops at once where a loop repeats a state.
 
 Assertions are quantifier-free formulas over program variables, evaluated
 directly on states.  Entailment and triple validity are decided by
@@ -412,7 +413,7 @@ class Mode(Enum):
 class MissingAnnotationError(Exception):
     def __init__(self, message: str, span: "Optional[SourceSpan]" = None) -> None:
         if span is not None:
-            message = f"{span.start_line}:{span.start_col}: {message}"
+            message = f"{span}: {message}"
         super().__init__(message)
         self.span = span
 
@@ -455,10 +456,7 @@ class VcResult:
 def _loop_annotations(node: While, ordinal: int, mode: Mode) -> tuple[str, Assertion, AExp]:
     """A loop's label, invariant and measure; raises MissingAnnotationError
     without an invariant, or in total mode without a measure."""
-    if node.span is not None:
-        label = f"loop@{node.span.start_line}:{node.span.start_col}"
-    else:
-        label = f"loop#{ordinal}"
+    label = f"loop#{ordinal}" if node.span is None else f"loop@{node.span}"
     if node.invariant is None:
         raise MissingAnnotationError(f"{label}: loop needs an invariant annotation", node.span)
     if mode is Mode.TOTAL and node.measure is None:
@@ -702,15 +700,24 @@ def vcgen(c: Com, post: Assertion, mode: Mode, pre: Optional[Assertion] = None) 
 # of straight-line code folded into constants.  A loop becomes `while True:`
 # that breaks where its test fails; each iteration adds the body's rules and
 # the next test to `n`, and returns None once `n` exceeds the fuel, as the
-# function does at its end.
+# function does at its end.  Loop `i` also keeps one saved state, the locals
+# `s<i>_<name>`: a back edge where `n` has reached `t<i>` saves the state and
+# sets `t<i>` to `2 * n` (Brent, "An improved Monte Carlo factorization
+# algorithm", BIT 1980).  A back edge that finds the saved state again has
+# repeated a configuration, so the run never ends: it returns None at once,
+# as `big_step` returns FuelExhausted.
 
 
 def _triple_run(command: Com, names: list[str], out_names: list[str], fuel: int) -> Callable[..., Optional[tuple]]:
     """A function from the values of `names` to the final values of
-    `out_names`, None where the fuel runs out: `command` compiled, or run by
-    `big_step` where CPython refuses to compile it."""
+    `out_names`, None where the fuel runs out or a loop repeats a state:
+    `command` compiled, or run by `big_step` where CPython refuses to
+    compile it."""
     lines = [f"def _run({', '.join(map(_local, names))}):", " n = 0"]
-    lines += [f" {_local(name)} = 0" for name in sorted((vars_of(command) | set(out_names)) - set(names))]
+    # Only the command's variables change, so they alone tell states apart.
+    changing = sorted(vars_of(command))
+    lines += [f" {_local(name)} = 0" for name in sorted(set(changing + out_names) - set(names))]
+    loops = itertools.count()
 
     def block(c: Com, depth: int, pending: int) -> int:
         """Append the code of `c`; return the rules counted since the last `n +=`."""
@@ -731,11 +738,15 @@ def _triple_run(command: Com, names: list[str], out_names: list[str], fuel: int)
                 lines.append(f"{indent} n += {block(node.else_branch, depth + 1, pending)}")
                 pending = 0
             elif t is While:
+                i = next(loops)
+                saved = [(f"s{i}_{name}", _local(name)) for name in changing]
                 lines.append(f"{indent}n += {pending}")
                 lines.append(f"{indent}while True:")
                 lines.append(f"{indent} if not ({_source(bexp_to_assertion(node.cond))}): break")
                 lines.append(f"{indent} n += {block(node.body, depth + 1, 1)}")
                 lines.append(f"{indent} if n > {fuel}: return None")
+                lines.append(f"{indent} if {' and '.join([f't{i}', *(f'{v} == {s}' for s, v in saved)])}: return None")
+                lines.append(f"{indent} if n >= t{i}: {''.join(f'{s} = {v}; ' for s, v in saved)}t{i} = 2 * n")
                 pending = 0
             elif t is not Skip:
                 raise TypeError(f"not a command: {node!r}")
@@ -745,6 +756,7 @@ def _triple_run(command: Com, names: list[str], out_names: list[str], fuel: int)
         lines.append(f" n += {block(command, 1, 0)}")
         lines.append(f" if n > {fuel}: return None")
         lines.append(f" return ({''.join(_local(name) + ', ' for name in out_names)})")
+        lines[2:2] = [f" t{i} = 0" for i in range(next(loops))]  # next(loops) is the loop count
         return lines
 
     env = _generated(source)

@@ -49,6 +49,7 @@ from .hoare import (
     Assertion,
     ATrue,
     CmpOp,
+    bexp_to_assertion,
 )
 from .machine import Add, Instr, Jmp, JmpGe, JmpLess, Load, LoadI, Store
 from .syntax import (
@@ -86,7 +87,7 @@ class SourceSpan:
 
 class ParseError(Exception):
     def __init__(self, message: str, span: SourceSpan, expected: tuple[str, ...] = ()) -> None:
-        detail = f"{span.start_line}:{span.start_col}: {message}"
+        detail = f"{span}: {message}"
         if expected:
             detail += " (expected " + " or ".join(expected) + ")"
         super().__init__(detail)
@@ -96,14 +97,19 @@ class ParseError(Exception):
 
 KEYWORDS = frozenset({"skip", "if", "else", "while", "true", "false", "invariant", "measure"})
 
+# An integer and an identifier wherever IMP text, assembly or a CLI option
+# holds one.  The program grammar further rejects keywords and `__` names.
+INTEGER_RE = re.compile(r"-?[0-9]+")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 # Each match is the layout (whitespace and comments) before one token, then
 # that token in group 1: a symbol (two-character ones first), an integer, an
 # identifier, or the empty end of input.  Group 2 instead holds a reserved
 # `__` name or a character that starts no token.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]+|//[^\n]*)*"
-    r"(?:(:=|->|<=|&&|\|\||[;+<=!(){}]|-?[0-9]+|[A-Za-z][A-Za-z0-9_]*|_(?!_)[A-Za-z0-9_]*|\Z)"
-    r"|(__[A-Za-z0-9_]*|.))"
+    rf"(?:(:=|->|<=|&&|\|\||[;+<=!(){{}}]|{INTEGER_RE.pattern}|(?!__){IDENT_RE.pattern}|\Z)"
+    rf"|((?=__){IDENT_RE.pattern}|.))"
 )
 # The kind of every token that is not an integer or an identifier.
 _KINDS = {text: text for text in (":=", "->", "<=", "&&", "||", *";+<=!(){}", *KEYWORDS)}
@@ -379,23 +385,9 @@ def _aatom_str(a: AExp) -> str:
 
 
 def pretty_bexp(b: BExp) -> str:
-    if type(b) is And:
-        return f"{pretty_bexp(b.left)} && {_batom_str(b.right)}"
-    return _batom_str(b)
-
-
-def _batom_str(b: BExp) -> str:
-    t = type(b)
-    if t is BoolLit:
-        return "true" if b.value else "false"
-    if t is Not:
-        inner = b.inner
-        if type(inner) in (BoolLit, Not):
-            return f"!{_batom_str(inner)}"
-        return f"!({pretty_bexp(inner)})"
-    if t is Less:
-        return f"{pretty_aexp(b.left)} < {pretty_aexp(b.right)}"
-    return f"({pretty_bexp(b)})"
+    """A condition printed as the assertion it denotes: `!`, `&&` and `<`
+    bind alike in both grammars."""
+    return pretty_assertion(bexp_to_assertion(b))
 
 
 def pretty_assertion(a: Assertion) -> str:
@@ -481,10 +473,6 @@ def pretty_com(c: Com) -> str:
 # --- assembly text format ----------------------------------------------------------
 
 
-# An integer anywhere the CLI reads one, by the rule of the integer token
-# above: ASCII digits with an optional minus.
-INTEGER_RE = re.compile(r"-?[0-9]+")
-_ASM_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 # Each instruction class by its mnemonic; its one field, if any, is the operand.
 _MNEMONICS = {
     "LOADI": LoadI, "LOAD": Load, "ADD": Add, "STORE": Store, "JMP": Jmp, "JMPLESS": JmpLess, "JMPGE": JmpGe
@@ -513,7 +501,7 @@ def parse_asm(text: str) -> list[Instr]:
                 raise ParseError("ADD takes no operand", span)
             instrs.append(Add())
         elif ctor is Load or ctor is Store:
-            if len(operands) != 1 or not _ASM_IDENT_RE.match(operands[0]):
+            if len(operands) != 1 or not IDENT_RE.fullmatch(operands[0]):
                 raise ParseError(f"{mnemonic} needs one identifier operand", span)
             instrs.append(ctor(operands[0]))
         else:

@@ -185,9 +185,12 @@ class State:
     def __hash__(self) -> int:
         return hash(frozenset(self._bindings.items()))
 
+    def __str__(self) -> str:
+        """The bindings as `x=1, y=2`, sorted by name; empty for the zero state."""
+        return ", ".join(f"{name}={value}" for name, value in self.items())
+
     def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={value}" for name, value in self.items())
-        return f"State({inner})"
+        return f"State({self})"
 
 
 # --- evaluation ---------------------------------------------------------------

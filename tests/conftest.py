@@ -1,8 +1,8 @@
 """Shared test helpers: hypothesis strategies over the language ASTs, a
 random instruction-list generator, the enumerated states, a reference
-triple check and reference VCs, the plain run loops without a cycle check,
-a swapped-branch mutant of the small-step semantics, and a way to build
-one-line mutants of library functions.
+triple check and reference VCs, a condition printer of its own, the plain
+run loops without a cycle check, a swapped-branch mutant of the small-step
+semantics, and a way to build one-line mutants of library functions.
 
 Command strategies only build right-nested Seq spines, matching what the
 concrete syntax can express; round-trip tests rely on that.
@@ -36,6 +36,7 @@ from imptool.hoare import (
     subst_assertion,
 )
 from imptool.machine import _POPS, Add, Jmp, JmpGe, JmpLess, Load, LoadI, MachineConfig, StopReason, Store
+from imptool.parser import pretty_aexp
 from imptool.smallstep import ProgConfig, StepTrace, TraceStatus, small_steps
 from imptool.syntax import (
     And,
@@ -238,6 +239,30 @@ def gen_instrs(rng, length, variables=("x", "y", "z", "w")):
         lambda: JmpGe(rng.randint(-8, 8)),
     )
     return [makers[rng.randrange(7)]() for _ in range(length)]
+
+
+# --- a condition printer of its own ---------------------------------------------
+
+
+def reference_pretty_bexp(b):
+    """A condition printed by the precedence of `!`, `&&` and `<` alone, the
+    definition `parser.pretty_bexp` must match."""
+    if type(b) is And:
+        return f"{reference_pretty_bexp(b.left)} && {_reference_batom(b.right)}"
+    return _reference_batom(b)
+
+
+def _reference_batom(b):
+    t = type(b)
+    if t is BoolLit:
+        return "true" if b.value else "false"
+    if t is Not:
+        if type(b.inner) in (BoolLit, Not):
+            return f"!{_reference_batom(b.inner)}"
+        return f"!({reference_pretty_bexp(b.inner)})"
+    if t is Less:
+        return f"{pretty_aexp(b.left)} < {pretty_aexp(b.right)}"
+    return f"({reference_pretty_bexp(b)})"
 
 
 # --- the run loops without a cycle check ------------------------------------------

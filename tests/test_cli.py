@@ -190,6 +190,16 @@ class TestTrace:
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["0: skip | ", "status: completed"]
 
+    @pytest.mark.parametrize("fmt", ["text", "machine-readable"])
+    def test_any_non_negative_bound_is_a_bound(self, write, capsys, fmt):
+        path = write("one.imp", "x := 1")
+        outputs = []
+        for bound in (10, sys.maxsize, 10**30):
+            assert main(["trace", path, "--max-steps", str(bound), "--format", fmt]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
 
 class TestCompile:
     def test_stdout_listing(self, write, capsys):
@@ -298,6 +308,23 @@ class TestVerify:
         path = write("skip.imp", "skip")
         assert main(["verify", path]) == EXIT_OK
         assert "triple: valid" in capsys.readouterr().out
+
+    def test_looping_program_returns_at_once(self, write):
+        # Each run from an enumerated state repeats a state at the loop head,
+        # which proves it never ends: no need to spend the fuel to say so.
+        path = write("loop.imp", "while (0 < 1) invariant (true) { x := x }")
+        done = run_cli("verify", path, "--bound", "3", "--fuel", "100000000", timeout=10)
+        assert (done.returncode, done.stderr) == (EXIT_UNKNOWN, "")
+        assert done.stdout == (
+            "mode: partial\n"
+            "bound: 3\n"
+            "computed precondition: true\n"
+            "vc entry: precondition establishes computed precondition: true -> true -- valid\n"
+            "vc loop@1:1: invariant preserved: true && 0 < 1 -> true -- valid\n"
+            "vc loop@1:1: exit establishes postcondition: true && !(0 < 1) -> true -- valid\n"
+            "triple: unknown\n"
+            "  detail: 7 initial state(s) ran out of fuel\n"
+        )
 
     def test_unsatisfiable_precondition_is_unknown(self, write, capsys):
         # x = 1 holds on no state with x in [-0, 0]: no triple was checked

@@ -516,6 +516,32 @@ class TestCompiledRun:
             assert hoare._triple_run(c, ["x"], ["x", "y"], rules)(x) is not None
             assert hoare._triple_run(c, ["x"], ["x", "y"], rules - 1)(x) is None
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "while (0 < 1) { x := x }",
+            "while (x < 3) { x := x + 1 }; while (0 < 1) { y := y + 1; if (2 < y) { y := 0 } else { skip } }",
+            "while (0 < 1) { y := 0; while (y < 3) { y := y + 1 } }",
+            "while (0 < x) { y := x; while (0 < y) { y := y + -1 }; x := x + -1 }",
+            "while (x < 3) { x := x + 1; y := 0; while (y < 1) { y := y + 1 } }",
+            "x := 0; while (x < 2) { x := x + 1 }; x := 0; while (x < 2) { x := x + 1 }",
+        ],
+    )
+    def test_agrees_with_big_step_at_a_large_fuel(self, text):
+        # A run that repeats a state must stop there, not spend 10**9 rules;
+        # one that ends must not be taken for a repeat.  The last two reach,
+        # at one loop's back edge, a state that another loop saved: each loop
+        # keeps its own.
+        c, fuel = parse_com(text), 10**9
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hoare, "big_step", None)  # the run must be the compiled one
+            run = hoare._triple_run(c, ["x", "y"], ["x", "y"], fuel)
+            for x in range(-3, 4):
+                for y in range(-3, 4):
+                    outcome = big_step(c, State.of(x=x, y=y), fuel)
+                    expected = (outcome.final.read("x"), outcome.final.read("y")) if type(outcome) is Terminated else None
+                    assert run(x, y) == expected
+
     @given(coms(max_leaves=8), assertions(4), assertions(4), st.sets(names, max_size=3), st.data())
     @settings(max_examples=150, deadline=None)
     def test_check_triple_agrees_with_the_reference(self, c, pre, post, listed, data):

@@ -1,10 +1,11 @@
+import random
 import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import aexps, assertions, bexps, coms, names
+from conftest import aexps, assertions, bexps, coms, names, reference_pretty_bexp
 from imptool.hoare import (
     AAnd,
     ACmp,
@@ -15,6 +16,7 @@ from imptool.hoare import (
     CmpOp,
     erase,
 )
+from imptool.harness import gen_bexp
 from imptool.machine import Add, Jmp, JmpGe, JmpLess, Load, LoadI, Store
 from imptool.parser import (
     ParseError,
@@ -295,6 +297,35 @@ def test_aexp_round_trip(a):
 @given(bexps())
 def test_bexp_round_trip(b):
     assert cond_of(pretty_bexp(b)) == b
+
+
+class TestConditionPrinter:
+    """`pretty_bexp` prints a condition as its assertion; the text must be
+    the one a printer of the condition grammar alone gives."""
+
+    @given(bexps())
+    def test_matches_the_reference(self, b):
+        assert pretty_bexp(b) == reference_pretty_bexp(b)
+
+    def test_generated_conditions_match_the_reference(self):
+        rng = random.Random(13)
+        for _ in range(5_000):
+            b = gen_bexp(rng, 4, ("x", "y"), (-4, 4))
+            assert pretty_bexp(b) == reference_pretty_bexp(b)
+
+    @given(coms())
+    def test_command_conditions_match_the_reference(self, c):
+        todo = [c]
+        while todo:
+            node = todo.pop()
+            if type(node) is Seq:
+                todo += [node.first, node.second]
+            elif type(node) is If:
+                assert pretty_bexp(node.cond) == reference_pretty_bexp(node.cond)
+                todo += [node.then_branch, node.else_branch]
+            elif type(node) is While:
+                assert pretty_bexp(node.cond) == reference_pretty_bexp(node.cond)
+                todo.append(node.body)
 
 
 @given(assertions())
