@@ -14,7 +14,6 @@ from .harness import (
     suite_small_big,
 )
 from .hoare import (
-    Assertion,
     CounterexampleFound,
     Mode,
     Unknown,
@@ -45,7 +44,6 @@ from .machine import (
 )
 from .parser import (
     ParseError,
-    SourceSpan,
     parse_annotated_com,
     parse_asm,
     parse_assertion,
@@ -58,6 +56,7 @@ from .smallstep import ProgConfig, StepTrace, TraceStatus, small_step, small_ste
 from .syntax import (
     AExp,
     And,
+    Assertion,
     Assign,
     BExp,
     BoolLit,
@@ -69,6 +68,7 @@ from .syntax import (
     Plus,
     Seq,
     Skip,
+    SourceSpan,
     State,
     Var,
     While,

@@ -7,9 +7,11 @@ functions of (cases, config): same inputs, byte-identical reports.
 Generated loops are biased toward progress (the loop-condition variable gets
 incremented toward its limit) so that most loopy programs terminate within
 the suite fuel; cases where both semantics run out of fuel are skipped as
-agreement-on-divergence and reported.  A run that repeats a configuration
-returns at once as if it had spent its fuel, so a case is skipped only when
-each semantics either proves such a lasso or exhausts its fuel.
+agreement-on-divergence and reported.  Where only one side finishes, the
+other is re-run with a budget bounded by the finished run's length.  A run
+that repeats a configuration returns at once as if it had spent its fuel, so
+a case is skipped only when each semantics either proves such a lasso or
+exhausts its fuel.
 """
 
 from __future__ import annotations
@@ -20,34 +22,25 @@ from functools import partial
 from typing import Callable
 
 from .bigstep import FuelExhausted, Terminated, big_step
-from .hoare import (
-    AAnd,
-    ACmp,
-    AFalse,
-    AImp,
-    ANot,
-    AOr,
-    Assertion,
-    ATrue,
-    CmpOp,
-    CounterexampleFound,
-    Mode,
-    Valid,
-    assertion_vars,
-    check_triple,
-    entails,
-    verify,
-    wp_loop_free,
-)
+from .hoare import CounterexampleFound, Mode, Valid, check_triple, entails, verify, wp_loop_free
 # Nothing here calls exec_n or steps_to_halt, but bench/tracing.py wraps both
 # by name in this module, so they stay importable from it.
 from .machine import Halted, MachineConfig, StopReason, StuckOrExhausted, ccomp, exec_n, execute, steps_to_halt  # noqa: F401
 from .smallstep import ProgConfig, TraceStatus, star_run
 from .syntax import (
+    AAnd,
+    ACmp,
+    AFalse,
+    AImp,
     And,
+    ANot,
+    AOr,
+    Assertion,
     Assign,
+    ATrue,
     BExp,
     BoolLit,
+    CmpOp,
     Com,
     If,
     Less,
@@ -69,12 +62,6 @@ SUITE_FUEL = 10_000
 COMPILER_FUEL_FACTOR = 16
 
 _VAR_POOL = ("x", "y", "z", "w")
-
-
-def cross_fuel(fuel: int) -> int:
-    """Fuel considered 'sufficiently large' for the other semantics when one
-    side finished within `fuel`."""
-    return 4 * fuel + 4
 
 
 @dataclass(frozen=True)
@@ -347,10 +334,20 @@ def _generated(cfg: GenConfig, check: Callable[[Com, State], object]):
 def _check_small_big(program: Com, initial: State, fuel: int):
     """star_run and big_step agree on one program and state.
 
-    When one side finishes and the other has not at the base fuel, the slow
-    side is re-run at cross_fuel(fuel); only mutual exhaustion is skipped.
-    A run that repeats a configuration stops there, so a skip costs only the
-    steps up to the first repeat where there is one.
+    When one side finishes within the fuel and the other has not, the slow
+    side is re-run with a budget derived from the run that finished; only
+    mutual exhaustion is skipped.  A run of S small steps applies R big-step
+    rules, where S <= 3R and R <= 3S + 1:
+
+    - a `while` whose test holds costs 3 small steps (unfold, branch, drop
+      the finished body) for its one rule, and every other rule at most 1;
+    - each rule but `skip` maps to a small step of its own, each node visit
+      has at most two `skip` children, and the root may be a lone `skip`.
+
+    So 3R + 1 small steps, or 3S + 1 rules, finish the slow side wherever
+    the two semantics agree.  A run that repeats a configuration stops
+    there, so a skip costs only the steps up to the first repeat where there
+    is one.
     """
     trace = star_run(ProgConfig(program, initial), fuel)
     big = big_step(program, initial, fuel)
@@ -359,10 +356,10 @@ def _check_small_big(program: Com, initial: State, fuel: int):
     if not small_done and not big_done:
         return _SKIPPED
     if small_done and not big_done:
-        big = big_step(program, initial, cross_fuel(fuel))
+        big = big_step(program, initial, 3 * trace.steps_taken + 1)
         big_done = type(big) is Terminated
     elif big_done and not small_done:
-        trace = star_run(ProgConfig(program, initial), cross_fuel(fuel))
+        trace = star_run(ProgConfig(program, initial), 3 * big.rules_applied + 1)
         small_done = trace.status is TraceStatus.COMPLETED
     if not (small_done and big_done):
         return (
@@ -495,6 +492,7 @@ LOOP_FIXTURES: tuple[tuple[str, str, str, str], ...] = (
     for k in range(1, 4)
 )
 
+HOARE_BOUND = 5
 FIXTURE_BOUND = 8
 
 
@@ -507,20 +505,14 @@ def _verdict_text(v) -> str:
     return f"unknown ({v.detail})"
 
 
-def suite_hoare(
-    cases: int,
-    cfg: GenConfig,
-    bound: int = 5,
-    fuel: int = SUITE_FUEL,
-    fixture_bound: int = FIXTURE_BOUND,
-) -> SuiteResult:
-    """Three property families.
+def suite_hoare(cases: int, cfg: GenConfig) -> SuiteResult:
+    """Three property families, all at SUITE_FUEL.
 
     Per case: a precondition-strengthening instance and a consequence-rule
     instance over random loop-free programs, with valid triples built from
-    weakest preconditions.  On top of that, every annotated loop fixture must
-    verify in total mode (all VCs valid and the triple semantically valid)
-    at `fixture_bound`.
+    weakest preconditions, checked at HOARE_BOUND.  On top of that, every
+    annotated loop fixture must verify in total mode (all VCs valid and the
+    triple semantically valid) at FIXTURE_BOUND.
     """
     from .parser import parse_annotated_com, parse_assertion, pretty_assertion, pretty_com
 
@@ -537,13 +529,13 @@ def suite_hoare(
             pre = wp_loop_free(program, post)
             stronger = AAnd(pre, gen_assertion(rng, 1, variables, gen_cfg.literal_range))
             weaker = AOr(post, gen_assertion(rng, 1, variables, gen_cfg.literal_range)) if weaken else post
-            names = vars_of(program) | assertion_vars(stronger) | assertion_vars(weaker)
-            checks = [("entails(P', P)", entails(stronger, pre, names, bound))]
+            names = vars_of(program) | vars_of(stronger) | vars_of(weaker)
+            checks = [("entails(P', P)", entails(stronger, pre, names, HOARE_BOUND))]
             if weaken:
-                checks.append(("entails(Q, Q')", entails(post, weaker, names, bound)))
-            checks.append(("{P} c {Q}", check_triple(pre, program, post, names, bound, fuel, Mode.TOTAL)))
+                checks.append(("entails(Q, Q')", entails(post, weaker, names, HOARE_BOUND)))
+            checks.append(("{P} c {Q}", check_triple(pre, program, post, names, HOARE_BOUND, SUITE_FUEL, Mode.TOTAL)))
             label = "{P'} c {Q'}" if weaken else "{P'} c {Q}"
-            checks.append((label, check_triple(stronger, program, weaker, names, bound, fuel, Mode.TOTAL)))
+            checks.append((label, check_triple(stronger, program, weaker, names, HOARE_BOUND, SUITE_FUEL, Mode.TOTAL)))
             for label, verdict in checks:
                 if type(verdict) is not Valid:
                     return (
@@ -563,8 +555,8 @@ def suite_hoare(
             parse_annotated_com(program_text),
             parse_assertion(pre_text),
             parse_assertion(post_text),
-            fixture_bound,
-            fuel,
+            FIXTURE_BOUND,
+            SUITE_FUEL,
             Mode.TOTAL,
         )
         if report.all_valid:

@@ -1,6 +1,7 @@
-"""Hoare-logic tooling for IMP: evaluable assertions, weakest preconditions
-for loop-free code, verification conditions, and bounded semantic checking
-of triples.
+"""Hoare-logic tooling for IMP: assertion evaluation and substitution,
+weakest preconditions for loop-free code, verification conditions, and
+bounded semantic checking of triples.  The assertion syntax itself lives in
+`syntax`, with the rest of the abstract syntax.
 
 There is one command type, `Com`: a `While` node carries its own optional
 invariant and measure, which `vcgen` reads and every semantics ignores.
@@ -44,34 +45,38 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .bigstep import Terminated, big_step
+from .parser import pretty_assertion
 from .syntax import (
+    AAnd,
+    ACmp,
     AExp,
-    And,
+    AFalse,
+    AImp,
+    ANot,
+    AOr,
+    Assertion,
     Assign,
-    BExp,
-    BoolLit,
+    ATrue,
+    CmpOp,
     Com,
     If,
-    Less,
-    Not,
     NumLit,
     Plus,
     Seq,
     Skip,
+    SourceSpan,
     State,
     Var,
     While,
     aval,
+    bexp_to_assertion,
     seq_chain,
     seq_spine,
     vars_of,
 )
-
-if TYPE_CHECKING:
-    from .parser import SourceSpan
 
 # Snapshot variables introduced by total-correctness VCs use this prefix;
 # the parser rejects it in user programs so they can never collide.
@@ -82,55 +87,6 @@ ENUMERATION_LIMIT = 10**7
 
 
 # --- assertions -----------------------------------------------------------------
-
-
-class CmpOp(Enum):
-    LT = "<"
-    LE = "<="
-    EQ = "="
-
-
-@dataclass(frozen=True, slots=True)
-class ATrue:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class AFalse:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class ACmp:
-    op: CmpOp
-    left: AExp
-    right: AExp
-
-
-@dataclass(frozen=True, slots=True)
-class ANot:
-    inner: "Assertion"
-
-
-@dataclass(frozen=True, slots=True)
-class AAnd:
-    left: "Assertion"
-    right: "Assertion"
-
-
-@dataclass(frozen=True, slots=True)
-class AOr:
-    left: "Assertion"
-    right: "Assertion"
-
-
-@dataclass(frozen=True, slots=True)
-class AImp:
-    premise: "Assertion"
-    conclusion: "Assertion"
-
-
-Assertion = Union[ATrue, AFalse, ACmp, ANot, AAnd, AOr, AImp]
 
 
 def eval_assertion(a: Assertion, s: State) -> bool:
@@ -156,41 +112,6 @@ def eval_assertion(a: Assertion, s: State) -> bool:
     if t is AImp:
         return (not eval_assertion(a.premise, s)) or eval_assertion(a.conclusion, s)
     raise TypeError(f"not an assertion: {a!r}")
-
-
-def assertion_vars(a: Assertion) -> set[str]:
-    """Identifiers occurring in an assertion."""
-    seen: set[str] = set()
-    stack: list[Assertion] = [a]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is ACmp:
-            seen |= vars_of(node.left)
-            seen |= vars_of(node.right)
-        elif t is ANot:
-            stack.append(node.inner)
-        elif t is AAnd or t is AOr:
-            stack.append(node.left)
-            stack.append(node.right)
-        elif t is AImp:
-            stack.append(node.premise)
-            stack.append(node.conclusion)
-    return seen
-
-
-def bexp_to_assertion(b: BExp) -> Assertion:
-    """The assertion holding exactly where the boolean expression is true."""
-    t = type(b)
-    if t is BoolLit:
-        return ATrue() if b.value else AFalse()
-    if t is Not:
-        return ANot(bexp_to_assertion(b.inner))
-    if t is And:
-        return AAnd(bexp_to_assertion(b.left), bexp_to_assertion(b.right))
-    if t is Less:
-        return ACmp(CmpOp.LT, b.left, b.right)
-    raise TypeError(f"not a boolean expression: {b!r}")
 
 
 # --- substitution ----------------------------------------------------------------
@@ -256,13 +177,15 @@ def _value_tuples(arity: int, bound: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(-bound, bound + 1), repeat=arity)
 
 
-def _enumerated_names(variables: Iterable[str], bound: int) -> Optional[list[str]]:
-    """The sorted names a check enumerates, or None when their state space
-    exceeds the enumeration limit."""
+def _enumerated_names(variables: Iterable[str], bound: int) -> Union[list[str], Unknown]:
+    """The sorted names a check enumerates, or the Unknown verdict of every
+    check whose state space exceeds the enumeration limit."""
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
     names = sorted(set(variables))
-    return names if state_space_size(names, bound) <= ENUMERATION_LIMIT else None
+    if state_space_size(names, bound) > ENUMERATION_LIMIT:
+        return Unknown(f"state space exceeds {ENUMERATION_LIMIT} states")
+    return names
 
 
 def _satisfying(test: Callable[..., bool], arity: int, bound: int) -> Iterator[tuple[int, ...]]:
@@ -367,7 +290,7 @@ def _predicate(names: list[str], a: Assertion) -> Callable[..., bool]:
     """A predicate over the values of `names`, in order, true where `a`
     holds: compiled once, or walked by `eval_assertion` where CPython refuses
     to compile it.  Any other variable reads 0."""
-    others = sorted(assertion_vars(a).difference(names))
+    others = sorted(vars_of(a).difference(names))
     params = ", ".join([*map(_local, names), *(f"{_local(name)}=0" for name in others)])
     env = _generated(lambda: [f"def _holds({params}):", f" return {_source(a)}"])
     if env is None:
@@ -383,9 +306,7 @@ def entails(p: Assertion, q: Assertion, variables: Iterable[str], bound: int) ->
     on a negative bound.
     """
     names = _enumerated_names(variables, bound)
-    if names is None:
-        return Unknown(f"state space exceeds {ENUMERATION_LIMIT} states")
-    return _search(_predicate(names, AAnd(p, ANot(q))), names, bound)
+    return names if type(names) is Unknown else _search(_predicate(names, AAnd(p, ANot(q))), names, bound)
 
 
 # --- verification conditions -------------------------------------------------------------
@@ -411,7 +332,7 @@ class Mode(Enum):
 
 
 class MissingAnnotationError(Exception):
-    def __init__(self, message: str, span: "Optional[SourceSpan]" = None) -> None:
+    def __init__(self, message: str, span: Optional[SourceSpan] = None) -> None:
         if span is not None:
             message = f"{span}: {message}"
         super().__init__(message)
@@ -505,7 +426,7 @@ _Cont = tuple  # (_Code, Optional[_Cont])
 
 def _returning(a: Assertion) -> _Cont:
     """The continuation that returns `a`."""
-    return (_Code([a], frozenset(assertion_vars(a)), True), None)
+    return (_Code([a], frozenset(vars_of(a)), True), None)
 
 
 def _items(k: _Cont) -> list:
@@ -628,7 +549,7 @@ class _VcCompiler:
         snapshot = f"{SNAPSHOT_PREFIX}{self.loops}"
         self.loops += 1
         cond = bexp_to_assertion(node.cond)
-        inv_vars = frozenset(assertion_vars(inv))
+        inv_vars = frozenset(vars_of(inv))
         head_vars = inv_vars | vars_of(node.cond)
         at_head = _Code([inv], inv_vars, True)
         if self.mode is Mode.TOTAL:
@@ -685,7 +606,7 @@ def vcgen(c: Com, post: Assertion, mode: Mode, pre: Optional[Assertion] = None) 
     precondition = functools.cache(lambda: _tree(_items(top)))
     specs = compiler.pending
     if pre is not None:
-        specs.append((ENTRY_LABEL, pre, frozenset(assertion_vars(pre)), top))
+        specs.append((ENTRY_LABEL, pre, frozenset(vars_of(pre)), top))
     # The entry VC's formula shares the precondition's one build.
     conditions = _compiled(specs, lambda k: precondition() if k is top else _tree(_items(k)))
     if pre is None:
@@ -787,10 +708,10 @@ def check_triple(
     ValueError on a negative bound.
     """
     names = _enumerated_names(variables, bound)
-    if names is None:
-        return Unknown(f"state space exceeds {ENUMERATION_LIMIT} states")
+    if type(names) is Unknown:
+        return names
     pre_holds = _predicate(names, pre_assertion)
-    post_names = sorted(assertion_vars(post_assertion))
+    post_names = sorted(vars_of(post_assertion))
     post_holds = _predicate(post_names, post_assertion)
     run = _triple_run(command, names, post_names, fuel)
     exhausted = 0
@@ -841,8 +762,6 @@ class VerificationReport:
         )
 
     def to_json_dict(self) -> dict:
-        from .parser import pretty_assertion
-
         return {
             "mode": self.mode.value,
             "bound": self.bound,
@@ -871,9 +790,7 @@ def _verdict_json(v: Verdict) -> dict:
 def _decide(vc: VerificationCondition, bound: int) -> Verdict:
     """Validity of a VC over its enumerated states."""
     names = _enumerated_names(vc.variables, bound)
-    if names is None:
-        return Unknown(f"state space exceeds {ENUMERATION_LIMIT} states")
-    return _search(vc.falsified, names, bound)
+    return names if type(names) is Unknown else _search(vc.falsified, names, bound)
 
 
 def verify(
@@ -896,7 +813,7 @@ def verify(
     entries = tuple(
         ReportEntry(vc, _decide(vc, bound)) for vc in (result.entry, *result.conditions)
     )
-    triple_vars = vars_of(command) | assertion_vars(precondition) | assertion_vars(postcondition)
+    triple_vars = vars_of(command) | vars_of(precondition) | vars_of(postcondition)
     triple = check_triple(precondition, command, postcondition, triple_vars, bound, fuel, mode)
     # Every enumeration contains the all-zero state, so a precondition that
     # holds there needs no search.

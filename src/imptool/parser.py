@@ -37,27 +37,24 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
-from .hoare import (
+from .machine import Add, Instr, Jmp, JmpGe, JmpLess, Load, LoadI, Store
+from .syntax import (
     AAnd,
     ACmp,
+    AExp,
     AFalse,
     AImp,
+    And,
     ANot,
     AOr,
     Assertion,
-    ATrue,
-    CmpOp,
-    bexp_to_assertion,
-)
-from .machine import Add, Instr, Jmp, JmpGe, JmpLess, Load, LoadI, Store
-from .syntax import (
-    AExp,
-    And,
     Assign,
+    ATrue,
     BExp,
     BoolLit,
+    CmpOp,
     Com,
     If,
     Less,
@@ -66,23 +63,12 @@ from .syntax import (
     Plus,
     Seq,
     Skip,
+    SourceSpan,
     Var,
     While,
+    bexp_to_assertion,
     seq_chain,
 )
-
-
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
-    """1-based, inclusive region of the source text."""
-
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-
-    def __str__(self) -> str:
-        return f"{self.start_line}:{self.start_col}"
 
 
 class ParseError(Exception):

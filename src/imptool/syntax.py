@@ -1,18 +1,22 @@
 """Abstract syntax for the IMP toy language and the store it runs on.
 
-IMP programs operate on a single store mapping identifiers to unbounded
-integers.  Everything in this module is an immutable value: updating a
-state returns a fresh one, and syntax nodes can be shared freely.
+The whole abstract syntax lives here: arithmetic and boolean expressions,
+the verifier's assertions, commands, and the source span a parsed loop
+carries.  IMP programs operate on a single store mapping identifiers to
+unbounded integers.  Everything in this module is an immutable value:
+updating a state returns a fresh one, and syntax nodes can be shared freely.
+
+`_CHILDREN` says once, for every node class, what its children are;
+`vars_of` and `node_count` are both short loops over it, for expressions,
+assertions and commands alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
-
-if TYPE_CHECKING:
-    from .hoare import Assertion
-    from .parser import SourceSpan
+from enum import Enum
+from operator import attrgetter
+from typing import Iterable, Mapping, Optional, Union
 
 
 # --- arithmetic expressions -------------------------------------------------
@@ -65,6 +69,72 @@ class Less:
 BExp = Union[BoolLit, Not, And, Less]
 
 
+# --- assertions ---------------------------------------------------------------
+
+
+class CmpOp(Enum):
+    LT = "<"
+    LE = "<="
+    EQ = "="
+
+
+@dataclass(frozen=True, slots=True)
+class ATrue:
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class AFalse:
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class ACmp:
+    op: CmpOp
+    left: AExp
+    right: AExp
+
+
+@dataclass(frozen=True, slots=True)
+class ANot:
+    inner: "Assertion"
+
+
+@dataclass(frozen=True, slots=True)
+class AAnd:
+    left: "Assertion"
+    right: "Assertion"
+
+
+@dataclass(frozen=True, slots=True)
+class AOr:
+    left: "Assertion"
+    right: "Assertion"
+
+
+@dataclass(frozen=True, slots=True)
+class AImp:
+    premise: "Assertion"
+    conclusion: "Assertion"
+
+
+Assertion = Union[ATrue, AFalse, ACmp, ANot, AAnd, AOr, AImp]
+
+
+def bexp_to_assertion(b: BExp) -> Assertion:
+    """The assertion holding exactly where the boolean expression is true."""
+    t = type(b)
+    if t is BoolLit:
+        return ATrue() if b.value else AFalse()
+    if t is Not:
+        return ANot(bexp_to_assertion(b.inner))
+    if t is And:
+        return AAnd(bexp_to_assertion(b.left), bexp_to_assertion(b.right))
+    if t is Less:
+        return ACmp(CmpOp.LT, b.left, b.right)
+    raise TypeError(f"not a boolean expression: {b!r}")
+
+
 # --- commands ----------------------------------------------------------------
 
 
@@ -106,6 +176,19 @@ class While:
 
 
 Com = Union[Skip, Assign, Seq, If, While]
+
+
+@dataclass(frozen=True, slots=True)
+class SourceSpan:
+    """1-based, inclusive region of the source text."""
+
+    start_line: int
+    start_col: int
+    end_line: int
+    end_col: int
+
+    def __str__(self) -> str:
+        return f"{self.start_line}:{self.start_col}"
 
 
 def seq_chain(parts: list[Com]) -> Com:
@@ -222,66 +305,48 @@ def bval(b: BExp, s: State) -> bool:
     raise TypeError(f"not a boolean expression: {b!r}")
 
 
-def vars_of(node: Com | BExp | AExp) -> set[str]:
-    """Identifiers occurring (read or written) in a command or expression.
+# The children of each node class, as a function to a tuple; None marks a
+# leaf.  A loop's invariant and measure are annotations, not children.
+_CHILDREN = {
+    **dict.fromkeys((NumLit, Var, BoolLit, ATrue, AFalse, Skip)),
+    **dict.fromkeys((Plus, And, Less, ACmp, AAnd, AOr), attrgetter("left", "right")),
+    **dict.fromkeys((Not, ANot), lambda n: (n.inner,)),
+    AImp: attrgetter("premise", "conclusion"),
+    Assign: lambda n: (n.rhs,),
+    Seq: attrgetter("first", "second"),
+    If: attrgetter("cond", "then_branch", "else_branch"),
+    While: attrgetter("cond", "body"),
+}
 
-    Iterative so that very deep sequence chains do not hit the call stack.
-    """
+
+def vars_of(node: AExp | BExp | Assertion | Com) -> set[str]:
+    """Identifiers occurring (read or written) in a command, expression or
+    assertion.  Iterative, so that very deep sequence chains do not hit the
+    call stack."""
     seen: set[str] = set()
-    stack: list[Com | BExp | AExp] = [node]
-    while stack:
-        n = stack.pop()
-        t = type(n)
-        if t is Var:
-            seen.add(n.name)
-        elif t is NumLit or t is BoolLit or t is Skip:
-            pass
-        elif t is Plus or t is And or t is Less:
-            stack.append(n.left)
-            stack.append(n.right)
-        elif t is Not:
-            stack.append(n.inner)
-        elif t is Assign:
-            seen.add(n.target)
-            stack.append(n.rhs)
-        elif t is Seq:
-            stack.append(n.first)
-            stack.append(n.second)
-        elif t is If:
-            stack.append(n.cond)
-            stack.append(n.then_branch)
-            stack.append(n.else_branch)
-        elif t is While:
-            stack.append(n.cond)
-            stack.append(n.body)
-        else:
-            raise TypeError(f"not an IMP syntax node: {n!r}")
+    stack = [node]
+    try:
+        while stack:
+            n = stack.pop()
+            t = type(n)
+            if t is Var:
+                seen.add(n.name)
+            elif (children := _CHILDREN[t]) is not None:
+                if t is Assign:
+                    seen.add(n.target)
+                stack += children(n)
+    except KeyError:
+        raise TypeError(f"not an IMP syntax node: {n!r}") from None
     return seen
 
 
-def node_count(node: Com | BExp | AExp) -> int:
+def node_count(node: AExp | BExp | Assertion | Com) -> int:
     """Total number of AST nodes, expressions included."""
     count = 0
-    stack: list[Com | BExp | AExp] = [node]
+    stack = [node]
     while stack:
         n = stack.pop()
         count += 1
-        t = type(n)
-        if t is Plus or t is And or t is Less:
-            stack.append(n.left)
-            stack.append(n.right)
-        elif t is Not:
-            stack.append(n.inner)
-        elif t is Assign:
-            stack.append(n.rhs)
-        elif t is Seq:
-            stack.append(n.first)
-            stack.append(n.second)
-        elif t is If:
-            stack.append(n.cond)
-            stack.append(n.then_branch)
-            stack.append(n.else_branch)
-        elif t is While:
-            stack.append(n.cond)
-            stack.append(n.body)
+        if (children := _CHILDREN.get(type(n))) is not None:
+            stack += children(n)
     return count

@@ -1,8 +1,9 @@
 """Shared test helpers: hypothesis strategies over the language ASTs, a
 random instruction-list generator, the enumerated states, a reference
-triple check and reference VCs, a condition printer of its own, the plain
-run loops without a cycle check, a swapped-branch mutant of the small-step
-semantics, and a way to build one-line mutants of library functions.
+triple check and reference VCs, a condition printer of its own, a walk for
+the variables of an assertion, the plain run loops without a cycle check, a
+swapped-branch mutant of the small-step semantics, and a way to build
+one-line mutants of library functions.
 
 Command strategies only build right-nested Seq spines, matching what the
 concrete syntax can express; round-trip tests rely on that.
@@ -55,6 +56,7 @@ from imptool.syntax import (
     aval,
     bval,
     seq_chain,
+    vars_of,
 )
 
 names = st.sampled_from(("x", "y", "z", "w"))
@@ -200,6 +202,27 @@ def reference_vcs(c, post, mode):
 
     precondition = wp(c, post)
     return precondition, tuple(conditions)
+
+
+def reference_assertion_vars(a):
+    """Identifiers occurring in an assertion, by a walk of its own."""
+    seen = set()
+    stack = [a]
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is ACmp:
+            seen |= vars_of(node.left)
+            seen |= vars_of(node.right)
+        elif t is ANot:
+            stack.append(node.inner)
+        elif t is AAnd or t is AOr:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif t is AImp:
+            stack.append(node.premise)
+            stack.append(node.conclusion)
+    return seen
 
 
 def swapped_small_step(cfg):

@@ -17,11 +17,12 @@ from conftest import gen_instrs, swapped_small_step
 from imptool.bigstep import FuelExhausted, Terminated, big_step
 from imptool.harness import (
     DEFAULT_SEED,
+    FIXTURE_BOUND,
     GenConfig,
+    HOARE_BOUND,
     LOOP_FIXTURES,
     SUITE_FUEL,
     case_seed,
-    cross_fuel,
     gen_aexp,
     gen_assertion,
     gen_com,
@@ -89,7 +90,7 @@ def test_one_step_then_big_step_continues(report):
             if type(direct) is FuelExhausted:
                 continue  # divergent within fuel, same skip rule as the suite
             stepped = small_step(ProgConfig(c, s))
-            after = big_step(stepped.command, stepped.state, cross_fuel(SUITE_FUEL))
+            after = big_step(stepped.command, stepped.state, 4 * SUITE_FUEL + 4)
             assert type(after) is Terminated
             assert after.final == direct.final, pretty_com(c)
             checked += 1
@@ -135,7 +136,8 @@ def test_counted_execution_matches_halting_run(report):
 
 def test_hoare_families_and_loop_fixtures(report):
     def check():
-        res = suite_hoare(200, GenConfig(), bound=5, fuel=SUITE_FUEL, fixture_bound=8)
+        assert (HOARE_BOUND, FIXTURE_BOUND) == (5, 8)
+        res = suite_hoare(200, GenConfig())
         assert res.failures == (), res.failures[:1]
         assert res.cases_run == 400 + len(LOOP_FIXTURES)
         assert len(LOOP_FIXTURES) >= 5
@@ -156,7 +158,7 @@ def test_big_step_determinism_suite(report):
             first = big_step(c, s, SUITE_FUEL)
             assert big_step(c, s, SUITE_FUEL) == first
             if type(first) is Terminated:
-                richer = big_step(c, s, cross_fuel(SUITE_FUEL))
+                richer = big_step(c, s, 4 * SUITE_FUEL + 4)
                 assert richer == first
 
     report("big-step results are unique per (program, state) over 500 cases", check)

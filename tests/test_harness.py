@@ -2,9 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import imptool.smallstep as smallstep
-from conftest import gen_instrs, swapped_small_step
+from conftest import coms, gen_instrs, states, swapped_small_step
+from imptool.bigstep import Terminated, big_step
 from imptool.harness import (
     COMPILER_FUEL_FACTOR,
     DEFAULT_SEED,
@@ -13,7 +16,6 @@ from imptool.harness import (
     LOOP_FIXTURES,
     SUITE_FUEL,
     case_seed,
-    cross_fuel,
     gen_aexp,
     gen_assertion,
     gen_bexp,
@@ -22,10 +24,13 @@ from imptool.harness import (
     suite_compiler,
     suite_hoare,
     suite_small_big,
+    _SKIPPED,
+    _check_small_big,
 )
 from imptool.hoare import Mode, verify
 from imptool.parser import parse_annotated_com, parse_asm, parse_assertion, parse_com, pretty_asm, pretty_com
-from imptool.syntax import Assign, Seq, Skip, vars_of
+from imptool.smallstep import ProgConfig, TraceStatus, star_run
+from imptool.syntax import Assign, Seq, Skip, State, vars_of
 
 
 def rng_for(index, seed=DEFAULT_SEED):
@@ -69,10 +74,6 @@ class TestSeeds:
 
     def test_nearby_bases_diverge(self):
         assert case_seed(1, 0) != case_seed(2, 0)
-
-    def test_cross_fuel(self):
-        assert cross_fuel(10) == 44
-        assert cross_fuel(0) == 4
 
 
 class TestGenerators:
@@ -180,6 +181,27 @@ class TestSmallBigSuite:
         # the offending program must reproduce from its recorded seed
         rng = random.Random(failure["seed"])
         assert pretty_com(gen_com(GenConfig(), rng)) == failure["program_text"]
+
+
+class TestRerunBudget:
+    """The slow side of a small-big case is re-run for 3 * (the other side's
+    length) + 1 steps or rules."""
+
+    def test_a_lone_skip_at_no_fuel(self):
+        # No small step and one rule: a budget of 3 * 0 rules would fail it.
+        assert _check_small_big(Skip(), State(), 0) is None
+
+    @given(coms(), states())
+    def test_steps_and_rules_bound_each_other(self, c, s):
+        trace = star_run(ProgConfig(c, s), 2_000)
+        big = big_step(c, s, 2_000)
+        if trace.status is TraceStatus.COMPLETED and type(big) is Terminated:
+            assert trace.steps_taken <= 3 * big.rules_applied
+            assert big.rules_applied <= 3 * trace.steps_taken + 1
+
+    @given(coms(), states(), st.integers(min_value=0, max_value=40))
+    def test_no_case_fails_at_any_fuel(self, c, s, fuel):
+        assert _check_small_big(c, s, fuel) in (None, _SKIPPED)
 
 
 class TestCompilerSuite:

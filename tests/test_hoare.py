@@ -36,7 +36,6 @@ from imptool.hoare import (
     Mode,
     Unknown,
     Valid,
-    assertion_vars,
     bexp_to_assertion,
     check_triple,
     entails,
@@ -75,6 +74,7 @@ from imptool.syntax import (
     aval,
     bval,
     seq_chain,
+    vars_of,
 )
 
 X_LT_0 = ACmp(CmpOp.LT, Var("x"), NumLit(0))
@@ -110,8 +110,8 @@ class TestEvalAssertion:
 
 def test_assertion_vars():
     a = parse_assertion("x < y -> !(z = 0) && true")
-    assert assertion_vars(a) == {"x", "y", "z"}
-    assert assertion_vars(ATrue()) == set()
+    assert vars_of(a) == {"x", "y", "z"}
+    assert vars_of(ATrue()) == set()
 
 
 class TestSubstitution:
@@ -178,12 +178,12 @@ class TestEntails:
 
     @given(assertions(6), st.integers(min_value=1, max_value=2))
     def test_reflexivity(self, a, bound):
-        assert entails(a, a, assertion_vars(a), bound) == Valid()
+        assert entails(a, a, vars_of(a), bound) == Valid()
 
     @given(assertions(4), assertions(4), assertions(4))
     @settings(max_examples=40)
     def test_transitivity(self, p, q, r):
-        shared = assertion_vars(p) | assertion_vars(q) | assertion_vars(r)
+        shared = vars_of(p) | vars_of(q) | vars_of(r)
         if len(shared) > 4:
             return
         if entails(p, q, shared, 2) == Valid() and entails(q, r, shared, 2) == Valid():
@@ -375,7 +375,7 @@ class TestVcgen:
             "loop@1:1: exit establishes postcondition": "0 <= x && !(0 < x) -> x = 0",
         }
         for vc in got.conditions:
-            assert entails(ATrue(), vc.formula, assertion_vars(vc.formula), 8) == Valid()
+            assert entails(ATrue(), vc.formula, vars_of(vc.formula), 8) == Valid()
 
     def test_partial_mode_skips_measure_conditions(self):
         ann = parse_annotated_com(COUNTDOWN_ANN)
@@ -411,7 +411,7 @@ class TestVcgen:
             "y := x; while (0 < y) invariant (0 <= y) measure (y) { y := y + -1 }; x := x + -1 }"
         )
         got = vcgen(ann, ATrue(), Mode.TOTAL)
-        free = {vc.label: {v for v in assertion_vars(vc.formula) if v.startswith("__z")} for vc in got.conditions}
+        free = {vc.label: {v for v in vars_of(vc.formula) if v.startswith("__z")} for vc in got.conditions}
         assert {label: names for label, names in free.items() if names} == {
             "loop@1:56: exit establishes postcondition": {"__z0"}
         }
@@ -587,7 +587,7 @@ class TestCompiledRun:
             x_lt_1 = ACmp(CmpOp.LT, Var("x"), NumLit(1))
             report = verify(c, ATrue(), x_lt_1, 1, 10, Mode.PARTIAL)
             for entry in report.vcs:
-                variables = assertion_vars(entry.formula)
+                variables = vars_of(entry.formula)
                 assert entry.verdict == reference_entails(ATrue(), entry.formula, variables, 1)
             expected = reference_check_triple(ATrue(), c, x_lt_1, {"x"}, 1, 10, Mode.PARTIAL)
             assert report.triple_verdict == expected
@@ -699,7 +699,7 @@ class TestCompiledVcs:
             assert wp_loop_free(c, post) == precondition
         for vc, (_, formula) in zip(got, expected):
             assert vc.formula == formula
-            assert vc.variables == tuple(sorted(assertion_vars(formula)))
+            assert vc.variables == tuple(sorted(vars_of(formula)))
             for values in _value_tuples(len(vc.variables), VC_BOUND):
                 state = State(zip(vc.variables, values))
                 assert vc.falsified(*values) == (not eval_assertion(formula, state))

@@ -1,10 +1,15 @@
+import ast
 import dataclasses
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import aexps, bexps, names, small_ints, states
+import imptool.parser
+import imptool.syntax
+from conftest import aexps, assertions, bexps, coms, names, reference_assertion_vars, small_ints, states
+from imptool.hoare import erase
+from imptool.parser import parse_assertion
 from imptool.syntax import (
     And,
     Assign,
@@ -20,6 +25,7 @@ from imptool.syntax import (
     Var,
     While,
     aval,
+    bexp_to_assertion,
     bval,
     node_count,
     vars_of,
@@ -171,3 +177,52 @@ def test_ast_nodes_are_immutable():
         NumLit(1).value = 2
     with pytest.raises(dataclasses.FrozenInstanceError):
         Assign("x", NumLit(1)).target = "y"
+
+
+class TestOneWalk:
+    """`vars_of` and `node_count` read one child table for every node class."""
+
+    @given(assertions())
+    def test_vars_of_an_assertion_matches_the_reference(self, a):
+        assert vars_of(a) == reference_assertion_vars(a)
+
+    def test_node_count_of_an_assertion(self):
+        assert node_count(parse_assertion("x < 1 && !true")) == 6
+        assert node_count(parse_assertion("x <= y -> false || z = 0 + w")) == 11
+
+    @given(bexps())
+    def test_the_embedding_of_a_condition_keeps_its_nodes(self, b):
+        a = bexp_to_assertion(b)
+        assert node_count(a) == node_count(b)
+        assert vars_of(a) == vars_of(b)
+
+    @given(coms(annotated=True))
+    def test_a_loop_annotation_is_not_walked(self, c):
+        assert vars_of(c) == vars_of(erase(c))
+        assert node_count(c) == node_count(erase(c))
+
+    def test_a_non_node_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not an IMP syntax node: 3"):
+            vars_of(Seq(Skip(), 3))
+
+
+def _imported_modules(module):
+    """The modules `module`'s source imports, relative ones as `.name`."""
+    tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module is None:
+            found.update("." * node.level + alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + node.module)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_syntax_imports_no_other_module_of_the_package():
+    assert not {m for m in _imported_modules(imptool.syntax) if m.startswith((".", "imptool"))}
+
+
+def test_parser_does_not_import_the_verifier():
+    assert not _imported_modules(imptool.parser) & {".hoare", "imptool.hoare"}
