@@ -1,24 +1,32 @@
 """Small-step semantics for IMP: single steps and their closure.
 
-The step function `small_step` is deterministic, so the reflexive-transitive
-closure from a configuration is one sequence.  `small_steps` yields it lazily,
-one configuration at a time, and works on programs that never end; the `trace`
-command prints it as it goes.  `star_run` runs a bounded prefix of it and
-keeps only the last configuration.
+The step relation is deterministic, so the closure from a configuration is
+one sequence.  `small_steps` yields it lazily, also on programs that never
+end, and the `trace` command prints it as it goes; `small_step` is its second
+element, and `star_run` keeps only the last configuration of a bounded prefix.
+
+All three read off one refocused stepper (Danvy & Nielsen, BRICS RS-04-26,
+2004): a focus, the command being reduced and never a `Seq`; a stack of the
+pending `Seq` seconds; and a mutable store.  A step rewrites the focus instead
+of plugging the program together and taking it apart again, and a
+`ProgConfig` is built only where one is returned.
 
 A configuration that comes back proves the run never ends.  `star_run` finds
-one with Brent's cycle-finding algorithm (Brent, BIT 20, 1980), skips the
-whole periods left in the fuel and steps out the rest, so it returns exactly
-what the full run would.
+one by Brent's cycle-finding algorithm (Brent, BIT 20, 1980) on the focus,
+stack and store, and steps out only the fuel left after whole periods, so it
+returns exactly what the full run would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Iterator, Optional
 
 from .syntax import Assign, Com, If, Seq, Skip, State, While, aval, bval
+
+_SKIP = Skip()
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,70 +51,74 @@ class StepTrace:
     status: TraceStatus
 
 
-def small_step(cfg: ProgConfig) -> Optional[ProgConfig]:
-    """One step of execution, or None when the configuration is final.
-
-    The left spine of nested sequences is walked iteratively, so stepping
-    inside very deep sequence chains never recurses.
-    """
-    c = cfg.command
-    s = cfg.state
-    ctx: list[Com] = []
-    while type(c) is Seq and type(c.first) is not Skip:
-        ctx.append(c.second)
-        c = c.first
-    t = type(c)
-    if t is Skip:
-        return None
-    if t is Seq:  # first component is Skip
-        inner = c.second
-    elif t is Assign:
-        s = s.update(c.target, aval(c.rhs, s))
-        inner = Skip()
-    elif t is If:
-        inner = c.then_branch if bval(c.cond, s) else c.else_branch
-    elif t is While:
-        inner = If(c.cond, Seq(c.body, c), Skip())
-    else:
-        raise TypeError(f"not a command: {c!r}")
-    for second in reversed(ctx):
-        inner = Seq(inner, second)
-    return ProgConfig(inner, s)
+def _focuses(c: Com, stack: list[Com], store: dict[str, int]) -> Iterator[Com]:
+    """Yield the focus of each configuration from c in front of `stack` (top
+    last) and `store` (no zeros), up to a final one; steps update both."""
+    state = State.__new__(State)
+    state._bindings = store
+    while True:
+        while type(c) is Seq:
+            stack.append(c.second)
+            c = c.first
+        yield c
+        t = type(c)
+        if t is Skip:
+            if not stack:
+                return
+            c = stack.pop()
+        elif t is Assign:
+            if value := aval(c.rhs, state):
+                store[c.target] = value
+            else:
+                store.pop(c.target, None)
+            c = _SKIP
+        elif t is If:
+            c = c.then_branch if bval(c.cond, state) else c.else_branch
+        elif t is While:
+            c = If(c.cond, Seq(c.body, c), _SKIP)
+        else:
+            raise TypeError(f"not a command: {c!r}")
 
 
 def small_steps(cfg: ProgConfig) -> Iterator[ProgConfig]:
-    """Yield cfg and then each successor, stopping after a final configuration.
+    """Yield cfg and then each successor, stopping after a final configuration."""
+    yield cfg
+    stack, store, state = [], dict(cfg.state._bindings), cfg.state
+    for focus in islice(_focuses(cfg.command, stack, store), 1, None):
+        if focus is _SKIP:  # only an assignment changes the store, and it leaves _SKIP
+            state = State.__new__(State)  # `store` holds no zero
+            state._bindings = dict(store)
+        for second in reversed(stack):
+            focus = Seq(focus, second)
+        yield ProgConfig(focus, state)
 
-    The iterator is lazy, so on a program that never ends it runs for as long
-    as it is read; bound it with `itertools.islice`.
-    """
-    while cfg is not None:
-        yield cfg
-        cfg = small_step(cfg)
+
+def small_step(cfg: ProgConfig) -> Optional[ProgConfig]:
+    """One step of execution, or None when the configuration is final."""
+    return next(islice(small_steps(cfg), 1, None), None)
 
 
 def star_run(cfg: ProgConfig, max_steps: int) -> StepTrace:
-    """Run small steps from cfg, stopping at a final config or at max_steps.
-
-    Only the last configuration is kept, and the one Brent's check compares
-    against (saved after steps 1, 3, 7, 15, ...).  A repeat `p` steps after
-    it puts the run back there every `p` steps, so only the fuel left modulo
-    `p` is stepped.  A negative max_steps takes no step.
-    """
-    fuel, steps = max(max_steps, 0), 0
-    saved, saved_steps, saved_bindings = cfg, 0, cfg.state._bindings
-    while steps < fuel:
-        nxt = small_step(cfg)
-        if nxt is None:
+    """Run small steps from cfg, stopping at a final config or at max_steps;
+    a negative max_steps takes no step.  Brent's check compares the focus,
+    stack and store with copies saved after steps 0, 1, 3, 7, ...: a repeat
+    `p` steps later recurs every `p` steps, so only the fuel left modulo `p`
+    is stepped."""
+    fuel = max(max_steps, 0)
+    stack, store = [], dict(cfg.state._bindings)
+    focuses = _focuses(cfg.command, stack, store)
+    saved_focus, saved_stack, saved_store, saved_steps = None, None, None, 0
+    for steps, focus in enumerate(focuses):
+        if store == saved_store and focus == saved_focus and stack == saved_stack:
+            for focus in islice(focuses, (fuel - steps) % (steps - saved_steps)):
+                pass
+            steps = fuel
             break
-        cfg = nxt
-        steps += 1
-        # States compare by their binding dicts, with no method call per step.
-        if cfg.state._bindings == saved_bindings and cfg.command == saved.command:
-            for _ in range((fuel - steps) % (steps - saved_steps)):
-                cfg = small_step(cfg)
-            return StepTrace(cfg, fuel, TraceStatus.FUEL_EXHAUSTED)
-        if steps == 2 * saved_steps + 1:
-            saved, saved_steps, saved_bindings = cfg, steps, cfg.state._bindings
-    status = TraceStatus.COMPLETED if cfg.is_final else TraceStatus.FUEL_EXHAUSTED
-    return StepTrace(cfg, steps, status)
+        if steps == fuel:
+            break
+        if not steps & (steps + 1):
+            saved_focus, saved_stack, saved_store, saved_steps = focus, stack[:], dict(store), steps
+    status = TraceStatus.COMPLETED if type(focus) is Skip and not stack else TraceStatus.FUEL_EXHAUSTED
+    for second in reversed(stack):
+        focus = Seq(focus, second)
+    return StepTrace(ProgConfig(focus, State(store)), steps, status)

@@ -1,9 +1,9 @@
 """Shared test helpers: hypothesis strategies over the language ASTs, a
 random instruction-list generator, the enumerated states, a reference
 triple check and reference VCs, a condition printer of its own, a walk for
-the variables of an assertion, the plain run loops without a cycle check, a
-swapped-branch mutant of the small-step semantics, and a way to build
-one-line mutants of library functions.
+the variables of an assertion, the textbook small step, the plain run loops
+without a cycle check, a swapped-branch mutant of the small-step stepper,
+and a way to build one-line mutants of library functions.
 
 Command strategies only build right-nested Seq spines, matching what the
 concrete syntax can express; round-trip tests rely on that.
@@ -12,7 +12,6 @@ concrete syntax can express; round-trip tests rely on that.
 import inspect
 import itertools
 import sys
-from itertools import islice
 
 from hypothesis import strategies as st
 
@@ -38,7 +37,7 @@ from imptool.hoare import (
 )
 from imptool.machine import _POPS, Add, Jmp, JmpGe, JmpLess, Load, LoadI, MachineConfig, StopReason, Store
 from imptool.parser import pretty_aexp
-from imptool.smallstep import ProgConfig, StepTrace, TraceStatus, small_steps
+from imptool.smallstep import ProgConfig, StepTrace, TraceStatus
 from imptool.syntax import (
     And,
     Assign,
@@ -225,29 +224,15 @@ def reference_assertion_vars(a):
     return seen
 
 
-def swapped_small_step(cfg):
-    """`smallstep.small_step` with the If rule taking the wrong branch: a
+def swap_branches(stepper):
+    """`smallstep._focuses` with the If rule taking the wrong branch: a
     mutant that the differential suites must catch.  Patch it over
-    `smallstep.small_step`."""
-    c, s, ctx = cfg.command, cfg.state, []
-    while type(c) is Seq and type(c.first) is not Skip:
-        ctx.append(c.second)
-        c = c.first
-    t = type(c)
-    if t is Skip:
-        return None
-    if t is Seq:
-        inner = c.second
-    elif t is Assign:
-        s = s.update(c.target, aval(c.rhs, s))
-        inner = Skip()
-    elif t is If:
-        inner = c.else_branch if bval(c.cond, s) else c.then_branch
-    else:
-        inner = If(c.cond, Seq(c.body, c), Skip())
-    for second in reversed(ctx):
-        inner = Seq(inner, second)
-    return ProgConfig(inner, s)
+    `smallstep._focuses`."""
+    return mutant(
+        stepper,
+        "c = c.then_branch if bval(c.cond, state) else c.else_branch",
+        "c = c.else_branch if bval(c.cond, state) else c.then_branch",
+    )
 
 
 def gen_instrs(rng, length, variables=("x", "y", "z", "w")):
@@ -320,11 +305,40 @@ def reference_big_step(c, s, fuel):
     return Terminated(s, count)
 
 
+def reference_small_step(cfg):
+    """The textbook small step: walk the left spine of nested sequences to
+    the redex, step it, and rebuild the spine around the result; None when
+    the configuration is final.  The definition `smallstep.small_step` must
+    match."""
+    c, s, ctx = cfg.command, cfg.state, []
+    while type(c) is Seq and type(c.first) is not Skip:
+        ctx.append(c.second)
+        c = c.first
+    t = type(c)
+    if t is Skip:
+        return None
+    if t is Seq:  # first component is Skip
+        inner = c.second
+    elif t is Assign:
+        s = s.update(c.target, aval(c.rhs, s))
+        inner = Skip()
+    elif t is If:
+        inner = c.then_branch if bval(c.cond, s) else c.else_branch
+    elif t is While:
+        inner = If(c.cond, Seq(c.body, c), Skip())
+    else:
+        raise TypeError(f"not a command: {c!r}")
+    for second in reversed(ctx):
+        inner = Seq(inner, second)
+    return ProgConfig(inner, s)
+
+
 def reference_star_run(cfg, max_steps):
-    """`smallstep.star_run` without its cycle check."""
+    """`smallstep.star_run` without its cycle check, by `reference_small_step`."""
     steps = 0
-    for steps, cfg in enumerate(islice(small_steps(cfg), max(max_steps, 0) + 1)):
-        pass
+    while steps < max_steps and (nxt := reference_small_step(cfg)) is not None:
+        cfg = nxt
+        steps += 1
     status = TraceStatus.COMPLETED if cfg.is_final else TraceStatus.FUEL_EXHAUSTED
     return StepTrace(cfg, steps, status)
 

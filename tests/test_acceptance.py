@@ -13,7 +13,7 @@ from itertools import islice
 import pytest
 
 import imptool.smallstep as smallstep
-from conftest import gen_instrs, swapped_small_step
+from conftest import gen_instrs, swap_branches
 from imptool.bigstep import FuelExhausted, Terminated, big_step
 from imptool.harness import (
     DEFAULT_SEED,
@@ -216,7 +216,7 @@ def test_mutation_sanity_branch_swap_is_caught(report, monkeypatch):
     def check():
         # case seeds are per-index, so a shorter run is an exact prefix of the
         # 1000-case run; a failure inside the prefix is a failure within 1000
-        monkeypatch.setattr(smallstep, "small_step", swapped_small_step)
+        monkeypatch.setattr(smallstep, "_focuses", swap_branches(smallstep._focuses))
         failures = 0
         for cases in (100, 1000):
             res = suite_small_big(cases, GenConfig(), SUITE_FUEL)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import imptool
-from conftest import reference_run, swapped_small_step
+from conftest import reference_run, swap_branches
 from imptool import cli, smallstep
 from imptool.cli import (
     EXIT_COUNTEREXAMPLE,
@@ -528,7 +528,7 @@ class TestQuickcheck:
 
     def test_suite_failure_exits_with_counterexample_code(self, capsys, monkeypatch):
         # the branch-swap mutation makes the small-big suite fail fast
-        monkeypatch.setattr(smallstep, "small_step", swapped_small_step)
+        monkeypatch.setattr(smallstep, "_focuses", swap_branches(smallstep._focuses))
         code = main(["quickcheck", "--suite", "small-big", "--cases", "50"])
         assert code == EXIT_COUNTEREXAMPLE
         out = capsys.readouterr().out

@@ -19,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coms, mutant, reference_big_step, reference_run, reference_star_run, states
+from conftest import coms, mutant, reference_big_step, reference_run, reference_small_step, reference_star_run, states
 from imptool import bigstep, harness, machine, smallstep
 from imptool.bigstep import FuelExhausted
 from imptool.harness import GenConfig, case_seed, gen_com, gen_state, suite_compiler, suite_small_big
 from imptool.machine import Jmp, JmpGe, JmpLess, Load, LoadI, MachineConfig, StopReason, Store, ccomp
-from imptool.smallstep import ProgConfig, StepTrace, small_step
+from imptool.smallstep import ProgConfig, StepTrace
 from imptool.syntax import State
 
 LARGE = 10**6
@@ -81,7 +81,7 @@ def mismatch(program, initial, fuel):
     steps_to_halt on the compiled code) differ from the reference at
     `fuel`, or None.  A large fuel whose reference needs more than
     ORACLE_STEPS steps is not checked."""
-    reduced = equivalent_fuel(small_step, ProgConfig(program, initial), fuel)
+    reduced = equivalent_fuel(reference_small_step, ProgConfig(program, initial), fuel)
     if reduced is not None:
         if reduced == fuel:
             expected = reference_big_step(program, initial, fuel)
@@ -138,6 +138,10 @@ class TestAgainstReference:
         assert first_mismatch(200) is None
 
 
+# The cycle check of star_run, on the stepper's focus, stack and store.
+STAR_RUN_CHECK = "store == saved_store and focus == saved_focus and stack == saved_stack"
+
+
 class TestMutantsAreCaught:
     """One-line mutants of the cycle checks.  A check that ignores part of
     the configuration fires where nothing repeats, and a loop that stops at
@@ -151,12 +155,17 @@ class TestMutantsAreCaught:
         assert first_mismatch(200) is not None
 
     def test_star_run_comparing_only_the_state(self, monkeypatch):
-        broken = mutant(
-            smallstep.star_run,
-            "cfg.state._bindings == saved_bindings and cfg.command == saved.command",
-            "cfg.state._bindings == saved_bindings",
-        )
+        broken = mutant(smallstep.star_run, STAR_RUN_CHECK, "store == saved_store")
         monkeypatch.setattr(smallstep, "star_run", broken)
+        assert first_mismatch(200) is not None
+
+    @pytest.mark.parametrize(
+        "check",
+        ["store == saved_store and focus == saved_focus", "store == saved_store and stack == saved_stack"],
+        ids=["stack-blind", "focus-blind"],
+    )
+    def test_star_run_check_blind_to_part_of_the_configuration(self, monkeypatch, check):
+        monkeypatch.setattr(smallstep, "star_run", mutant(smallstep.star_run, STAR_RUN_CHECK, check))
         assert first_mismatch(200) is not None
 
     @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from conftest import swapped_small_step
+from conftest import swap_branches
 from imptool import hoare, machine, smallstep
 from imptool.harness import GenConfig, suite_compiler, suite_hoare, suite_small_big
 
@@ -23,7 +23,7 @@ def _flipped_bcomp(original):
 
 
 MUTANTS = {
-    "small-big": (suite_small_big, smallstep, "small_step", lambda _: swapped_small_step),
+    "small-big": (suite_small_big, smallstep, "_focuses", swap_branches),
     "compiler": (suite_compiler, machine, "bcomp", _flipped_bcomp),
     # Breaks the wp trees, so the loop-free triple families fail; the loop
     # fixtures pass, since verify decides VCs without building their trees.

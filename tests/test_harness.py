@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import imptool.smallstep as smallstep
-from conftest import coms, gen_instrs, states, swapped_small_step
+from conftest import coms, gen_instrs, states, swap_branches
 from imptool.bigstep import Terminated, big_step
 from imptool.harness import (
     COMPILER_FUEL_FACTOR,
@@ -166,7 +166,7 @@ class TestSmallBigSuite:
         assert json.dumps(first.to_json_dict()) == json.dumps(second.to_json_dict())
 
     def test_mutation_is_detected(self, monkeypatch):
-        monkeypatch.setattr(smallstep, "small_step", swapped_small_step)
+        monkeypatch.setattr(smallstep, "_focuses", swap_branches(smallstep._focuses))
         res = suite_small_big(200, GenConfig())
         assert res.failures
         failure = res.failures[0].to_json_dict()

@@ -3,7 +3,8 @@ from itertools import islice
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import coms, states, swapped_small_step
+from conftest import coms, reference_small_step, states, swap_branches
+from imptool import smallstep
 from imptool.bigstep import Terminated, big_step
 from imptool.parser import parse_com
 from imptool.smallstep import (
@@ -19,9 +20,11 @@ from imptool.syntax import (
     BoolLit,
     If,
     NumLit,
+    Plus,
     Seq,
     Skip,
     State,
+    Var,
     While,
 )
 
@@ -70,19 +73,32 @@ class TestSmallStep:
         assert got is not None
         assert got.state == State.of(x=1)
 
-    def test_branch_swap_hook_flips_if(self):
+    def test_branch_swap_hook_flips_if(self, monkeypatch):
         c = parse_com("if (x < 1) { y := 1 } else { y := 2 }; skip")
-        got = swapped_small_step(ProgConfig(c, State()))
-        assert got == ProgConfig(Seq(Assign("y", NumLit(2)), Skip()), State())
         plain = ProgConfig(parse_com("x := 1; skip"), State())
-        assert swapped_small_step(plain) == small_step(plain)
+        expected = small_step(plain)
+        monkeypatch.setattr(smallstep, "_focuses", swap_branches(smallstep._focuses))
+        got = small_step(ProgConfig(c, State()))
+        assert got == ProgConfig(Seq(Assign("y", NumLit(2)), Skip()), State())
+        assert small_step(plain) == expected
+
+
+@given(coms(loops=True), states())
+def test_matches_reference_small_step(c, s):
+    cfg = ProgConfig(c, s)
+    for _ in range(30):
+        expected = reference_small_step(cfg)
+        assert small_step(cfg) == expected
+        if expected is None:
+            break
+        cfg = expected
 
 
 def reference_steps(cfg, fuel):
     """The configurations small_steps must yield, at most fuel steps in."""
     chain = [cfg]
     while len(chain) <= fuel:
-        nxt = small_step(chain[-1])
+        nxt = reference_small_step(chain[-1])
         if nxt is None:
             break
         chain.append(nxt)
@@ -109,7 +125,7 @@ class TestSmallSteps:
         cfg = ProgConfig(c, s)
         ref = reference_steps(cfg, fuel)
         assert list(islice(small_steps(cfg), fuel + 1)) == ref
-        done = small_step(ref[-1]) is None
+        done = reference_small_step(ref[-1]) is None
         status = TraceStatus.COMPLETED if done else TraceStatus.FUEL_EXHAUSTED
         assert star_run(cfg, fuel) == StepTrace(ref[-1], len(ref) - 1, status)
 
@@ -167,3 +183,36 @@ def test_agreement_with_big_step(c, s):
     big = big_step(c, s, 100_000)
     assert isinstance(big, Terminated)
     assert trace.last == ProgConfig(Skip(), big.final)
+
+
+def left_nested(copies):
+    """`x := x + 1` `copies` times, in a sequence nested to the left."""
+    step = Assign("x", Plus(Var("x"), NumLit(1)))
+    node = step
+    for _ in range(copies - 1):
+        node = Seq(node, step)
+    return node
+
+
+def left_spine(c):
+    """How many sequences sit on c's left spine, and the command below them."""
+    depth = 0
+    while type(c) is Seq:
+        c, depth = c.first, depth + 1
+    return depth, c
+
+
+class TestLeftNestedSequence:
+    """A sequence nested 5,000 deep to the left runs without recursing: the
+    cycle check compares the focus, stack and store, never a whole command."""
+
+    def test_star_run(self):
+        trace = star_run(ProgConfig(left_nested(5_000), State()), 10**8)
+        assert trace == StepTrace(ProgConfig(Skip(), State.of(x=5_000)), 9_999, TraceStatus.COMPLETED)
+
+    def test_small_steps_prefix(self):
+        configs = list(islice(small_steps(ProgConfig(left_nested(5_000), State())), 6))
+        assert [cfg.state for cfg in configs] == [State.of(x=n) for n in (0, 1, 1, 2, 2, 3)]
+        spines = [left_spine(cfg.command) for cfg in configs]
+        assert [depth for depth, _ in spines] == [4_999, 4_999, 4_998, 4_998, 4_997, 4_997]
+        assert [type(leaf) for _, leaf in spines] == [Assign, Skip] * 3
