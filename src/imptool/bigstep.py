@@ -3,7 +3,8 @@
 Fuel counts big-step rule applications, one per AST node visited by the
 derivation.  The evaluator keeps an explicit work list instead of recursing,
 so sequence chains hundreds of thousands of commands deep evaluate without
-touching the interpreter call stack.
+touching the interpreter call stack.  Assignments update one mutable store in
+place, read through the one `State` that wraps it and is returned.
 
 A configuration (work list and state) that comes back proves the run never
 ends.  `big_step` looks for one with Brent's cycle-finding algorithm (Brent,
@@ -38,7 +39,9 @@ def big_step(c: Com, s: State, fuel: int) -> BigStepOutcome:
     a repeated configuration returns `FuelExhausted` at once."""
     todo: list[Com] = [c]
     count = 0
-    saved_bindings = None
+    state = State(s._bindings)
+    store = state._bindings
+    saved_store = None
     saved_todo: list[Com] = []
     power, lam = 1, 0
     while todo:
@@ -48,25 +51,26 @@ def big_step(c: Com, s: State, fuel: int) -> BigStepOutcome:
         count += 1
         t = type(node)
         if t is Assign:
-            s = s.update(node.target, aval(node.rhs, s))
+            if value := aval(node.rhs, state):
+                store[node.target] = value
+            else:
+                store.pop(node.target, None)
         elif t is Seq:
             todo.append(node.second)
             todo.append(node.first)
         elif t is Skip:
             pass
         elif t is If:
-            todo.append(node.then_branch if bval(node.cond, s) else node.else_branch)
+            todo.append(node.then_branch if bval(node.cond, state) else node.else_branch)
         elif t is While:
-            if bval(node.cond, s):
+            if bval(node.cond, state):
                 todo.append(node)
                 todo.append(node.body)
-                # States compare by their binding dicts, with no method call.
-                if s._bindings == saved_bindings and todo == saved_todo:
+                if store == saved_store and todo == saved_todo:
                     return FuelExhausted()
                 lam += 1
                 if lam == power:
-                    saved_bindings, saved_todo, power, lam = s._bindings, todo[:], 2 * power, 0
+                    saved_store, saved_todo, power, lam = dict(store), todo[:], 2 * power, 0
         else:
             raise TypeError(f"not a command: {node!r}")
-    return Terminated(s, count)
-
+    return Terminated(state, count)

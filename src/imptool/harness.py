@@ -345,7 +345,8 @@ def _check_small_big(program: Com, initial: State, fuel: int):
       has at most two `skip` children, and the root may be a lone `skip`.
 
     So 3R + 1 small steps, or 3S + 1 rules, finish the slow side wherever
-    the two semantics agree.  A run that repeats a configuration stops
+    the two semantics agree, and both bounds are checked once the final
+    states agree.  A run that repeats a configuration stops
     there, so a skip costs only the steps up to the first repeat where there
     is one.
     """
@@ -370,6 +371,12 @@ def _check_small_big(program: Com, initial: State, fuel: int):
         return (
             "small-step and big-step reach the same final state",
             "small-step: %s; big-step: %s" % (_state_text(trace.last.state), _state_text(big.final)),
+        )
+    small, rules = trace.steps_taken, big.rules_applied
+    if small > 3 * rules or rules > 3 * small + 1:
+        return (
+            "S small steps and R big-step rules satisfy S <= 3R and R <= 3S + 1",
+            "small steps: %d; big-step rules: %d" % (small, rules),
         )
     return None
 

@@ -143,7 +143,7 @@ def _run(prog: Program, cfg: MachineConfig, fuel: int) -> tuple[MachineConfig, i
     result is that of the full run."""
     pc, end, steps = cfg.pc, len(prog), 0
     stack = list(reversed(cfg.stack))
-    store = dict(cfg.state.items())
+    store = dict(cfg.state._bindings)
     push, pop = stack.append, stack.pop
     reason = StopReason.OUT_OF_PROGRAM
     saved_pc, saved_stack, saved_store, saved_steps = None, None, None, 0
@@ -232,15 +232,30 @@ def steps_to_halt(prog: Program, cfg: MachineConfig, fuel: int) -> Optional[int]
 
 
 def acomp(a: AExp) -> list[Instr]:
-    """Compile an arithmetic expression to code leaving its value on top."""
+    """Compile an arithmetic expression to code leaving its value on top,
+    walking a sum down its left spine: only a parenthesised operand recurses."""
     t = type(a)
     if t is NumLit:
         return [LoadI(a.value)]
     if t is Var:
         return [Load(a.name)]
-    if t is Plus:
-        return acomp(a.left) + acomp(a.right) + [Add()]
-    raise TypeError(f"not an arithmetic expression: {a!r}")
+    if t is not Plus:
+        raise TypeError(f"not an arithmetic expression: {a!r}")
+    rights = []
+    while type(a) is Plus:
+        rights.append(a.right)
+        a = a.left
+    code = acomp(a)
+    for right in reversed(rights):
+        t = type(right)
+        if t is NumLit:
+            code.append(LoadI(right.value))
+        elif t is Var:
+            code.append(Load(right.name))
+        else:
+            code += acomp(right)
+        code.append(Add())
+    return code
 
 
 def bcomp(b: BExp, jump_if: bool, offset: int) -> list[Instr]:

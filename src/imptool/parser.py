@@ -24,7 +24,9 @@ Integers are ASCII digits, and negative numbers exist only as literal tokens
 (`x + -1`).  Keywords are reserved, `//` starts a comment, and identifiers
 beginning with a double underscore are reserved for the verifier's snapshot
 variables.  Input nested deeper than the interpreter's recursion limit is a
-`ParseError` ("nesting too deep").
+`ParseError` ("nesting too deep").  Nodes are immutable, so a parse builds one
+`NumLit` or `Var` per distinct lexeme and shares it.  A sum prints along its
+left spine, so a sum of any length prints without recursion.
 
 The pretty-printers emit text that parses back to the identical AST: a loop
 prints its invariant and measure, so `pretty_com` output parses back with
@@ -93,7 +95,7 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # identifier, or the empty end of input.  Group 2 instead holds a reserved
 # `__` name or a character that starts no token.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|//[^\n]*)*"
+    r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
     rf"(?:(:=|->|<=|&&|\|\||[;+<=!(){{}}]|{INTEGER_RE.pattern}|(?!__){IDENT_RE.pattern}|\Z)"
     rf"|((?=__){IDENT_RE.pattern}|.))"
 )
@@ -116,6 +118,7 @@ class _Parser:
         self.allow_annotations = allow_annotations
         self.newlines: list[int] | None = None
         self.index = 0
+        self.leaves: dict[str, AExp] = {}  # one NumLit or Var per lexeme
         kinds: list[str] = []
         texts: list[str] = []
         starts: list[int] = []
@@ -239,12 +242,13 @@ class _Parser:
     def aatom(self) -> AExp:
         i = self.index
         kind = self.kinds[i]
-        if kind == "int":
+        if kind == "int" or kind == "ident":
             self.index = i + 1
-            return NumLit(int(self.texts[i]))
-        if kind == "ident":
-            self.index = i + 1
-            return Var(self.texts[i])
+            text = self.texts[i]
+            leaf = self.leaves.get(text)
+            if leaf is None:
+                leaf = self.leaves[text] = NumLit(int(text)) if kind == "int" else Var(text)
+            return leaf
         if self.eat("("):
             node = self.aexp()
             self.expect(")")
@@ -356,9 +360,15 @@ def parse_assertion(text: str) -> Assertion:
 
 
 def pretty_aexp(a: AExp) -> str:
-    if type(a) is Plus:
-        return f"{pretty_aexp(a.left)} + {_aatom_str(a.right)}"
-    return _aatom_str(a)
+    if type(a) is not Plus:
+        return _aatom_str(a)
+    atoms = []
+    while type(a) is Plus:
+        atoms.append(_aatom_str(a.right))
+        a = a.left
+    atoms.append(_aatom_str(a))
+    atoms.reverse()
+    return " + ".join(atoms)
 
 
 def _aatom_str(a: AExp) -> str:

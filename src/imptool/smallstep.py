@@ -13,8 +13,10 @@ of plugging the program together and taking it apart again, and a
 
 A configuration that comes back proves the run never ends.  `star_run` finds
 one by Brent's cycle-finding algorithm (Brent, BIT 20, 1980) on the focus,
-stack and store, and steps out only the fuel left after whole periods, so it
-returns exactly what the full run would.
+stack and store, sampled only where the focus is a `while` loop, as big-step
+samples where a loop test holds and the machine after a taken backward jump.
+It steps out only the fuel left after whole periods, so it returns exactly
+what the full run would.
 """
 
 from __future__ import annotations
@@ -100,24 +102,29 @@ def small_step(cfg: ProgConfig) -> Optional[ProgConfig]:
 
 def star_run(cfg: ProgConfig, max_steps: int) -> StepTrace:
     """Run small steps from cfg, stopping at a final config or at max_steps;
-    a negative max_steps takes no step.  Brent's check compares the focus,
-    stack and store with copies saved after steps 0, 1, 3, 7, ...: a repeat
-    `p` steps later recurs every `p` steps, so only the fuel left modulo `p`
-    is stepped."""
+    a negative max_steps takes no step.  Where the focus is a `while`, as it
+    is infinitely often in a run that never ends, Brent's check compares the
+    loop (by identity: unfolding reuses the node), stack and store with the
+    1st, 2nd, 4th, 8th, ... such configuration.  A repeat `p` steps later
+    recurs every `p` steps, so only the fuel left modulo `p` is stepped."""
     fuel = max(max_steps, 0)
     stack, store = [], dict(cfg.state._bindings)
     focuses = _focuses(cfg.command, stack, store)
     saved_focus, saved_stack, saved_store, saved_steps = None, None, None, 0
+    power, lam = 1, 0
     for steps, focus in enumerate(focuses):
-        if store == saved_store and focus == saved_focus and stack == saved_stack:
-            for focus in islice(focuses, (fuel - steps) % (steps - saved_steps)):
-                pass
-            steps = fuel
-            break
         if steps == fuel:
             break
-        if not steps & (steps + 1):
-            saved_focus, saved_stack, saved_store, saved_steps = focus, stack[:], dict(store), steps
+        if type(focus) is While:
+            if focus is saved_focus and stack == saved_stack and store == saved_store:
+                for focus in islice(focuses, (fuel - steps) % (steps - saved_steps)):
+                    pass
+                steps = fuel
+                break
+            lam += 1
+            if lam == power:
+                saved_focus, saved_stack, saved_store, saved_steps = focus, stack[:], dict(store), steps
+                power, lam = 2 * power, 0
     status = TraceStatus.COMPLETED if type(focus) is Skip and not stack else TraceStatus.FUEL_EXHAUSTED
     for second in reversed(stack):
         focus = Seq(focus, second)

@@ -8,7 +8,8 @@ updating a state returns a fresh one, and syntax nodes can be shared freely.
 
 `_CHILDREN` says once, for every node class, what its children are;
 `vars_of` and `node_count` are both short loops over it, for expressions,
-assertions and commands alike.
+assertions and commands alike.  `aval` walks a sum down its left spine, so a
+sum of any length evaluates without recursion.
 """
 
 from __future__ import annotations
@@ -280,28 +281,38 @@ class State:
 
 
 def aval(a: AExp, s: State) -> int:
-    """Value of an arithmetic expression in a state."""
-    t = type(a)
+    """Value of an arithmetic expression in a state.  Only a parenthesised
+    right operand of `+` recurses."""
+    bindings = s._bindings
+    total = 0
+    while (t := type(a)) is Plus:
+        right = a.right
+        r = type(right)
+        if r is NumLit:
+            total += right.value
+        elif r is Var:
+            total += bindings.get(right.name, 0)
+        else:
+            total += aval(right, s)
+        a = a.left
     if t is NumLit:
-        return a.value
+        return total + a.value
     if t is Var:
-        return s.read(a.name)
-    if t is Plus:
-        return aval(a.left, s) + aval(a.right, s)
+        return total + bindings.get(a.name, 0)
     raise TypeError(f"not an arithmetic expression: {a!r}")
 
 
 def bval(b: BExp, s: State) -> bool:
     """Truth value of a boolean expression in a state."""
     t = type(b)
+    if t is Less:
+        return aval(b.left, s) < aval(b.right, s)
     if t is BoolLit:
         return b.value
     if t is Not:
         return not bval(b.inner, s)
     if t is And:
         return bval(b.left, s) and bval(b.right, s)
-    if t is Less:
-        return aval(b.left, s) < aval(b.right, s)
     raise TypeError(f"not a boolean expression: {b!r}")
 
 

@@ -1,9 +1,10 @@
 """Shared test helpers: hypothesis strategies over the language ASTs, a
 random instruction-list generator, the enumerated states, a reference
 triple check and reference VCs, a condition printer of its own, a walk for
-the variables of an assertion, the textbook small step, the plain run loops
-without a cycle check, a swapped-branch mutant of the small-step stepper,
-and a way to build one-line mutants of library functions.
+the variables of an assertion, the recursive `aval` and `acomp`, the textbook
+small step, the plain run loops without a cycle check, a swapped-branch
+mutant of the small-step stepper, and a way to build one-line mutants of
+library functions.
 
 Command strategies only build right-nested Seq spines, matching what the
 concrete syntax can express; round-trip tests rely on that.
@@ -271,6 +272,35 @@ def _reference_batom(b):
     if t is Less:
         return f"{pretty_aexp(b.left)} < {pretty_aexp(b.right)}"
     return f"({reference_pretty_bexp(b)})"
+
+
+# --- arithmetic by recursion ------------------------------------------------------
+# The textbook definitions, recursive on both operands of `+`: what `aval` and
+# `acomp`, which walk a sum down its left spine, must match.
+
+
+def reference_aval(a, s):
+    """`syntax.aval` by recursion."""
+    t = type(a)
+    if t is NumLit:
+        return a.value
+    if t is Var:
+        return s.read(a.name)
+    if t is Plus:
+        return reference_aval(a.left, s) + reference_aval(a.right, s)
+    raise TypeError(f"not an arithmetic expression: {a!r}")
+
+
+def reference_acomp(a):
+    """`machine.acomp` by recursion."""
+    t = type(a)
+    if t is NumLit:
+        return [LoadI(a.value)]
+    if t is Var:
+        return [Load(a.name)]
+    if t is Plus:
+        return reference_acomp(a.left) + reference_acomp(a.right) + [Add()]
+    raise TypeError(f"not an arithmetic expression: {a!r}")
 
 
 # --- the run loops without a cycle check ------------------------------------------

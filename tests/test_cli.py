@@ -24,6 +24,10 @@ from imptool.machine import MachineConfig, ccomp
 from imptool.parser import parse_com, pretty_asm
 from imptool.syntax import State
 
+# A sum nested 5,000 deep to the left, and 300 nested `if`s.
+LONG_SUM = "x := " + " + ".join(["1"] * 5000)
+NESTED_IFS = "x := 1; " + "if (x < 2) { " * 300 + "skip" + " } else { skip }" * 300
+
 
 @pytest.fixture(autouse=True)
 def plain_output(monkeypatch):
@@ -443,17 +447,9 @@ class TestBadSource:
         assert captured.err.count("\n") == 1
 
 
-    # These parse, but evaluating, compiling or printing them recurses past
+    # This parses, but generating its verification conditions recurses past
     # the interpreter's limit.
-    @pytest.mark.parametrize(
-        "command, text",
-        [
-            (command, "x := " + " + ".join(["1"] * 5000))
-            for command in ["run", "compile", "trace"]
-        ]
-        + [("verify", "x := 1; " + "if (x < 2) { " * 300 + "skip" + " } else { skip }" * 300)],
-        ids=["run-long-sum", "compile-long-sum", "trace-long-sum", "verify-nested-if"],
-    )
+    @pytest.mark.parametrize("command, text", [("verify", NESTED_IFS)], ids=["verify-nested-if"])
     def test_deep_input_that_parses(self, write, capsys, command, text):
         path = write("deep.imp", text)
         assert main([command, path]) == EXIT_PARSE_ERROR
@@ -461,10 +457,24 @@ class TestBadSource:
         assert captured.out == ""
         assert captured.err == f"{path}: nesting too deep\n"
 
+    @pytest.mark.parametrize("command", ["run", "compile", "trace"])
+    def test_long_sum(self, write, capsys, command):
+        # the sum nests 5,000 deep to the left; evaluating, compiling and
+        # printing it walk down that spine without recursing
+        path = write("sum.imp", LONG_SUM)
+        assert main([command, path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == {
+            "run": "x=5000\n",
+            "compile": "LOADI 1\n" + "LOADI 1\nADD\n" * 4999 + "STORE x\n",
+            "trace": f"0: {LONG_SUM} | \n1: skip | x=5000\nstatus: completed\n",
+        }[command]
+
     def test_long_sum_verifies(self, write, capsys):
         # the triple's compiled run adds the sum as one flat expression, and
         # nothing else evaluates or prints it
-        path = write("sum.imp", "x := " + " + ".join(["1"] * 5000))
+        path = write("sum.imp", LONG_SUM)
         assert main(["verify", path]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -659,8 +669,8 @@ class TestIntTextLimit:
         assert len(capsys.readouterr().out.splitlines()[1]) == len("x=") + 4365
 
     def test_restored_after_nesting_too_deep(self, write, capsys):
-        path = write("deep.imp", "x := " + " + ".join(["1"] * 5000))
-        assert self._limit_after(["run", path]) == (EXIT_PARSE_ERROR, 4321)
+        path = write("deep.imp", NESTED_IFS)
+        assert self._limit_after(["verify", path]) == (EXIT_PARSE_ERROR, 4321)
         assert capsys.readouterr().err == f"{path}: nesting too deep\n"
 
     def test_restored_after_a_closed_pipe(self, write, monkeypatch):

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import imptool.smallstep as smallstep
-from conftest import coms, gen_instrs, states, swap_branches
+from conftest import coms, gen_instrs, mutant, states, swap_branches
+from imptool import bigstep, harness
 from imptool.bigstep import Terminated, big_step
 from imptool.harness import (
     COMPILER_FUEL_FACTOR,
@@ -202,6 +203,33 @@ class TestRerunBudget:
     @given(coms(), states(), st.integers(min_value=0, max_value=40))
     def test_no_case_fails_at_any_fuel(self, c, s, fuel):
         assert _check_small_big(c, s, fuel) in (None, _SKIPPED)
+
+    # A chain of n skips takes n - 1 small steps and 2n - 1 rules, so one more
+    # rule per `Seq` meets R <= 3S + 1 exactly and only two more break it.  A
+    # loop pass whose test holds takes 4 small steps here and 2 rules, so with
+    # its `while` rule uncounted S > 3R.
+    @pytest.mark.parametrize(
+        "old, new, text, steps, rules",
+        [
+            ("todo.append(node.second)", "todo.append(node.second)\n            count += 2", "skip; skip", 1, 5),
+            (
+                "if bval(node.cond, state):",
+                "if bval(node.cond, state):\n                count -= 1",
+                "while (x < 5) { x := x + 1 }",
+                22,
+                6,
+            ),
+        ],
+        ids=["three-rules-per-seq", "loop-test-uncounted"],
+    )
+    def test_bounds_catch_a_miscounting_big_step(self, monkeypatch, old, new, text, steps, rules):
+        program = parse_com(text)
+        assert _check_small_big(program, State(), SUITE_FUEL) is None
+        monkeypatch.setattr(harness, "big_step", mutant(bigstep.big_step, old, new))
+        assert _check_small_big(program, State(), SUITE_FUEL) == (
+            "S small steps and R big-step rules satisfy S <= 3R and R <= 3S + 1",
+            f"small steps: {steps}; big-step rules: {rules}",
+        )
 
 
 class TestCompilerSuite:

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import aexps, bexps, coms, names, small_ints, states
+from conftest import aexps, bexps, coms, gen_instrs, mutant, names, reference_acomp, small_ints, states
+from imptool import machine
 from imptool.bigstep import Terminated, big_step
 from imptool.machine import (
     Add,
@@ -259,6 +260,17 @@ class TestAcomp:
         assert got == Halted(MachineConfig(len(code), s, (aval(a, s), 11)), len(code))
 
 
+    @given(aexps())
+    def test_matches_reference_acomp(self, a):
+        assert acomp(a) == reference_acomp(a)
+
+    def test_long_sum(self):
+        a = NumLit(1)
+        for _ in range(4_999):
+            a = Plus(a, NumLit(1))
+        assert acomp(a) == [LoadI(1)] + [LoadI(1), Add()] * 4_999
+
+
 class TestBcomp:
     def test_goldens(self):
         assert bcomp(BoolLit(True), True, 3) == [Jmp(3)]
@@ -358,6 +370,42 @@ class TestCcomp:
     @given(coms(loops=True))
     def test_compiled_jumps_stay_in_range(self, c):
         assert jumps_in_range(ccomp(c))
+
+
+IN_CONTEXT = (
+    coms(loops=True),
+    states(),
+    st.randoms(use_true_random=False),
+    st.lists(small_ints, min_size=1, max_size=3).map(tuple),
+)
+
+
+def compiled_in_context(c, s, rng, stk):
+    """The book's compiler lemma in context: from (len P, s, stk), the code
+    `P @ ccomp c @ P'` reaches (len P + len(ccomp c), t, stk), where c takes
+    s to t, whatever P, P' and the stack below."""
+    big = big_step(c, s, 10_000)
+    assume(type(big) is Terminated)
+    code = ccomp(c)
+    before, after = gen_instrs(rng, rng.randint(0, 6)), gen_instrs(rng, rng.randint(0, 6))
+    n = steps_to_halt(code, MachineConfig(0, s), 10**6)
+    got = exec_n(before + code + after, MachineConfig(len(before), s, stk), n)
+    assert got == MachineConfig(len(before) + len(code), big.final, stk)
+
+
+class TestCompilerInContext:
+    @given(*IN_CONTEXT)
+    def test_lemma(self, c, s, rng, stk):
+        compiled_in_context(c, s, rng, stk)
+
+    def test_catches_a_store_that_clears_the_stack(self, monkeypatch):
+        broken = mutant(machine._run, "store[instr.name] = pop()", "store[instr.name] = pop(); stack.clear()")
+        monkeypatch.setattr(machine, "_run", broken)
+        # the first failing example is enough: nothing is shrunk or stored
+        quick = settings(derandomize=True, phases=[Phase.generate], database=None)
+        lemma = quick(given(*IN_CONTEXT)(compiled_in_context))
+        with pytest.raises(AssertionError):
+            lemma()
 
 
 def jumps_in_range(prog):

@@ -43,6 +43,7 @@ from imptool.syntax import (
     Skip,
     Var,
     While,
+    seq_spine,
 )
 
 # Expressions are parsed where a command holds them, after this prefix.
@@ -115,6 +116,13 @@ class TestParseCom:
     def test_comments_and_whitespace(self):
         text = "// setup\nx := 1;  // write\nskip\n"
         assert parse_com(text) == Seq(Assign("x", NumLit(1)), Skip())
+
+    def test_one_leaf_per_lexeme(self):
+        # nodes are immutable, so each literal and name is built once per parse
+        first, second = seq_spine(parse_com("x := x + 1; y := (x + 1) + -1"))
+        assert first.rhs.left is second.rhs.left.left
+        assert first.rhs.right is second.rhs.left.right
+        assert second.rhs.right == NumLit(-1) and second.rhs.right is not first.rhs.right
 
 
 class TestParseErrors:
@@ -266,6 +274,12 @@ class TestPretty:
     def test_aexp_parenthesization(self):
         assert pretty_aexp(Plus(Plus(NumLit(1), NumLit(2)), NumLit(3))) == "1 + 2 + 3"
         assert pretty_aexp(Plus(NumLit(1), Plus(NumLit(2), NumLit(3)))) == "1 + (2 + 3)"
+
+    def test_long_sum(self):
+        a = NumLit(1)
+        for _ in range(4_999):
+            a = Plus(a, Var("x"))
+        assert pretty_aexp(a) == "1" + " + x" * 4_999
 
     def test_bexp_goldens(self):
         assert pretty_bexp(Less(Var("x"), NumLit(0))) == "x < 0"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import imptool.parser
 import imptool.syntax
-from conftest import aexps, assertions, bexps, coms, names, reference_assertion_vars, small_ints, states
+from conftest import aexps, assertions, bexps, coms, names, reference_assertion_vars, reference_aval, small_ints, states
 from imptool.hoare import erase
 from imptool.parser import parse_assertion
 from imptool.syntax import (
@@ -135,6 +135,19 @@ def test_bval_total_and_repeatable(b, s):
     v = bval(b, s)
     assert isinstance(v, bool)
     assert bval(b, s) == v
+
+
+@given(aexps(), states())
+def test_aval_matches_reference(a, s):
+    assert aval(a, s) == reference_aval(a, s)
+
+
+def test_aval_of_a_long_sum():
+    # 50,000 terms nested to the left, far past the interpreter's recursion limit
+    a = Var("x")
+    for _ in range(50_000):
+        a = Plus(a, NumLit(1))
+    assert aval(a, State.of(x=-7)) == 49_993
 
 
 @given(aexps(), states(), small_ints)
