@@ -233,7 +233,7 @@ def steps_to_halt(prog: Program, cfg: MachineConfig, fuel: int) -> Optional[int]
 
 def acomp(a: AExp) -> list[Instr]:
     """Compile an arithmetic expression to code leaving its value on top,
-    walking a sum down its left spine: only a parenthesised operand recurses."""
+    walking a sum down its left spine: calls nest only for parentheses."""
     t = type(a)
     if t is NumLit:
         return [LoadI(a.value)]
@@ -247,13 +247,7 @@ def acomp(a: AExp) -> list[Instr]:
         a = a.left
     code = acomp(a)
     for right in reversed(rights):
-        t = type(right)
-        if t is NumLit:
-            code.append(LoadI(right.value))
-        elif t is Var:
-            code.append(Load(right.name))
-        else:
-            code += acomp(right)
+        code += acomp(right)
         code.append(Add())
     return code
 

@@ -360,8 +360,6 @@ def parse_assertion(text: str) -> Assertion:
 
 
 def pretty_aexp(a: AExp) -> str:
-    if type(a) is not Plus:
-        return _aatom_str(a)
     atoms = []
     while type(a) is Plus:
         atoms.append(_aatom_str(a.right))
