@@ -55,15 +55,10 @@ from .parser import (
 from .smallstep import ProgConfig, StepTrace, TraceStatus, small_step, small_steps, star_run
 from .syntax import (
     AExp,
-    And,
     Assertion,
     Assign,
-    BExp,
-    BoolLit,
     Com,
     If,
-    Less,
-    Not,
     NumLit,
     Plus,
     Seq,

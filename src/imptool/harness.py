@@ -32,19 +32,14 @@ from .syntax import (
     ACmp,
     AFalse,
     AImp,
-    And,
     ANot,
     AOr,
     Assertion,
     Assign,
     ATrue,
-    BExp,
-    BoolLit,
     CmpOp,
     Com,
     If,
-    Less,
-    Not,
     NumLit,
     Plus,
     Skip,
@@ -154,18 +149,20 @@ def gen_aexp(rng: random.Random, depth: int, variables: tuple[str, ...], literal
     )
 
 
-def gen_bexp(rng: random.Random, depth: int, variables: tuple[str, ...], literal_range: tuple[int, int]) -> BExp:
+def gen_bexp(rng: random.Random, depth: int, variables: tuple[str, ...], literal_range: tuple[int, int]) -> Assertion:
+    """A random condition: an assertion built from true, false, !, && and <."""
     roll = rng.random()
     if depth <= 0 or roll < 0.5:
         if rng.random() < 0.15:
-            return BoolLit(rng.random() < 0.5)
-        return Less(
+            return ATrue() if rng.random() < 0.5 else AFalse()
+        return ACmp(
+            CmpOp.LT,
             gen_aexp(rng, min(depth, 1), variables, literal_range),
             gen_aexp(rng, min(depth, 1), variables, literal_range),
         )
     if roll < 0.65:
-        return Not(gen_bexp(rng, depth - 1, variables, literal_range))
-    return And(
+        return ANot(gen_bexp(rng, depth - 1, variables, literal_range))
+    return AAnd(
         gen_bexp(rng, depth - 1, variables, literal_range),
         gen_bexp(rng, depth - 1, variables, literal_range),
     )
@@ -233,7 +230,7 @@ def _gen_loop(
         limit = rng.randint(*literal_range)
         extra = _gen_block(rng, depth - 1, others, literal_range, loop_probability / 2)
         step = Assign(counter, Plus(Var(counter), NumLit(rng.randint(1, 2))))
-        return While(Less(Var(counter), NumLit(limit)), seq_chain(seq_spine(extra) + [step]))
+        return While(ACmp(CmpOp.LT, Var(counter), NumLit(limit)), seq_chain(seq_spine(extra) + [step]))
     return While(
         gen_bexp(rng, 2, variables, literal_range),
         _gen_block(rng, depth - 1, variables, literal_range, loop_probability / 2),

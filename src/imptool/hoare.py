@@ -72,7 +72,7 @@ from .syntax import (
     Var,
     While,
     aval,
-    bexp_to_assertion,
+    linear,
     seq_chain,
     seq_spine,
     vars_of,
@@ -216,22 +216,10 @@ def _local(name: str) -> str:
 
 
 def _sum_source(a: AExp) -> str:
-    """A `+` tree as one flat sum over the locals: its literals folded into a
-    constant and each variable once, times its multiplicity."""
-    constant = 0
-    counts: dict[str, int] = {}
-    stack = [a]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is Plus:
-            stack.append(node.right)
-            stack.append(node.left)
-        elif t is Var:
-            counts[node.name] = counts.get(node.name, 0) + 1
-        else:
-            constant += node.value
-    terms = [_local(name) if k == 1 else f"{k} * {_local(name)}" for name, k in counts.items()]
+    """`linear(a)` as one flat sum over the locals: each variable once, times
+    its multiplicity, then the constant unless it is 0."""
+    constant, coefficients = linear(a)
+    terms = [_local(name) if k == 1 else f"{k} * {_local(name)}" for name, k in coefficients]
     if constant or not terms:
         terms.append(str(constant))
     return " + ".join(terms)
@@ -269,6 +257,19 @@ def _source(a: Assertion) -> str:
         else:
             parts.append(f"({_source(node)})")
     return (" and " if t is AAnd else " or ").join(parts)
+
+
+def _condition(b: Assertion) -> Assertion:
+    """`b` if it is a condition, a test `bval` and `bcomp` accept; else TypeError."""
+    t = type(b)
+    if t is AAnd:
+        _condition(b.left)
+        _condition(b.right)
+    elif t is ANot:
+        _condition(b.inner)
+    elif not (t is ATrue or t is AFalse or t is ACmp and b.op is CmpOp.LT):
+        raise TypeError(f"not a condition: {b!r}")
+    return b
 
 
 def _generated(build: Callable[[], list[str]]) -> Optional[dict[str, object]]:
@@ -536,7 +537,7 @@ class _VcCompiler:
             return _Code(items, codes[-1].fv, code.returns)
         if t is If:
             then, other = self.walk(c.then_branch, k), self.walk(c.else_branch, k)
-            items = [(bexp_to_assertion(c.cond), then.items, other.items)]
+            items = [(_condition(c.cond), then.items, other.items)]
             return _Code(items, then.fv | other.fv | vars_of(c.cond), then.returns and other.returns)
         if t is While:
             return self.loop(c, k)
@@ -548,9 +549,9 @@ class _VcCompiler:
         label, inv, measure = _loop_annotations(node, self.loops, self.mode)
         snapshot = f"{SNAPSHOT_PREFIX}{self.loops}"
         self.loops += 1
-        cond = bexp_to_assertion(node.cond)
+        cond = _condition(node.cond)
         inv_vars = frozenset(vars_of(inv))
-        head_vars = inv_vars | vars_of(node.cond)
+        head_vars = inv_vars | vars_of(cond)
         at_head = _Code([inv], inv_vars, True)
         if self.mode is Mode.TOTAL:
             measure_vars = vars_of(measure)
@@ -653,7 +654,7 @@ def _triple_run(command: Com, names: list[str], out_names: list[str], fuel: int)
             elif t is Assign:
                 lines.append(f"{indent}{_local(node.target)} = {_sum_source(node.rhs)}")
             elif t is If:
-                lines.append(f"{indent}if {_source(bexp_to_assertion(node.cond))}:")
+                lines.append(f"{indent}if {_source(_condition(node.cond))}:")
                 lines.append(f"{indent} n += {block(node.then_branch, depth + 1, pending)}")
                 lines.append(f"{indent}else:")
                 lines.append(f"{indent} n += {block(node.else_branch, depth + 1, pending)}")
@@ -663,7 +664,7 @@ def _triple_run(command: Com, names: list[str], out_names: list[str], fuel: int)
                 saved = [(f"s{i}_{name}", _local(name)) for name in changing]
                 lines.append(f"{indent}n += {pending}")
                 lines.append(f"{indent}while True:")
-                lines.append(f"{indent} if not ({_source(bexp_to_assertion(node.cond))}): break")
+                lines.append(f"{indent} if not ({_source(_condition(node.cond))}): break")
                 lines.append(f"{indent} n += {block(node.body, depth + 1, 1)}")
                 lines.append(f"{indent} if n > {fuel}: return None")
                 lines.append(f"{indent} if {' and '.join([f't{i}', *(f'{v} == {s}' for s, v in saved)])}: return None")

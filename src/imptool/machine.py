@@ -24,15 +24,17 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 from .syntax import (
+    AAnd,
+    ACmp,
     AExp,
-    And,
+    AFalse,
+    ANot,
+    Assertion,
     Assign,
-    BExp,
-    BoolLit,
+    ATrue,
+    CmpOp,
     Com,
     If,
-    Less,
-    Not,
     NumLit,
     Plus,
     Seq,
@@ -86,6 +88,7 @@ Program = Sequence[Instr]
 
 # How many operands each instruction pops; the others pop none.
 _POPS = {Add: 2, Store: 1, JmpLess: 2, JmpGe: 2}
+_LT = CmpOp.LT  # a global reads faster than an Enum member through its class
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,27 +255,29 @@ def acomp(a: AExp) -> list[Instr]:
     return code
 
 
-def bcomp(b: BExp, jump_if: bool, offset: int) -> list[Instr]:
+def bcomp(b: Assertion, jump_if: bool, offset: int) -> list[Instr]:
     """Compile a condition to code that jumps `offset` past its own end when
     the condition evaluates to `jump_if`, and falls through otherwise.
 
+    A condition is an assertion built from `ATrue`, `AFalse`, `ANot`, `AAnd`
+    and `ACmp` with `<` alone; any other assertion raises TypeError.
     Conjunctions short-circuit; only forward jumps are ever requested.
     """
     if offset < 0:
         raise ValueError("bcomp offsets must be non-negative")
     t = type(b)
-    if t is BoolLit:
-        return [Jmp(offset)] if b.value == jump_if else []
-    if t is Not:
+    if t is ATrue or t is AFalse:
+        return [Jmp(offset)] if (t is ATrue) == jump_if else []
+    if t is ANot:
         return bcomp(b.inner, not jump_if, offset)
-    if t is And:
+    if t is AAnd:
         code_right = bcomp(b.right, jump_if, offset)
         skip = len(code_right) if jump_if else len(code_right) + offset
         return bcomp(b.left, False, skip) + code_right
-    if t is Less:
+    if t is ACmp and b.op is _LT:
         jump = JmpLess(offset) if jump_if else JmpGe(offset)
         return acomp(b.left) + acomp(b.right) + [jump]
-    raise TypeError(f"not a boolean expression: {b!r}")
+    raise TypeError(f"not a condition: {b!r}")
 
 
 def ccomp(c: Com) -> list[Instr]:

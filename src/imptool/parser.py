@@ -20,6 +20,11 @@ Grammar, resolved:
     aatom'    ::= "true" | "false" | aexp cmp aexp | "(" assertion ")"
     cmp       ::= "<" | "<=" | "="
 
+A condition (`bexp`) is the fragment of the assertion language without
+`||`, `->`, `<=` and `=`, and parses to the assertion it denotes; `batom` and
+`aunary` are one rule, which takes the comparisons and the parenthesised rule
+of its language.
+
 Integers are ASCII digits, and negative numbers exist only as literal tokens
 (`x + -1`).  Keywords are reserved, `//` starts a comment, and identifiers
 beginning with a double underscore are reserved for the verifier's snapshot
@@ -28,8 +33,9 @@ variables.  Input nested deeper than the interpreter's recursion limit is a
 `NumLit` or `Var` per distinct lexeme and shares it.  A sum prints along its
 left spine, so a sum of any length prints without recursion.
 
-The pretty-printers emit text that parses back to the identical AST: a loop
-prints its invariant and measure, so `pretty_com` output parses back with
+The pretty-printers emit text that parses back to the identical AST, a
+command when every test in it is a condition: a loop prints its invariant
+and measure, so `pretty_com` output parses back with
 `parse_annotated_com`, and with `parse_com` when no loop is annotated.  The
 concrete syntax has no statement grouping, so sequences are always written
 (and re-parsed) right-nested; printing a left-nested sequence flattens it.
@@ -48,19 +54,14 @@ from .syntax import (
     AExp,
     AFalse,
     AImp,
-    And,
     ANot,
     AOr,
     Assertion,
     Assign,
     ATrue,
-    BExp,
-    BoolLit,
     CmpOp,
     Com,
     If,
-    Less,
-    Not,
     NumLit,
     Plus,
     Seq,
@@ -68,7 +69,6 @@ from .syntax import (
     SourceSpan,
     Var,
     While,
-    bexp_to_assertion,
     seq_chain,
 )
 
@@ -103,6 +103,7 @@ _TOKEN_RE = re.compile(
 _KINDS = {text: text for text in (":=", "->", "<=", "&&", "||", *";+<=!(){}", *KEYWORDS)}
 _KINDS[""] = "eof"
 _CMP_OPS = {"<": CmpOp.LT, "<=": CmpOp.LE, "=": CmpOp.EQ}
+_LT_OP = {"<": CmpOp.LT}  # the one comparison a condition makes
 
 
 class _Parser:
@@ -255,34 +256,14 @@ class _Parser:
             return node
         raise self.error("an integer literal", "an identifier", "'('")
 
-    # -- boolean expressions
+    # -- conditions and assertions
 
-    def bexp(self) -> BExp:
-        node = self.batom()
+    def bexp(self) -> Assertion:
+        """A condition: an assertion of true, false, !, && and < alone."""
+        node = self.unary(self.bexp, _LT_OP)
         while self.eat("&&"):
-            node = And(node, self.batom())
+            node = AAnd(node, self.unary(self.bexp, _LT_OP))
         return node
-
-    def batom(self) -> BExp:
-        if self.eat("true"):
-            return BoolLit(True)
-        if self.eat("false"):
-            return BoolLit(False)
-        if self.eat("!"):
-            return Not(self.batom())
-        mark = self.index
-        if self.eat("("):
-            try:
-                inner = self.bexp()
-                self.expect(")")
-                return inner
-            except ParseError:
-                self.index = mark
-        left = self.aexp()
-        self.expect("<")
-        return Less(left, self.aexp())
-
-    # -- assertions
 
     def assertion(self) -> Assertion:
         left = self.assert_or()
@@ -297,17 +278,16 @@ class _Parser:
         return node
 
     def assert_and(self) -> Assertion:
-        node = self.assert_unary()
+        node = self.unary(self.assertion, _CMP_OPS)
         while self.eat("&&"):
-            node = AAnd(node, self.assert_unary())
+            node = AAnd(node, self.unary(self.assertion, _CMP_OPS))
         return node
 
-    def assert_unary(self) -> Assertion:
+    def unary(self, group, ops: dict[str, CmpOp]) -> Assertion:
+        """`batom` or `aunary`: `!`, true, false, a comparison by one of
+        `ops`, or `group` in parentheses."""
         if self.eat("!"):
-            return ANot(self.assert_unary())
-        return self.assert_atom()
-
-    def assert_atom(self) -> Assertion:
+            return ANot(self.unary(group, ops))
         if self.eat("true"):
             return ATrue()
         if self.eat("false"):
@@ -315,15 +295,15 @@ class _Parser:
         mark = self.index
         if self.eat("("):
             try:
-                inner = self.assertion()
+                inner = group()
                 self.expect(")")
                 return inner
             except ParseError:
                 self.index = mark
         left = self.aexp()
-        op = _CMP_OPS.get(self.kinds[self.index])
+        op = ops.get(self.kinds[self.index])
         if op is None:
-            raise self.error("'<'", "'<='", "'='")
+            raise self.error(*(f"'{text}'" for text in ops))
         self.index += 1
         return ACmp(op, left, self.aexp())
 
@@ -378,12 +358,6 @@ def _aatom_str(a: AExp) -> str:
     return f"({pretty_aexp(a)})"
 
 
-def pretty_bexp(b: BExp) -> str:
-    """A condition printed as the assertion it denotes: `!`, `&&` and `<`
-    bind alike in both grammars."""
-    return pretty_assertion(bexp_to_assertion(b))
-
-
 def pretty_assertion(a: Assertion) -> str:
     if type(a) is AImp:
         return f"{_assn_or_str(a.premise)} -> {pretty_assertion(a.conclusion)}"
@@ -425,10 +399,12 @@ def _assn_unary_str(a: Assertion) -> str:
 
 
 def pretty_com(c: Com) -> str:
-    """Single-line rendering that parses back to the identical command, loop
-    annotations included (with `parse_annotated_com` when there are any).
-    A loop with a measure but no invariant has no concrete syntax and raises
-    `ValueError`.
+    """Single-line rendering of a command.  A command of the program language,
+    whose every test is a condition, parses back to the identical command,
+    loop annotations included (with `parse_annotated_com` when there are
+    any); a test using `<=`, `=`, `||` or `->` prints but does not parse
+    back.  A loop with a measure but no invariant has no concrete syntax and
+    raises `ValueError`.
 
     Sequence spines are flattened iteratively, so arbitrarily long programs
     print without recursion.
@@ -447,7 +423,7 @@ def pretty_com(c: Com) -> str:
             parts.append(f"{node.target} := {pretty_aexp(node.rhs)}")
         elif t is If:
             parts.append(
-                f"if ({pretty_bexp(node.cond)}) {{ {pretty_com(node.then_branch)} }}"
+                f"if ({pretty_assertion(node.cond)}) {{ {pretty_com(node.then_branch)} }}"
                 f" else {{ {pretty_com(node.else_branch)} }}"
             )
         elif t is While:
@@ -458,7 +434,7 @@ def pretty_com(c: Com) -> str:
                 clauses = f" invariant ({pretty_assertion(node.invariant)})"
                 if node.measure is not None:
                     clauses += f" measure ({pretty_aexp(node.measure)})"
-            parts.append(f"while ({pretty_bexp(node.cond)}){clauses} {{ {pretty_com(node.body)} }}")
+            parts.append(f"while ({pretty_assertion(node.cond)}){clauses} {{ {pretty_com(node.body)} }}")
         else:
             raise TypeError(f"not a command: {node!r}")
     return "; ".join(parts)

@@ -1,15 +1,18 @@
 """Abstract syntax for the IMP toy language and the store it runs on.
 
-The whole abstract syntax lives here: arithmetic and boolean expressions,
-the verifier's assertions, commands, and the source span a parsed loop
-carries.  IMP programs operate on a single store mapping identifiers to
-unbounded integers.  Everything in this module is an immutable value:
-updating a state returns a fresh one, and syntax nodes can be shared freely.
+The whole abstract syntax lives here: arithmetic expressions, assertions,
+commands, and the source span a parsed loop carries.  The test of an `if` or
+a `while`, a condition, is the assertion it denotes, built from `true`,
+`false`, `!`, `&&` and `<` alone.  IMP programs operate on a single store
+mapping identifiers to unbounded integers.  Everything in this module is an
+immutable value: updating a state returns a fresh one, and syntax nodes can
+be shared freely.
 
 `_CHILDREN` says once, for every node class, what its children are;
 `vars_of` and `node_count` are both short loops over it, for expressions,
 assertions and commands alike.  `aval` walks a sum down its left spine, so a
-sum of any length evaluates without recursion.
+sum of any length evaluates without recursion, and `linear` reads any sum as
+its linear form.
 """
 
 from __future__ import annotations
@@ -40,34 +43,6 @@ class Plus:
 
 
 AExp = Union[NumLit, Var, Plus]
-
-
-# --- boolean expressions ----------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class BoolLit:
-    value: bool
-
-
-@dataclass(frozen=True, slots=True)
-class Not:
-    inner: "BExp"
-
-
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "BExp"
-    right: "BExp"
-
-
-@dataclass(frozen=True, slots=True)
-class Less:
-    left: AExp
-    right: AExp
-
-
-BExp = Union[BoolLit, Not, And, Less]
 
 
 # --- assertions ---------------------------------------------------------------
@@ -120,20 +95,7 @@ class AImp:
 
 
 Assertion = Union[ATrue, AFalse, ACmp, ANot, AAnd, AOr, AImp]
-
-
-def bexp_to_assertion(b: BExp) -> Assertion:
-    """The assertion holding exactly where the boolean expression is true."""
-    t = type(b)
-    if t is BoolLit:
-        return ATrue() if b.value else AFalse()
-    if t is Not:
-        return ANot(bexp_to_assertion(b.inner))
-    if t is And:
-        return AAnd(bexp_to_assertion(b.left), bexp_to_assertion(b.right))
-    if t is Less:
-        return ACmp(CmpOp.LT, b.left, b.right)
-    raise TypeError(f"not a boolean expression: {b!r}")
+_LT = CmpOp.LT  # a global reads faster than an Enum member through its class
 
 
 # --- commands ----------------------------------------------------------------
@@ -158,7 +120,7 @@ class Seq:
 
 @dataclass(frozen=True, slots=True)
 class If:
-    cond: BExp
+    cond: Assertion
     then_branch: "Com"
     else_branch: "Com"
 
@@ -169,7 +131,7 @@ class While:
     semantics ignores them.  They take part in equality, so two commands are
     equal iff they print the same; the source position does not."""
 
-    cond: BExp
+    cond: Assertion
     body: "Com"
     invariant: Optional[Assertion] = None
     measure: Optional[AExp] = None
@@ -302,26 +264,50 @@ def aval(a: AExp, s: State) -> int:
     raise TypeError(f"not an arithmetic expression: {a!r}")
 
 
-def bval(b: BExp, s: State) -> bool:
-    """Truth value of a boolean expression in a state."""
+def linear(a: AExp) -> tuple[int, tuple[tuple[str, int], ...]]:
+    """The linear form `c + Σ k·x` of an expression as `(c, ((x, k), ...))`:
+    literals folded into `c`, each variable once with its number `k` of
+    occurrences, in left-to-right order of first occurrence.  Iterative."""
+    constant = 0
+    coefficients: dict[str, int] = {}
+    stack = [a]
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is Plus:
+            stack.append(node.right)
+            stack.append(node.left)
+        elif t is Var:
+            coefficients[node.name] = coefficients.get(node.name, 0) + 1
+        elif t is NumLit:
+            constant += node.value
+        else:
+            raise TypeError(f"not an arithmetic expression: {node!r}")
+    return constant, tuple(coefficients.items())
+
+
+def bval(b: Assertion, s: State) -> bool:
+    """Truth value of a condition in a state.  A condition is an assertion
+    built from `ATrue`, `AFalse`, `ANot`, `AAnd` and `ACmp` with `<` alone;
+    any other assertion raises TypeError."""
     t = type(b)
-    if t is Less:
+    if t is ACmp and b.op is _LT:
         return aval(b.left, s) < aval(b.right, s)
-    if t is BoolLit:
-        return b.value
-    if t is Not:
+    if t is ATrue or t is AFalse:
+        return t is ATrue
+    if t is ANot:
         return not bval(b.inner, s)
-    if t is And:
+    if t is AAnd:
         return bval(b.left, s) and bval(b.right, s)
-    raise TypeError(f"not a boolean expression: {b!r}")
+    raise TypeError(f"not a condition: {b!r}")
 
 
 # The children of each node class, as a function to a tuple; None marks a
 # leaf.  A loop's invariant and measure are annotations, not children.
 _CHILDREN = {
-    **dict.fromkeys((NumLit, Var, BoolLit, ATrue, AFalse, Skip)),
-    **dict.fromkeys((Plus, And, Less, ACmp, AAnd, AOr), attrgetter("left", "right")),
-    **dict.fromkeys((Not, ANot), lambda n: (n.inner,)),
+    **dict.fromkeys((NumLit, Var, ATrue, AFalse, Skip)),
+    **dict.fromkeys((Plus, ACmp, AAnd, AOr), attrgetter("left", "right")),
+    ANot: lambda n: (n.inner,),
     AImp: attrgetter("premise", "conclusion"),
     Assign: lambda n: (n.rhs,),
     Seq: attrgetter("first", "second"),
@@ -330,7 +316,7 @@ _CHILDREN = {
 }
 
 
-def vars_of(node: AExp | BExp | Assertion | Com) -> set[str]:
+def vars_of(node: AExp | Assertion | Com) -> set[str]:
     """Identifiers occurring (read or written) in a command, expression or
     assertion.  Iterative, so that very deep sequence chains do not hit the
     call stack."""
@@ -351,7 +337,7 @@ def vars_of(node: AExp | BExp | Assertion | Com) -> set[str]:
     return seen
 
 
-def node_count(node: AExp | BExp | Assertion | Com) -> int:
+def node_count(node: AExp | Assertion | Com) -> int:
     """Total number of AST nodes, expressions included."""
     count = 0
     stack = [node]

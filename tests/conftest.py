@@ -32,7 +32,6 @@ from imptool.hoare import (
     Unknown,
     Valid,
     _loop_annotations,
-    bexp_to_assertion,
     eval_assertion,
     subst_assertion,
 )
@@ -40,13 +39,9 @@ from imptool.machine import _POPS, Add, Jmp, JmpGe, JmpLess, Load, LoadI, Machin
 from imptool.parser import pretty_aexp
 from imptool.smallstep import ProgConfig, StepTrace, TraceStatus
 from imptool.syntax import (
-    And,
     Assign,
-    BoolLit,
     If,
-    Less,
     NumLit,
-    Not,
     Plus,
     Seq,
     Skip,
@@ -72,10 +67,11 @@ def aexps(max_leaves: int = 12):
 
 
 def bexps(max_leaves: int = 12):
-    atoms = st.builds(BoolLit, st.booleans()) | st.builds(Less, aexps(4), aexps(4))
+    """Conditions: the assertions built from true, false, !, && and <."""
+    atoms = st.sampled_from((ATrue(), AFalse())) | st.builds(ACmp, st.just(CmpOp.LT), aexps(4), aexps(4))
     return st.recursive(
         atoms,
-        lambda sub: st.builds(Not, sub) | st.builds(And, sub, sub),
+        lambda sub: st.builds(ANot, sub) | st.builds(AAnd, sub, sub),
         max_leaves=max_leaves,
     )
 
@@ -175,8 +171,7 @@ def reference_vcs(c, post, mode):
         if t is Seq:
             return wp(c.first, wp(c.second, post))
         if t is If:
-            cond = bexp_to_assertion(c.cond)
-            return AAnd(AImp(cond, wp(c.then_branch, post)), AImp(ANot(cond), wp(c.else_branch, post)))
+            return AAnd(AImp(c.cond, wp(c.then_branch, post)), AImp(ANot(c.cond), wp(c.else_branch, post)))
         return loop(c, post)
 
     def loop(node, post):
@@ -184,7 +179,7 @@ def reference_vcs(c, post, mode):
         label, inv, measure = _loop_annotations(node, ordinal, mode)
         snapshot = f"{SNAPSHOT_PREFIX}{ordinal}"
         ordinal += 1
-        cond = bexp_to_assertion(node.cond)
+        cond = node.cond
         if mode is Mode.TOTAL:
             decreased = AAnd(inv, ACmp(CmpOp.LT, measure, Var(snapshot)))
             body_pre = wp(Seq(Assign(snapshot, measure), node.body), decreased)
@@ -255,23 +250,25 @@ def gen_instrs(rng, length, variables=("x", "y", "z", "w")):
 
 def reference_pretty_bexp(b):
     """A condition printed by the precedence of `!`, `&&` and `<` alone, the
-    definition `parser.pretty_bexp` must match."""
-    if type(b) is And:
+    definition `parser.pretty_assertion` must match on conditions."""
+    if type(b) is AAnd:
         return f"{reference_pretty_bexp(b.left)} && {_reference_batom(b.right)}"
     return _reference_batom(b)
 
 
 def _reference_batom(b):
     t = type(b)
-    if t is BoolLit:
-        return "true" if b.value else "false"
-    if t is Not:
-        if type(b.inner) in (BoolLit, Not):
+    if t is ATrue or t is AFalse:
+        return "true" if t is ATrue else "false"
+    if t is ANot:
+        if type(b.inner) in (ATrue, AFalse, ANot):
             return f"!{_reference_batom(b.inner)}"
         return f"!({reference_pretty_bexp(b.inner)})"
-    if t is Less:
+    if t is ACmp and b.op is CmpOp.LT:
         return f"{pretty_aexp(b.left)} < {pretty_aexp(b.right)}"
-    return f"({reference_pretty_bexp(b)})"
+    if t is AAnd:
+        return f"({reference_pretty_bexp(b)})"
+    raise TypeError(f"not a condition: {b!r}")
 
 
 # --- arithmetic by recursion ------------------------------------------------------

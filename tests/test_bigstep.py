@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 from conftest import bexps, coms, states
 from imptool.bigstep import FuelExhausted, Terminated, big_step
 from imptool.syntax import (
+    ATrue,
     Assign,
-    BoolLit,
     If,
     NumLit,
     Plus,
@@ -19,7 +19,7 @@ from imptool.syntax import (
 )
 from imptool.parser import parse_com
 
-LOOP_FOREVER = While(BoolLit(True), Skip())
+LOOP_FOREVER = While(ATrue(), Skip())
 
 
 def eval_ref(c, s):
@@ -110,7 +110,7 @@ class TestEquivalence:
         )
 
     def test_divergent_programs_are_equivalent_under_fuel(self):
-        assert equivalent_com(LOOP_FOREVER, While(BoolLit(True), Assign("x", NumLit(1))), [State()], 50)
+        assert equivalent_com(LOOP_FOREVER, While(ATrue(), Assign("x", NumLit(1))), [State()], 50)
 
     @given(bexps(6), coms(max_leaves=4, loops=False), states())
     def test_while_unfolding_law(self, b, c, s):

@@ -26,7 +26,7 @@ from imptool.harness import GenConfig, case_seed, gen_com, gen_state, suite_comp
 from imptool.machine import Jmp, JmpGe, JmpLess, Load, LoadI, MachineConfig, StopReason, Store, ccomp
 from imptool.parser import parse_com
 from imptool.smallstep import ProgConfig, StepTrace
-from imptool.syntax import Assign, Less, NumLit, Plus, Seq, State, Var, While
+from imptool.syntax import ACmp, Assign, CmpOp, NumLit, Plus, Seq, State, Var, While
 
 LARGE = 10**6
 # How many steps of a reference run `equivalent_fuel` keeps before giving up.
@@ -113,7 +113,7 @@ def mismatch(program, initial, fuel):
 # blind to which loop it is only where two loops that end the two branches of
 # an `if` are entered in the same store.  On each program the blind check
 # finds a repeat that is not there.
-SHARED_LOOP = While(Less(Var("x"), NumLit(1)), Assign("x", Plus(Var("x"), NumLit(1))))
+SHARED_LOOP = While(ACmp(CmpOp.LT, Var("x"), NumLit(1)), Assign("x", Plus(Var("x"), NumLit(1))))
 BLIND_SPOTS = {
     "stack-blind": Seq(SHARED_LOOP, Seq(Assign("x", NumLit(0)), SHARED_LOOP)),
     "focus-blind": parse_com(

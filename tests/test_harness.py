@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -27,9 +28,18 @@ from imptool.harness import (
     suite_small_big,
     _SKIPPED,
     _check_small_big,
+    _hoare_gen_config,
 )
-from imptool.hoare import Mode, verify
-from imptool.parser import parse_annotated_com, parse_asm, parse_assertion, parse_com, pretty_asm, pretty_com
+from imptool.hoare import Mode, verify, wp_loop_free
+from imptool.parser import (
+    parse_annotated_com,
+    parse_asm,
+    parse_assertion,
+    parse_com,
+    pretty_asm,
+    pretty_assertion,
+    pretty_com,
+)
 from imptool.smallstep import ProgConfig, TraceStatus, star_run
 from imptool.syntax import Assign, Seq, Skip, State, vars_of
 
@@ -132,6 +142,27 @@ class TestGenerators:
             rng = rng_for(i)
             prog = gen_instrs(rng, rng.randint(0, 25))
             assert parse_asm(pretty_asm(prog)) == prog
+
+    def test_generated_programs_are_pinned(self):
+        # the text of the first 1000 programs at the default seed
+        text = "\n".join(pretty_com(gen_com(GenConfig(), rng_for(k))) for k in range(1000))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4c6ee5733f8253679f750dc1895e20a7b3b02515cd4675ae7fa9397e19b04066"
+        )
+
+    def test_weakest_preconditions_are_pinned(self):
+        # 1000 loop-free programs and postconditions drawn as the hoare suite
+        # draws them, each with the text of its weakest precondition
+        cfg = _hoare_gen_config(GenConfig())
+        lines = []
+        for k in range(1000):
+            rng = rng_for(1_000_003 + k)
+            p = gen_com(cfg, rng)
+            post = gen_assertion(rng, 2, cfg.variables(), cfg.literal_range)
+            lines.append(pretty_com(p) + " | " + pretty_assertion(wp_loop_free(p, post)))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "08b3a06a4c8ae5685c85e76dc0b3dce52307f3e465e50bfdec6504ab3531d098"
+        )
 
     def test_expression_generators_are_deterministic(self):
         variables = ("x", "y")

@@ -36,7 +36,6 @@ from imptool.hoare import (
     Mode,
     Unknown,
     Valid,
-    bexp_to_assertion,
     check_triple,
     entails,
     erase,
@@ -61,9 +60,7 @@ from imptool.parser import (
 )
 from imptool.syntax import (
     Assign,
-    BoolLit,
     If,
-    Less,
     NumLit,
     Plus,
     Seq,
@@ -105,7 +102,7 @@ class TestEvalAssertion:
 
     @given(bexps(), states())
     def test_bexp_embedding_agrees_with_bval(self, b, s):
-        assert eval_assertion(bexp_to_assertion(b), s) == bval(b, s)
+        assert eval_assertion(b, s) == bval(b, s)
 
 
 def test_assertion_vars():
@@ -338,7 +335,7 @@ class TestWp:
 
     def test_loops_rejected(self):
         with pytest.raises(ValueError):
-            wp_loop_free(While(BoolLit(True), Skip()), ATrue())
+            wp_loop_free(While(ATrue(), Skip()), ATrue())
 
     @given(coms(max_leaves=6, loops=False), assertions(5), states())
     def test_semantic_characterization(self, c, q, s):
@@ -398,7 +395,7 @@ class TestVcgen:
             vcgen(ann, ATrue(), Mode.TOTAL)
 
     def test_unparsed_loops_get_ordinal_labels(self):
-        ann = While(BoolLit(False), Skip(), invariant=ATrue(), measure=NumLit(0))
+        ann = While(AFalse(), Skip(), invariant=ATrue(), measure=NumLit(0))
         got = vcgen(ann, ATrue(), Mode.TOTAL)
         assert got.conditions
         assert all(vc.label.startswith("loop#0: ") for vc in got.conditions)
@@ -435,19 +432,19 @@ class TestVcgen:
 class TestCheckTriple:
     def test_false_precondition_is_vacuously_valid(self):
         got = check_triple(
-            AFalse(), While(BoolLit(True), Skip()), AFalse(), {"x"}, 3, 100
+            AFalse(), While(ATrue(), Skip()), AFalse(), {"x"}, 3, 100
         )
         assert got == Valid()
 
     def test_divergence_breaks_total_claims(self):
         got = check_triple(
-            ATrue(), While(BoolLit(True), Skip()), ATrue(), {}, 1, 100, Mode.TOTAL
+            ATrue(), While(ATrue(), Skip()), ATrue(), {}, 1, 100, Mode.TOTAL
         )
         assert got == CounterexampleFound(State())
 
     def test_divergence_leaves_partial_claims_unknown(self):
         got = check_triple(
-            ATrue(), While(BoolLit(True), Skip()), ATrue(), {}, 1, 100, Mode.PARTIAL
+            ATrue(), While(ATrue(), Skip()), ATrue(), {}, 1, 100, Mode.PARTIAL
         )
         assert isinstance(got, Unknown)
 
@@ -473,9 +470,9 @@ class TestCheckTriple:
 def nested_whiles(depth):
     """`depth` loops, each the body of the one outside it, that all exit at
     once: x < 1 fails after the innermost body, an `if`, sets x to 1."""
-    c = If(Less(Var("x"), NumLit(1)), Assign("x", NumLit(1)), Skip())
+    c = If(ACmp(CmpOp.LT, Var("x"), NumLit(1)), Assign("x", NumLit(1)), Skip())
     for _ in range(depth):
-        c = While(Less(Var("x"), NumLit(1)), c)
+        c = While(ACmp(CmpOp.LT, Var("x"), NumLit(1)), c)
     return c
 
 
@@ -555,8 +552,8 @@ class TestCompiledRun:
         [
             (nested_whiles(20), True),
             (nested_whiles(21), False),
-            (reduce(lambda c, _: If(Less(Var("x"), NumLit(2)), c, Skip()), range(20), Assign("y", NumLit(1))), True),
-            (reduce(lambda c, _: If(Less(Var("x"), NumLit(2)), c, Skip()), range(120), Assign("y", NumLit(1))), False),
+            (reduce(lambda c, _: If(ACmp(CmpOp.LT, Var("x"), NumLit(2)), c, Skip()), range(20), Assign("y", NumLit(1))), True),
+            (reduce(lambda c, _: If(ACmp(CmpOp.LT, Var("x"), NumLit(2)), c, Skip()), range(120), Assign("y", NumLit(1))), False),
         ],
         ids=["20-whiles", "21-whiles", "20-ifs", "120-ifs"],
     )
@@ -758,7 +755,7 @@ class TestCompiledVcs:
     def test_sequential_ifs_stay_linear(self):
         # wp copies the postcondition into both branches of each if: 2**16 copies
         c = seq_chain([
-            If(Less(Var("x"), NumLit(i - 8)), Assign("y", Plus(Var("y"), NumLit(1))), Assign("z", Plus(Var("z"), NumLit(1))))
+            If(ACmp(CmpOp.LT, Var("x"), NumLit(i - 8)), Assign("y", Plus(Var("y"), NumLit(1))), Assign("z", Plus(Var("z"), NumLit(1))))
             for i in range(16)
         ])
         report = verify(c, parse_assertion("y = 0 && z = 0"), parse_assertion("y + z = 16"), 20, 1_000, Mode.PARTIAL)
@@ -767,7 +764,7 @@ class TestCompiledVcs:
     def test_ifs_nested_past_the_indentation_limit_are_decided_on_formulas(self, refusals):
         c = Assign("y", NumLit(1))
         for _ in range(120):
-            c = If(Less(Var("x"), NumLit(2)), c, Skip())
+            c = If(ACmp(CmpOp.LT, Var("x"), NumLit(2)), c, Skip())
         post = parse_assertion("y = 1")
         assert verify(c, parse_assertion("x < 2"), post, 2, 1_000, Mode.PARTIAL).all_valid
         report = verify(c, ATrue(), post, 2, 1_000, Mode.PARTIAL)

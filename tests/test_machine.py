@@ -28,11 +28,13 @@ from imptool.machine import (
 )
 from imptool.parser import parse_com
 from imptool.syntax import (
-    And,
-    BoolLit,
-    Less,
+    AAnd,
+    ACmp,
+    AFalse,
+    ANot,
+    ATrue,
+    CmpOp,
     NumLit,
-    Not,
     Plus,
     State,
     Var,
@@ -273,24 +275,24 @@ class TestAcomp:
 
 class TestBcomp:
     def test_goldens(self):
-        assert bcomp(BoolLit(True), True, 3) == [Jmp(3)]
-        assert bcomp(BoolLit(True), False, 3) == []
-        assert bcomp(BoolLit(False), False, 2) == [Jmp(2)]
-        assert bcomp(Less(NumLit(1), NumLit(2)), True, 4) == [
+        assert bcomp(ATrue(), True, 3) == [Jmp(3)]
+        assert bcomp(ATrue(), False, 3) == []
+        assert bcomp(AFalse(), False, 2) == [Jmp(2)]
+        assert bcomp(ACmp(CmpOp.LT, NumLit(1), NumLit(2)), True, 4) == [
             LoadI(1),
             LoadI(2),
             JmpLess(4),
         ]
-        assert bcomp(Less(NumLit(1), NumLit(2)), False, 4) == [
+        assert bcomp(ACmp(CmpOp.LT, NumLit(1), NumLit(2)), False, 4) == [
             LoadI(1),
             LoadI(2),
             JmpGe(4),
         ]
-        assert bcomp(Not(BoolLit(True)), True, 3) == []
+        assert bcomp(ANot(ATrue()), True, 3) == []
 
     def test_and_short_circuits(self):
         # a false left conjunct must skip the right conjunct's code entirely
-        b = And(Less(Var("x"), NumLit(0)), Less(Var("y"), NumLit(0)))
+        b = AAnd(ACmp(CmpOp.LT, Var("x"), NumLit(0)), ACmp(CmpOp.LT, Var("y"), NumLit(0)))
         code = bcomp(b, True, 5)
         got = execute(code, MachineConfig(0, State.of(x=1), ()), 10)
         assert isinstance(got, Halted)
@@ -298,7 +300,7 @@ class TestBcomp:
 
     def test_negative_offset_rejected(self):
         with pytest.raises(ValueError):
-            bcomp(BoolLit(True), True, -1)
+            bcomp(ATrue(), True, -1)
 
     @given(bexps(8), states(), st.booleans(), st.integers(min_value=0, max_value=5))
     def test_jump_exactly_when_condition_matches(self, b, s, jump_if, offset):

@@ -27,17 +27,13 @@ from imptool.parser import (
     pretty_aexp,
     pretty_asm,
     pretty_assertion,
-    pretty_bexp,
     pretty_com,
 )
 from imptool.syntax import (
-    And,
+    ANot,
     Assign,
-    BoolLit,
     If,
-    Less,
     NumLit,
-    Not,
     Plus,
     Seq,
     Skip,
@@ -70,13 +66,13 @@ class TestParseCom:
     def test_while(self):
         got = parse_com("while (i < 3) { i := i + 1 }")
         assert got == While(
-            Less(Var("i"), NumLit(3)), Assign("i", Plus(Var("i"), NumLit(1)))
+            ACmp(CmpOp.LT, Var("i"), NumLit(3)), Assign("i", Plus(Var("i"), NumLit(1)))
         )
 
     def test_if_else(self):
         got = parse_com("if (x < 0) { y := 1 } else { y := 2 }")
         assert got == If(
-            Less(Var("x"), NumLit(0)),
+            ACmp(CmpOp.LT, Var("x"), NumLit(0)),
             Assign("y", NumLit(1)),
             Assign("y", NumLit(2)),
         )
@@ -96,22 +92,22 @@ class TestParseCom:
 
     def test_and_is_left_associative(self):
         got = cond_of("true && false && x < 1")
-        assert got == And(
-            And(BoolLit(True), BoolLit(False)), Less(Var("x"), NumLit(1))
+        assert got == AAnd(
+            AAnd(ATrue(), AFalse()), ACmp(CmpOp.LT, Var("x"), NumLit(1))
         )
 
     def test_not_binds_tightest(self):
         got = cond_of("!true && false")
-        assert got == And(Not(BoolLit(True)), BoolLit(False))
+        assert got == AAnd(ANot(ATrue()), AFalse())
 
     def test_parenthesized_bexp(self):
         got = cond_of("!(true && false)")
-        assert got == Not(And(BoolLit(True), BoolLit(False)))
+        assert got == ANot(AAnd(ATrue(), AFalse()))
 
     def test_comparison_inside_parens_stays_arithmetic_grouping(self):
         # '(' may open either a bexp or an aexp; backtracking resolves it
-        assert cond_of("(x + 1) < y") == Less(Plus(Var("x"), NumLit(1)), Var("y"))
-        assert cond_of("(x < y)") == Less(Var("x"), Var("y"))
+        assert cond_of("(x + 1) < y") == ACmp(CmpOp.LT, Plus(Var("x"), NumLit(1)), Var("y"))
+        assert cond_of("(x < y)") == ACmp(CmpOp.LT, Var("x"), Var("y"))
 
     def test_comments_and_whitespace(self):
         text = "// setup\nx := 1;  // write\nskip\n"
@@ -206,7 +202,7 @@ class TestAnnotations:
             "while (0 < x) invariant (true) measure (x) { x := x + -1 }"
         )
         assert got == While(
-            Less(NumLit(0), Var("x")),
+            ACmp(CmpOp.LT, NumLit(0), Var("x")),
             Assign("x", Plus(Var("x"), NumLit(-1))),
             invariant=ATrue(),
             measure=Var("x"),
@@ -232,7 +228,7 @@ class TestAnnotations:
 
     def test_erase_drops_annotations(self):
         ann = parse_annotated_com("while (0 < x) invariant (true) { skip }")
-        assert erase(ann) == While(Less(NumLit(0), Var("x")), Skip())
+        assert erase(ann) == While(ACmp(CmpOp.LT, NumLit(0), Var("x")), Skip())
 
     def test_annotated_round_trip(self):
         text = "x := 0; while (x < 3) invariant (x <= 3) measure (3 + -1) { x := x + 1 }"
@@ -268,7 +264,7 @@ class TestPretty:
         assert (
             pretty_com(parse_com("x := 1; y := x")) == "x := 1; y := x"
         )
-        loop = While(Less(Var("i"), NumLit(3)), Assign("i", Plus(Var("i"), NumLit(1))))
+        loop = While(ACmp(CmpOp.LT, Var("i"), NumLit(3)), Assign("i", Plus(Var("i"), NumLit(1))))
         assert pretty_com(loop) == "while (i < 3) { i := i + 1 }"
 
     def test_aexp_parenthesization(self):
@@ -282,9 +278,9 @@ class TestPretty:
         assert pretty_aexp(a) == "1" + " + x" * 4_999
 
     def test_bexp_goldens(self):
-        assert pretty_bexp(Less(Var("x"), NumLit(0))) == "x < 0"
-        assert pretty_bexp(Not(Less(Var("x"), NumLit(0)))) == "!(x < 0)"
-        assert pretty_bexp(Not(BoolLit(True))) == "!true"
+        assert pretty_assertion(ACmp(CmpOp.LT, Var("x"), NumLit(0))) == "x < 0"
+        assert pretty_assertion(ANot(ACmp(CmpOp.LT, Var("x"), NumLit(0)))) == "!(x < 0)"
+        assert pretty_assertion(ANot(ATrue())) == "!true"
 
     def test_assertion_goldens(self):
         a = AImp(ACmp(CmpOp.LT, Var("x"), NumLit(0)), ACmp(CmpOp.LE, Var("x"), NumLit(0)))
@@ -293,7 +289,7 @@ class TestPretty:
     def test_measure_without_invariant_is_rejected(self):
         # the concrete syntax has no measure without an invariant
         with pytest.raises(ValueError):
-            pretty_com(While(BoolLit(True), Skip(), None, Var("x")))
+            pretty_com(While(ATrue(), Skip(), None, Var("x")))
 
     def test_left_nested_seq_flattens(self):
         # concrete syntax has no way to spell left nesting; printing flattens
@@ -310,22 +306,22 @@ def test_aexp_round_trip(a):
 
 @given(bexps())
 def test_bexp_round_trip(b):
-    assert cond_of(pretty_bexp(b)) == b
+    assert cond_of(pretty_assertion(b)) == b
 
 
 class TestConditionPrinter:
-    """`pretty_bexp` prints a condition as its assertion; the text must be
-    the one a printer of the condition grammar alone gives."""
+    """`pretty_assertion` prints a condition; the text must be the one a
+    printer of the condition grammar alone gives."""
 
     @given(bexps())
     def test_matches_the_reference(self, b):
-        assert pretty_bexp(b) == reference_pretty_bexp(b)
+        assert pretty_assertion(b) == reference_pretty_bexp(b)
 
     def test_generated_conditions_match_the_reference(self):
         rng = random.Random(13)
         for _ in range(5_000):
             b = gen_bexp(rng, 4, ("x", "y"), (-4, 4))
-            assert pretty_bexp(b) == reference_pretty_bexp(b)
+            assert pretty_assertion(b) == reference_pretty_bexp(b)
 
     @given(coms())
     def test_command_conditions_match_the_reference(self, c):
@@ -335,10 +331,10 @@ class TestConditionPrinter:
             if type(node) is Seq:
                 todo += [node.first, node.second]
             elif type(node) is If:
-                assert pretty_bexp(node.cond) == reference_pretty_bexp(node.cond)
+                assert pretty_assertion(node.cond) == reference_pretty_bexp(node.cond)
                 todo += [node.then_branch, node.else_branch]
             elif type(node) is While:
-                assert pretty_bexp(node.cond) == reference_pretty_bexp(node.cond)
+                assert pretty_assertion(node.cond) == reference_pretty_bexp(node.cond)
                 todo.append(node.body)
 
 

@@ -16,8 +16,8 @@ from imptool.smallstep import (
     star_run,
 )
 from imptool.syntax import (
+    ATrue,
     Assign,
-    BoolLit,
     If,
     NumLit,
     Plus,
@@ -28,7 +28,7 @@ from imptool.syntax import (
     While,
 )
 
-LOOP_FOREVER = While(BoolLit(True), Skip())
+LOOP_FOREVER = While(ATrue(), Skip())
 
 
 class TestSmallStep:
@@ -60,9 +60,9 @@ class TestSmallStep:
 
     def test_while_unfolds_to_if(self):
         body = Assign("i", NumLit(1))
-        loop = While(BoolLit(True), body)
+        loop = While(ATrue(), body)
         got = small_step(ProgConfig(loop, State()))
-        assert got == ProgConfig(If(BoolLit(True), Seq(body, loop), Skip()), State())
+        assert got == ProgConfig(If(ATrue(), Seq(body, loop), Skip()), State())
 
     def test_deep_seq_spine_steps_without_recursion(self):
         c = Assign("x", NumLit(1))
