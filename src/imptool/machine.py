@@ -134,7 +134,8 @@ def _run(prog: Program, cfg: MachineConfig, fuel: int) -> tuple[MachineConfig, i
     last configuration, the steps taken, and why the run stopped.  A
     configuration that cannot step is classified as such even when the fuel
     is spent, so halting exactly at the limit is a halt.  A non-instruction
-    raises TypeError when the loop would step it.
+    raises TypeError when the loop would step it.  Underflow is checked only
+    before a popping instruction steps, and at the fuel limit.
 
     The pc, the stack (top at the end of a list) and the store live in
     locals; zero bindings are dropped when the final `State` is built.
@@ -154,11 +155,8 @@ def _run(prog: Program, cfg: MachineConfig, fuel: int) -> tuple[MachineConfig, i
     while 0 <= pc < end:
         instr = prog[pc]
         t = type(instr)
-        if len(stack) < _POPS.get(t, 0):
-            reason = StopReason.STACK_UNDERFLOW
-            break
         if steps >= fuel:
-            reason = StopReason.FUEL_EXHAUSTED
+            reason = StopReason.STACK_UNDERFLOW if len(stack) < _POPS.get(t, 0) else StopReason.FUEL_EXHAUSTED
             break
         steps += 1
         pc += 1
@@ -168,6 +166,11 @@ def _run(prog: Program, cfg: MachineConfig, fuel: int) -> tuple[MachineConfig, i
         if t is LoadI:
             push(instr.value)
             continue
+        if len(stack) < _POPS.get(t, 0):  # the step is not taken
+            steps -= 1
+            pc -= 1
+            reason = StopReason.STACK_UNDERFLOW
+            break
         if t is Add:
             top = pop()
             stack[-1] += top
@@ -234,24 +237,41 @@ def steps_to_halt(prog: Program, cfg: MachineConfig, fuel: int) -> Optional[int]
 # --- compiler -------------------------------------------------------------------
 
 
-def acomp(a: AExp) -> list[Instr]:
+class _Shared(dict):
+    """The instructions one compile has built, by class and operand.
+    Instructions are immutable, so each is built once and then shared."""
+
+    def __missing__(self, key: tuple[type, object]) -> Instr:
+        cls, operand = key
+        instr = self[key] = cls(operand)
+        return instr
+
+
+_ADD = Add()  # the one `Add` every compile shares
+
+
+def acomp(a: AExp, shared: Optional[_Shared] = None) -> list[Instr]:
     """Compile an arithmetic expression to code leaving its value on top,
-    walking a sum down its left spine: calls nest only for parentheses."""
+    walking a sum down its left spine: calls nest only for parentheses.
+    The calls of one compile pass one `shared`, so they build one `Load` per
+    name and one `LoadI` per value."""
     t = type(a)
     if t is NumLit:
-        return [LoadI(a.value)]
+        return [LoadI(a.value) if shared is None else shared[LoadI, a.value]]
     if t is Var:
-        return [Load(a.name)]
+        return [Load(a.name) if shared is None else shared[Load, a.name]]
     if t is not Plus:
         raise TypeError(f"not an arithmetic expression: {a!r}")
+    if shared is None:
+        shared = _Shared()
     rights = []
     while type(a) is Plus:
         rights.append(a.right)
         a = a.left
-    code = acomp(a)
+    code = acomp(a, shared)
     for right in reversed(rights):
-        code += acomp(right)
-        code.append(Add())
+        code += acomp(right, shared)
+        code.append(_ADD)
     return code
 
 
@@ -280,8 +300,12 @@ def bcomp(b: Assertion, jump_if: bool, offset: int) -> list[Instr]:
     raise TypeError(f"not a condition: {b!r}")
 
 
-def ccomp(c: Com) -> list[Instr]:
-    """Compile a command.  Compiled code ends with the pc one past the end."""
+def ccomp(c: Com, shared: Optional[_Shared] = None) -> list[Instr]:
+    """Compile a command.  Compiled code ends with the pc one past the end.
+    Outside its tests, a compile builds one `Load`, `LoadI` or `Store` per
+    name or value, passing `shared` to every call it makes."""
+    if shared is None:
+        shared = _Shared()
     code: list[Instr] = []
     stack: list[Com] = [c]
     while stack:
@@ -293,17 +317,17 @@ def ccomp(c: Com) -> list[Instr]:
         elif t is Skip:
             pass
         elif t is Assign:
-            code += acomp(node.rhs)
-            code.append(Store(node.target))
+            code += acomp(node.rhs, shared)
+            code.append(shared[Store, node.target])
         elif t is If:
-            code_then = ccomp(node.then_branch)
-            code_else = ccomp(node.else_branch)
+            code_then = ccomp(node.then_branch, shared)
+            code_else = ccomp(node.else_branch, shared)
             code += bcomp(node.cond, False, len(code_then) + 1)
             code += code_then
             code.append(Jmp(len(code_else)))
             code += code_else
         elif t is While:
-            body = ccomp(node.body)
+            body = ccomp(node.body, shared)
             cond = bcomp(node.cond, False, len(body) + 1)
             code += cond
             code += body
@@ -311,4 +335,3 @@ def ccomp(c: Com) -> list[Instr]:
         else:
             raise TypeError(f"not a command: {node!r}")
     return code
-

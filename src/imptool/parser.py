@@ -29,9 +29,11 @@ Integers are ASCII digits, and negative numbers exist only as literal tokens
 (`x + -1`).  Keywords are reserved, `//` starts a comment, and identifiers
 beginning with a double underscore are reserved for the verifier's snapshot
 variables.  Input nested deeper than the interpreter's recursion limit is a
-`ParseError` ("nesting too deep").  Nodes are immutable, so a parse builds one
-`NumLit` or `Var` per distinct lexeme and shares it.  A sum prints along its
-left spine, so a sum of any length prints without recursion.
+`ParseError` ("nesting too deep").  One `findall` lexes the whole text, and
+token offsets, lines and columns are computed only when a span is needed.
+Nodes are immutable, so a parse builds one `NumLit` or `Var` per distinct
+lexeme and shares it.  A sum prints along its left spine, so a sum of any
+length prints without recursion.
 
 The pretty-printers emit text that parses back to the identical AST, a
 command when every test in it is a condition: a loop prints its invariant
@@ -90,14 +92,20 @@ KEYWORDS = frozenset({"skip", "if", "else", "while", "true", "false", "invariant
 INTEGER_RE = re.compile(r"-?[0-9]+")
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# Each match is the layout (whitespace and comments) before one token, then
-# that token in group 1: a symbol (two-character ones first), an integer, an
-# identifier, or the empty end of input.  Group 2 instead holds a reserved
-# `__` name or a character that starts no token.
+# Whitespace and comments.
+_LAYOUT = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
+_LAYOUT_RE = re.compile(_LAYOUT)
+# A reserved `__` name or a character that starts no token.
+_BAD_RE = re.compile(rf"(?=__){IDENT_RE.pattern}|.")
+# Each match is one token, then the layout after it.  Group 1 holds the
+# token: a symbol (two-character ones first), an integer, an identifier, or
+# the empty end of input.  A match of `_BAD_RE` leaves it empty, so a
+# `findall` from past the leading layout returns every lexeme, a bad one as
+# "", and ends with the "" of the end of input.  With the layout before the
+# token instead, trailing layout would make the end of input match twice.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
-    rf"(?:(:=|->|<=|&&|\|\||[;+<=!(){{}}]|{INTEGER_RE.pattern}|(?!__){IDENT_RE.pattern}|\Z)"
-    rf"|((?=__){IDENT_RE.pattern}|.))"
+    rf"(?:(:=|->|<=|&&|\|\||[;+<=!(){{}}]|{INTEGER_RE.pattern}|(?!__){IDENT_RE.pattern}|\Z)|{_BAD_RE.pattern})"
+    + _LAYOUT
 )
 # The kind of every token that is not an integer or an identifier.
 _KINDS = {text: text for text in (":=", "->", "<=", "&&", "||", *";+<=!(){}", *KEYWORDS)}
@@ -110,42 +118,41 @@ class _Parser:
     """Recursive descent over parallel token lists.
 
     A token's kind is the symbol or keyword itself, or "int", "ident" or
-    "eof"; its line and column are computed from its start offset only when
-    an error or a `While` needs a span.
+    "eof".  One `findall` lexes the text; the start offsets of the tokens, and
+    from them their lines and columns, are computed only when an error or a
+    `While` first needs a span.
     """
 
     def __init__(self, text: str, allow_annotations: bool) -> None:
         self.text = text
         self.allow_annotations = allow_annotations
         self.newlines: list[int] | None = None
+        self.starts: list[int] | None = None
         self.index = 0
         self.leaves: dict[str, AExp] = {}  # one NumLit or Var per lexeme
-        kinds: list[str] = []
-        texts: list[str] = []
-        starts: list[int] = []
-        for m in _TOKEN_RE.finditer(text):
-            lexeme = m[1]
-            if lexeme is None:
-                bad = m[2]
-                message = (
-                    f"identifier '{bad}' uses the reserved '__' prefix"
-                    if len(bad) > 1
-                    else f"unexpected character {bad!r}"
-                )
-                raise ParseError(message, self.span(m.start(2), len(bad)))
-            kind = _KINDS.get(lexeme) or ("int" if lexeme[0] in "-0123456789" else "ident")
-            kinds.append(kind)
-            texts.append(lexeme)
-            starts.append(m.start(1))
-            if kind == "eof":
-                break
-        # The end of input sits on the last character of the last token.
-        starts[-1] = starts[-2] + len(texts[-2]) - 1 if len(starts) > 1 else 0
-        self.kinds = kinds
-        self.texts = texts
-        self.starts = starts
+        self.texts = texts = _TOKEN_RE.findall(text, _LAYOUT_RE.match(text).end())
+        bad = texts.index("")  # the end of input, unless a bad lexeme comes first
+        if bad < len(texts) - 1:
+            start = self.token_start(bad)
+            lexeme = _BAD_RE.match(text, start)[0]
+            message = (
+                f"identifier '{lexeme}' uses the reserved '__' prefix"
+                if len(lexeme) > 1
+                else f"unexpected character {lexeme!r}"
+            )
+            raise ParseError(message, self.span(start, len(lexeme)))
+        self.kinds = [_KINDS.get(t) or ("int" if t[0] in "-0123456789" else "ident") for t in texts]
 
     # -- token plumbing
+
+    def token_start(self, i: int) -> int:
+        """The start offset of token i; the end of input sits on the last
+        character of the last token."""
+        if self.starts is None:
+            starts = [m.start() for m in _TOKEN_RE.finditer(self.text, _LAYOUT_RE.match(self.text).end())]
+            starts[-1] = starts[-2] + len(self.texts[-2]) - 1 if len(starts) > 1 else 0
+            self.starts = starts
+        return self.starts[i]
 
     def span(self, start: int, length: int) -> SourceSpan:
         """The one-line span of `length` characters from offset `start`."""
@@ -156,7 +163,7 @@ class _Parser:
         return SourceSpan(line + 1, col, line + 1, col + max(length, 1) - 1)
 
     def token_span(self, i: int) -> SourceSpan:
-        return self.span(self.starts[i], len(self.texts[i]))
+        return self.span(self.token_start(i), len(self.texts[i]))
 
     def eat(self, kind: str) -> bool:
         if self.kinds[self.index] == kind:

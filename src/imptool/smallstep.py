@@ -8,7 +8,8 @@ element, and `star_run` keeps only the last configuration of a bounded prefix.
 All three read off one refocused stepper (Danvy & Nielsen, BRICS RS-04-26,
 2004): a focus, the command being reduced and never a `Seq`; a stack of the
 pending `Seq` seconds; and a mutable store.  A step rewrites the focus instead
-of plugging the program together and taking it apart again, and a
+of plugging the program together and taking it apart again, a loop is
+unfolded into its `if` once per run rather than once per iteration, and a
 `ProgConfig` is built only where one is returned.
 
 A configuration that comes back proves the run never ends.  `star_run` finds
@@ -55,9 +56,12 @@ class StepTrace:
 
 def _focuses(c: Com, stack: list[Com], store: dict[str, int]) -> Iterator[Com]:
     """Yield the focus of each configuration from c in front of `stack` (top
-    last) and `store` (no zeros), up to a final one; steps update both."""
+    last) and `store` (no zeros), up to a final one; steps update both.  Each
+    `While` node is unfolded once per call, so every iteration steps to the
+    same `If`."""
     state = State.__new__(State)
     state._bindings = store
+    unfolded: dict[int, If] = {}  # by id: each value keeps its loop alive
     while True:
         while type(c) is Seq:
             stack.append(c.second)
@@ -77,7 +81,10 @@ def _focuses(c: Com, stack: list[Com], store: dict[str, int]) -> Iterator[Com]:
         elif t is If:
             c = c.then_branch if bval(c.cond, state) else c.else_branch
         elif t is While:
-            c = If(c.cond, Seq(c.body, c), _SKIP)
+            loop = c
+            c = unfolded.get(id(loop))
+            if c is None:
+                c = unfolded[id(loop)] = If(loop.cond, Seq(loop.body, loop), _SKIP)
         else:
             raise TypeError(f"not a command: {c!r}")
 

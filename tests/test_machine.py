@@ -247,6 +247,21 @@ class TestRunLoopAgainstExec1:
         assert execute(prog, cfg0(), 2) == Halted(MachineConfig(2, State.of(x=1)), 2)
         assert steps_to_halt(prog, cfg0(), 2) == 2
 
+    def test_stuck_exactly_at_the_limit_is_stuck(self):
+        got = execute([LoadI(1), Add()], cfg0(), 1)
+        assert got == StuckOrExhausted(MachineConfig(1, State(), (1,)), 1, StopReason.STACK_UNDERFLOW)
+
+    def test_able_to_step_at_the_limit_is_exhausted(self):
+        got = execute([LoadI(1), LoadI(2)], cfg0(), 1)
+        assert got == StuckOrExhausted(MachineConfig(1, State(), (1,)), 1, StopReason.FUEL_EXHAUSTED)
+
+    def test_non_instruction_at_the_limit_is_exhausted_and_raises_past_it(self):
+        prog = [LoadI(1), "LoadI"]
+        got = execute(prog, cfg0(), 1)
+        assert got == StuckOrExhausted(MachineConfig(1, State(), (1,)), 1, StopReason.FUEL_EXHAUSTED)
+        with pytest.raises(TypeError, match="not an instruction: 'LoadI'"):
+            execute(prog, cfg0(), 2)
+
 
 class TestAcomp:
     def test_goldens(self):
@@ -323,6 +338,12 @@ class TestCcomp:
             Add(),
             Store("x"),
         ]
+
+    def test_equal_instructions_are_one_object(self):
+        c = parse_com("x := y + 1; x := y + 1")
+        code = ccomp(c)
+        assert code == [*reference_acomp(c.first.rhs), Store("x")] * 2
+        assert [code[i] is code[i + 4] for i in range(4)] == [True] * 4
 
     def test_if_shape(self):
         code = ccomp(parse_com("if (x < 0) { y := 1 } else { y := 2 }"))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -17,7 +18,7 @@ from imptool.hoare import (
     erase,
 )
 from imptool.harness import gen_bexp
-from imptool.machine import Add, Jmp, JmpGe, JmpLess, Load, LoadI, Store
+from imptool.machine import Add, Jmp, JmpGe, JmpLess, Load, LoadI, Store, ccomp
 from imptool.parser import (
     ParseError,
     parse_annotated_com,
@@ -121,31 +122,63 @@ class TestParseCom:
         assert second.rhs.right == NumLit(-1) and second.rhs.right is not first.rhs.right
 
 
+# Each rejected input, the exact message and the span (start line and column,
+# end line and column) of its error.  Lexing runs before parsing, so a bad
+# character is reported even after a syntax error.
+_NO_STATEMENT = "(expected 'skip' or an assignment or 'if' or 'while')"
+_NO_OPERAND = "(expected an integer literal or an identifier or '(')"
+REJECTED = {
+    "": (f"1:1: unexpected end of input {_NO_STATEMENT}", (1, 1, 1, 1)),
+    "// only a comment": (f"1:1: unexpected end of input {_NO_STATEMENT}", (1, 1, 1, 1)),
+    " \r\n\t// comment\n": (f"1:1: unexpected end of input {_NO_STATEMENT}", (1, 1, 1, 1)),
+    "x :=": (f"1:4: unexpected end of input {_NO_OPERAND}", (1, 4, 1, 4)),
+    "x := := 1": (f"1:6: unexpected ':=' {_NO_OPERAND}", (1, 6, 1, 7)),
+    "skip skip": ("1:6: unexpected 'skip' (expected end of input)", (1, 6, 1, 9)),
+    "while (x < 1) { }": (f"1:17: unexpected '}}' {_NO_STATEMENT}", (1, 17, 1, 17)),
+    "if (x < 1) { skip }": ("1:19: unexpected end of input (expected 'else')", (1, 19, 1, 19)),  # else is mandatory
+    "x < y < z": ("1:3: unexpected '<' (expected ':=')", (1, 3, 1, 3)),
+    "x + - 1": ("1:5: unexpected character '-'", (1, 5, 1, 5)),  # '-' only directly attached to digits
+    "-": ("1:1: unexpected character '-'", (1, 1, 1, 1)),
+    "while := 1": ("1:7: unexpected ':=' (expected '(')", (1, 7, 1, 8)),  # keyword as identifier
+    "__tmp := 1": ("1:1: identifier '__tmp' uses the reserved '__' prefix", (1, 1, 1, 5)),
+    "x := 1;\r\n  __y := 2": ("2:3: identifier '__y' uses the reserved '__' prefix", (2, 3, 2, 5)),
+    "x := (1": ("1:7: unexpected end of input (expected ')')", (1, 7, 1, 7)),
+    "{ skip }": (f"1:1: unexpected '{{' {_NO_STATEMENT}", (1, 1, 1, 1)),
+    "x := ²": ("1:6: unexpected character '²'", (1, 6, 1, 6)),  # integer literals are ASCII digits only
+    "x := ٣": ("1:6: unexpected character '٣'", (1, 6, 1, 6)),
+    "x := 1٣": ("1:7: unexpected character '٣'", (1, 7, 1, 7)),
+    "x := 1\0": ("1:7: unexpected character '\\x00'", (1, 7, 1, 7)),
+    "x := := ²": ("1:9: unexpected character '²'", (1, 9, 1, 9)),
+    "x := 1 /": ("1:8: unexpected character '/'", (1, 8, 1, 8)),
+    "x := 1 ²// tail\n": ("1:8: unexpected character '²'", (1, 8, 1, 8)),
+}
+
+
+def _span(err):
+    return err.span.start_line, err.span.start_col, err.span.end_line, err.span.end_col
+
+
+# Parsing it runs out of recursion, at a token that depends on the caller's
+# stack depth.
+NESTED_IF = "if (true) { " * 1500 + "skip" + " } else { skip }" * 1500
+
+
 class TestParseErrors:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "x :=",
-            "x := := 1",
-            "skip skip",
-            "while (x < 1) { }",
-            "if (x < 1) { skip }",  # else is mandatory
-            "x < y < z",
-            "x + - 1",  # '-' only directly attached to digits
-            "while := 1",  # keyword as identifier
-            "__tmp := 1",  # reserved prefix
-            "x := (1",
-            "{ skip }",
-            "x := ²",  # integer literals are ASCII digits only
-            "x := ٣",
-            "x := 1٣",
-            pytest.param("if (true) { " * 1500 + "skip" + " } else { skip }" * 1500, id="nested-if"),
-        ],
-    )
+    @pytest.mark.parametrize("text", [*sorted(REJECTED), pytest.param(NESTED_IF, id="nested-if")])
     def test_rejected(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_com(text)
+        if text in REJECTED:
+            assert (str(exc.value), _span(exc.value)) == REJECTED[text]
+            return
+        line, col, end_line, end_col = _span(exc.value)
+        assert str(exc.value) == f"1:{col}: nesting too deep"
+        assert (line, end_line) == (1, 1)
+        assert _PRETTY_TOKEN.match(text, col - 1)[0] == text[col - 1 : end_col]
+
+    @pytest.mark.parametrize("text", ["a__b := 1", "x := 1 // __x", "_ := 1; x_ := _"])
+    def test_double_underscore_inside_a_name_or_a_comment_is_accepted(self, text):
+        parse_com(text)
 
     def test_error_carries_position_and_expectations(self):
         with pytest.raises(ParseError) as exc:
@@ -383,6 +416,70 @@ def test_relaid_source_parses_to_same_command_with_while_spans(c, data):
         span = loop.span
         assert lines[span.start_line - 1][span.start_col - 1 :].startswith("while")
         assert (span.end_line, span.end_col) == (span.start_line, span.start_col + 4)
+
+
+def _large_source(rng, size):
+    """About `size` characters of IMP: assignments, conditionals and loops
+    nested up to three deep, laid out with spaces, tabs, CRLF and LF line
+    ends, and comments that hold tokens."""
+    layouts = [" ", " ", "\t", "\r\n", "\n", "\r\n\t\t", " // note\r\n", "\t// while ( } -1 __x\n"]
+
+    def aexp():
+        atoms = [rng.choice(["x", "y", "z", "n1", str(rng.randint(-99, 99))]) for _ in range(rng.randint(1, 3))]
+        words.extend(" + ".join(atoms).split())
+
+    def cond():
+        aexp()
+        words.append("<")
+        aexp()
+        if rng.random() < 0.3:
+            words.extend(["&&", "!", "("])
+            cond()
+            words.append(")")
+
+    def com(depth):
+        for i in range(rng.randint(1, 4)):
+            if i:
+                words.append(";")
+            roll = rng.random()
+            if depth < 3 and roll < 0.15:
+                words.extend(["while", "("])
+                cond()
+                words.extend([")", "{"])
+                com(depth + 1)
+                words.append("}")
+            elif depth < 3 and roll < 0.3:
+                words.extend(["if", "("])
+                cond()
+                words.extend([")", "{"])
+                com(depth + 1)
+                words.extend(["}", "else", "{"])
+                com(depth + 1)
+                words.append("}")
+            else:
+                words.extend([rng.choice(["x", "y", "z", "n1"]), ":="])
+                aexp()
+
+    pieces, length = [], 0
+    while length < size:
+        words = [";"] if pieces else []
+        com(0)
+        pieces.append("".join(word + rng.choice(layouts) for word in words))
+        length += len(pieces[-1])
+    return "".join(pieces)
+
+
+def test_large_source_parses_compiles_and_prints_as_pinned():
+    text = _large_source(random.Random(2024), 100_000)
+    assert 90_000 < len(text) < 130_000 and "\r\n" in text and "\t" in text
+    c = parse_com(text)
+    spans = [(s.start_line, s.start_col, s.end_line, s.end_col) for s in (loop.span for loop in _loops(c))]
+    assert len(spans) == 195
+    assert [hashlib.sha256(out.encode()).hexdigest() for out in (pretty_com(c), pretty_asm(ccomp(c)), repr(spans))] == [
+        "888816b791d5d175b0fb504805b1254fe452c06fdcf67133decee8b6c84286f3",
+        "8c45397c76206a33a289d75e30ef7e93ab88f36a262813e66706fac4a3b37ff1",
+        "c659a3bef1c991b58cf69445a3266e130c7e21bafcc99376e404cdd4788156b7",
+    ]
 
 
 INSTRS = st.lists(
