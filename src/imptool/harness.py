@@ -171,70 +171,48 @@ def gen_bexp(rng: random.Random, depth: int, variables: tuple[str, ...], literal
 def gen_com(cfg: GenConfig, rng: random.Random) -> Com:
     """A random command.  Sequences are always right-nested, matching the
     concrete syntax, so generated programs round-trip through the printer."""
-    return _gen_block(rng, cfg.max_depth, cfg.variables(), cfg.literal_range, cfg.loop_probability)
+    literal_range = cfg.literal_range
 
+    def block(depth: int, variables: tuple[str, ...], loop_probability: float) -> Com:
+        count = rng.randint(1, 3) if depth > 0 else 1
+        return seq_chain([stmt(depth, variables, loop_probability) for _ in range(count)])
 
-def _gen_block(
-    rng: random.Random,
-    depth: int,
-    variables: tuple[str, ...],
-    literal_range: tuple[int, int],
-    loop_probability: float,
-) -> Com:
-    count = rng.randint(1, 3) if depth > 0 else 1
-    return seq_chain(
-        [_gen_stmt(rng, depth, variables, literal_range, loop_probability) for _ in range(count)]
-    )
+    def assign(depth: int, variables: tuple[str, ...]) -> Com:
+        return Assign(rng.choice(variables), gen_aexp(rng, min(depth, 2), variables, literal_range))
 
+    def stmt(depth: int, variables: tuple[str, ...], loop_probability: float) -> Com:
+        if depth <= 0:
+            return assign(0, variables) if rng.random() < 0.8 else Skip()
+        roll = rng.random()
+        if roll < loop_probability:
+            return loop(depth, variables, loop_probability / 2)
+        if roll < loop_probability + 0.2:
+            return If(
+                gen_bexp(rng, 2, variables, literal_range),
+                block(depth - 1, variables, loop_probability),
+                block(depth - 1, variables, loop_probability),
+            )
+        if roll < loop_probability + 0.25:
+            return Skip()
+        return assign(depth, variables)
 
-def _gen_assign(rng: random.Random, depth: int, variables, literal_range) -> Com:
-    target = rng.choice(variables)
-    return Assign(target, gen_aexp(rng, min(depth, 2), variables, literal_range))
+    def loop(depth: int, variables: tuple[str, ...], body_probability: float) -> Com:
+        if rng.random() < 0.8:
+            # Progress-biased loop: counter climbs to a literal limit, and the
+            # rest of the body avoids touching the counter when it can.
+            counter = rng.choice(variables)
+            others = tuple(v for v in variables if v != counter) or variables
+            limit = rng.randint(*literal_range)
+            extra = block(depth - 1, others, body_probability)
+            step = Assign(counter, Plus(Var(counter), NumLit(rng.randint(1, 2))))
+            return While(ACmp(CmpOp.LT, Var(counter), NumLit(limit)), seq_chain(seq_spine(extra) + [step]))
+        return While(gen_bexp(rng, 2, variables, literal_range), block(depth - 1, variables, body_probability))
 
-
-def _gen_stmt(
-    rng: random.Random,
-    depth: int,
-    variables: tuple[str, ...],
-    literal_range: tuple[int, int],
-    loop_probability: float,
-) -> Com:
-    if depth <= 0:
-        return _gen_assign(rng, 0, variables, literal_range) if rng.random() < 0.8 else Skip()
-    roll = rng.random()
-    if roll < loop_probability:
-        return _gen_loop(rng, depth, variables, literal_range, loop_probability)
-    if roll < loop_probability + 0.2:
-        return If(
-            gen_bexp(rng, 2, variables, literal_range),
-            _gen_block(rng, depth - 1, variables, literal_range, loop_probability),
-            _gen_block(rng, depth - 1, variables, literal_range, loop_probability),
-        )
-    if roll < loop_probability + 0.25:
-        return Skip()
-    return _gen_assign(rng, depth, variables, literal_range)
-
-
-def _gen_loop(
-    rng: random.Random,
-    depth: int,
-    variables: tuple[str, ...],
-    literal_range: tuple[int, int],
-    loop_probability: float,
-) -> Com:
-    if rng.random() < 0.8:
-        # Progress-biased loop: counter climbs to a literal limit, and the
-        # rest of the body avoids touching the counter when it can.
-        counter = rng.choice(variables)
-        others = tuple(v for v in variables if v != counter) or variables
-        limit = rng.randint(*literal_range)
-        extra = _gen_block(rng, depth - 1, others, literal_range, loop_probability / 2)
-        step = Assign(counter, Plus(Var(counter), NumLit(rng.randint(1, 2))))
-        return While(ACmp(CmpOp.LT, Var(counter), NumLit(limit)), seq_chain(seq_spine(extra) + [step]))
-    return While(
-        gen_bexp(rng, 2, variables, literal_range),
-        _gen_block(rng, depth - 1, variables, literal_range, loop_probability / 2),
-    )
+    program = block(cfg.max_depth, cfg.variables(), cfg.loop_probability)
+    # The closures call one another through their cells, a cycle that would
+    # keep them and `rng` alive until the cyclic collector runs.
+    del block
+    return program
 
 
 def gen_state(cfg: GenConfig, rng: random.Random) -> State:

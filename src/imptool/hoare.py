@@ -550,37 +550,22 @@ class _VcCompiler:
         snapshot = f"{SNAPSHOT_PREFIX}{self.loops}"
         self.loops += 1
         cond = _condition(node.cond)
-        inv_vars = frozenset(vars_of(inv))
+        at_head = _returning(inv)
+        inv_vars = at_head[0].fv
         head_vars = inv_vars | vars_of(cond)
-        at_head = _Code([inv], inv_vars, True)
+        body, body_k, preserved = node.body, at_head, f"{label}: invariant preserved"
         if self.mode is Mode.TOTAL:
-            measure_vars = vars_of(measure)
-            decreased = AAnd(inv, ACmp(CmpOp.LT, measure, Var(snapshot)))
-            body_k = (_Code([decreased], inv_vars | measure_vars | {snapshot}, True), None)
-            self.pending.append((
-                f"{label}: invariant preserved and measure decreases",
-                AAnd(inv, cond),
-                head_vars,
-                (self.walk(Seq(Assign(snapshot, measure), node.body), body_k), body_k),
-            ))
-            self.pending.append((
-                f"{label}: measure non-negative",
-                inv,
-                inv_vars,
-                (_Code([ACmp(CmpOp.LE, NumLit(0), measure)], measure_vars, True), None),
-            ))
-        else:
-            body_k = (at_head, None)
-            self.pending.append((
-                f"{label}: invariant preserved",
-                AAnd(inv, cond),
-                head_vars,
-                (self.walk(node.body, body_k), body_k),
-            ))
+            body = Seq(Assign(snapshot, measure), body)
+            body_k = _returning(AAnd(inv, ACmp(CmpOp.LT, measure, Var(snapshot))))
+            preserved += " and measure decreases"
+        self.pending.append((preserved, AAnd(inv, cond), head_vars, (self.walk(body, body_k), body_k)))
+        if self.mode is Mode.TOTAL:
+            nonnegative = _returning(ACmp(CmpOp.LE, NumLit(0), measure))
+            self.pending.append((f"{label}: measure non-negative", inv, inv_vars, nonnegative))
         self.pending.append(
             (f"{label}: exit establishes postcondition", AAnd(inv, ANot(cond)), head_vars, k)
         )
-        return at_head
+        return at_head[0]
 
 
 def wp_loop_free(c: Com, post: Assertion) -> Assertion:

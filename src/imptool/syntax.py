@@ -209,14 +209,7 @@ class State:
         return self._bindings.get(name, 0)
 
     def update(self, name: str, value: int) -> "State":
-        new = dict(self._bindings)
-        if value != 0:
-            new[name] = value
-        else:
-            new.pop(name, None)
-        out = State.__new__(State)
-        out._bindings = new
-        return out
+        return State({**self._bindings, name: value})
 
     def bound_names(self) -> frozenset[str]:
         """Names currently holding a nonzero value."""

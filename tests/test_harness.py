@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -149,6 +150,30 @@ class TestGenerators:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "4c6ee5733f8253679f750dc1895e20a7b3b02515cd4675ae7fa9397e19b04066"
         )
+
+    def test_generated_programs_and_states_are_pinned_off_the_defaults(self):
+        # the text of 500 programs and their initial states at a config whose
+        # every generator parameter differs from the default
+        cfg = GenConfig(max_depth=4, max_vars=6, literal_range=(-2, 3), loop_probability=0.6)
+        lines = []
+        for k in range(500):
+            rng = rng_for(k)
+            lines.append(pretty_com(gen_com(cfg, rng)) + " | " + str(gen_state(cfg, rng)))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "26e285451dd3a6297369927a3c78b5c3633d72b81c1a4af84bf45ef900181cfc"
+        )
+
+    def test_generation_leaves_no_reference_cycles(self):
+        # garbage in a cycle, and the rng it holds, lives until the cyclic
+        # collector runs, which then runs several times as often
+        gc.collect()
+        gc.disable()
+        try:
+            for k in range(20):
+                gen_com(GenConfig(), rng_for(k))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_weakest_preconditions_are_pinned(self):
         # 1000 loop-free programs and postconditions drawn as the hoare suite

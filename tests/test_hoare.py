@@ -701,6 +701,30 @@ class TestCompiledVcs:
                 state = State(zip(vc.variables, values))
                 assert vc.falsified(*values) == (not eval_assertion(formula, state))
 
+    @pytest.mark.parametrize("mode", tuple(Mode))
+    def test_nested_annotated_loops_agree_with_the_tree_vcs(self, mode):
+        # an inner loop's VCs come before its outer loop's, and in total mode
+        # the outer snapshot stays free in the inner loop's exit VC
+        c = parse_annotated_com(
+            "while (0 < x) invariant (0 <= x) measure (x) { y := x; "
+            "while (0 < y) invariant (0 <= y) measure (y) { y := y + -1 }; x := x + -1 }"
+        )
+        pre, post = parse_assertion("0 <= x"), parse_assertion("x = 0")
+        result = vcgen(c, post, mode, pre)
+        precondition, trees = reference_vcs(c, post, mode)
+        assert result.precondition == precondition
+        expected = [(ENTRY_LABEL, AImp(pre, precondition)), *trees]
+        got = [result.entry, *result.conditions]
+        assert [vc.label for vc in got] == [label for label, _ in expected]
+        assert len(got) == (7 if mode is Mode.TOTAL else 5)
+        assert any("__z0" in vc.variables for vc in got) == (mode is Mode.TOTAL)
+        for vc, (_, formula) in zip(got, expected):
+            assert vc.formula == formula
+            assert vc.variables == tuple(sorted(vars_of(formula)))
+            for values in _value_tuples(len(vc.variables), 2):
+                state = State(zip(vc.variables, values))
+                assert vc.falsified(*values) == (not eval_assertion(formula, state))
+
     @given(coms(max_leaves=6, annotated=True), st.integers(0, 2**32 - 1), st.sampled_from(tuple(Mode)))
     @settings(max_examples=30, deadline=None)
     def test_tree_fallback_gives_the_same_report(self, c, seed, mode):
