@@ -9,12 +9,12 @@ place, read through the one `State` that wraps it and is returned.
 A configuration (work list and state) that comes back proves the run never
 ends.  `big_step` looks for one with Brent's cycle-finding algorithm (Brent,
 BIT 20, 1980), sampled each time a `while` condition holds, and then returns
-`FuelExhausted` at once, as the full run would.
+`FuelExhausted` at once, as the full run would, marked `repeated`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .syntax import Assign, Com, If, Seq, Skip, State, While, aval, bval
@@ -28,7 +28,10 @@ class Terminated:
 
 @dataclass(frozen=True, slots=True)
 class FuelExhausted:
-    """Evaluation ran out of fuel before finishing."""
+    """Evaluation ran out of fuel before finishing; `repeated` (not compared)
+    where it came back to a configuration, so no fuel would finish it."""
+
+    repeated: bool = field(default=False, compare=False, repr=False)
 
 
 BigStepOutcome = Union[Terminated, FuelExhausted]
@@ -67,7 +70,7 @@ def big_step(c: Com, s: State, fuel: int) -> BigStepOutcome:
                 todo.append(node)
                 todo.append(node.body)
                 if store == saved_store and todo == saved_todo:
-                    return FuelExhausted()
+                    return FuelExhausted(True)
                 lam += 1
                 if lam == power:
                     saved_store, saved_todo, power, lam = dict(store), todo[:], 2 * power, 0

@@ -7,36 +7,31 @@ There is one command type, `Com`: a `While` node carries its own optional
 invariant and measure, which `vcgen` reads and every semantics ignores.
 
 One backward walk, `_VcCompiler.walk`, turns a command into a short list of
-items per VC, and two back ends read them.  `_render` compiles every VC to
-one Python function whose size is linear in the command's: an assignment
-rebinds a local, and an `if` branches and joins again.  `_tree` builds the
-weakest precondition as an assertion, copying the postcondition into both
-branches of an `if`.  VCs are decided by the compiled functions, not by their
-formulas; the formulas (`wp_loop_free`, the computed precondition, each VC's
+items per VC, and two back ends read them.  `_render` writes every VC as
+Python code whose size is linear in the command's: an assignment rebinds a
+local, and an `if` branches and joins again.  `_tree` builds the weakest
+precondition as an assertion, copying the postcondition into both branches
+of an `if`.  VCs are decided by the generated code, not by their formulas;
+the formulas (`wp_loop_free`, the computed precondition, each VC's
 `formula`) are built only when asked for, as when a report is printed.
 
-A triple is checked by running its command from every enumerated state that
-satisfies the precondition, by one Python function compiled per check that
-counts rules, and so runs out of fuel, exactly as `big_step` does; like
-`big_step`, it stops at once where a loop repeats a state.
-
 Assertions are quantifier-free formulas over program variables, evaluated
-directly on states.  Entailment and triple validity are decided by
+directly on states.  Entailments, VCs and triples are decided by
 exhaustively enumerating states within a bound, so a Valid verdict always
 means valid-within-bound and a counterexample is always a genuine state.
 The bound must be non-negative.
 
-Each check compiles every assertion it evaluates once, into a Python function
-over the enumerated values (Feeley & Lapalme, "Using closures for code
-generation", 1987), and enumerates plain value tuples; a State is built only
-where one is needed.
-
-All generated code passes one gate, `_generated`, which compiles it and
-reports where CPython refuses it: source nested deeper than its compiler
-takes (200 parentheses, 100 indentation levels, 20 nested loops), or a
-literal longer than its int-to-text limit.  There each caller falls back on
-its reference: an assertion is evaluated by `eval_assertion`, the VCs are
-decided on their formulas, and a triple's command is run by `big_step`.
+Each such check is one generated Python function, a search, compiled once
+(Feeley & Lapalme, "Using closures for code generation", 1987): it runs the
+enumeration itself, unpacking each value tuple into locals, and returns the
+first on which the check fails, so it makes no Python call per state.  A
+triple's search runs the command inline, counting rules, running out of fuel
+and finding a repeated configuration just as `big_step` does.  All generated
+code passes one gate, `_generated`, which reports where CPython refuses it:
+source nested deeper than its compiler takes (200 parentheses, 100
+indentation levels, 20 nested loops, the search's own among them), or a
+literal past its int-to-text limit.  There the whole check runs its
+reference, `eval_assertion` and `big_step`.
 """
 
 from __future__ import annotations
@@ -188,20 +183,35 @@ def _enumerated_names(variables: Iterable[str], bound: int) -> Union[list[str], 
     return names
 
 
-def _satisfying(test: Callable[..., bool], arity: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """The value tuples on which `test` holds, in enumeration order."""
-    return itertools.compress(
-        _value_tuples(arity, bound), itertools.starmap(test, _value_tuples(arity, bound))
-    )
+def _verdict(names: list[str], found: Union[tuple[int, ...], int, None]) -> Verdict:
+    """The verdict of a search over the values of `names`: from the first
+    tuple on which its check fails, else the count of runs out of fuel."""
+    if type(found) is tuple:
+        return CounterexampleFound(State(zip(names, found)))
+    return Unknown(f"{found} initial state(s) ran out of fuel") if found else Valid()
 
 
-def _search(falsified: Callable[..., bool], names: list[str], bound: int) -> Verdict:
-    """The first enumerated state of `names` on which `falsified` holds, as a
-    counterexample, or Valid when there is none."""
-    first = next(_satisfying(falsified, len(names), bound), None)
-    if first is not None:
-        return CounterexampleFound(State(zip(names, first)))
-    return Valid()
+def _walked(
+    names: list[str], pre: Assertion, post: Assertion, command: Com = Skip(), fuel: int = 1, total: bool = False
+) -> Callable[[Iterable[tuple[int, ...]]], Union[tuple[int, ...], int, None]]:
+    """The reference search of the triple {pre} command {post}, or with
+    `skip` of an entailment, by `eval_assertion` and `big_step`."""
+
+    def search(states: Iterable[tuple[int, ...]]) -> Union[tuple[int, ...], int, None]:
+        out = 0
+        for values in states:
+            s = State(zip(names, values))
+            if eval_assertion(pre, s):
+                outcome = big_step(command, s, fuel)
+                if type(outcome) is Terminated:
+                    if not eval_assertion(post, outcome.final):
+                        return values
+                elif total and outcome.repeated:
+                    return values
+                else:
+                    out += 1
+        return out
+    return search
 
 
 # --- compiled assertions ---------------------------------------------------------
@@ -278,7 +288,7 @@ def _generated(build: Callable[[], list[str]]) -> Optional[dict[str, object]]:
     refuses by raising SyntaxError (too many nested parentheses, indentation
     levels or statically nested blocks), RecursionError or MemoryError (too
     deep for its compiler or parser), or ValueError (a literal past the
-    int-to-text limit)."""
+    int-to-text limit).  Pop each function out: it and its globals form a cycle."""
     env: dict[str, object] = {"__builtins__": {}}
     try:
         exec(compile("\n".join(build()), "<generated>", "exec"), env)
@@ -287,16 +297,14 @@ def _generated(build: Callable[[], list[str]]) -> Optional[dict[str, object]]:
     return env
 
 
-def _predicate(names: list[str], a: Assertion) -> Callable[..., bool]:
-    """A predicate over the values of `names`, in order, true where `a`
-    holds: compiled once, or walked by `eval_assertion` where CPython refuses
-    to compile it.  Any other variable reads 0."""
-    others = sorted(vars_of(a).difference(names))
-    params = ", ".join([*map(_local, names), *(f"{_local(name)}=0" for name in others)])
-    env = _generated(lambda: [f"def _holds({params}):", f" return {_source(a)}"])
-    if env is None:
-        return lambda *values: eval_assertion(a, State(zip(names, values)))
-    return env["_holds"]
+def _search_lines(signature: str, names: list[str], zeroed: Iterable[str], body: list[str]) -> list[str]:
+    """The search `def signature`, over `_states`: for each tuple `_s` of
+    values of `names`, it sets their locals, and each in `zeroed` to 0, and
+    runs `body`, lines at indent two that return `_s` where the check fails."""
+    head = [f"def {signature}:", " for _s in _states:", f"  [{', '.join(map(_local, names))}] = _s"]
+    if zeroed := sorted(zeroed):
+        head.append(f"  {' = '.join(zeroed)} = 0")
+    return [*head, *body]
 
 
 def entails(p: Assertion, q: Assertion, variables: Iterable[str], bound: int) -> Verdict:
@@ -307,7 +315,12 @@ def entails(p: Assertion, q: Assertion, variables: Iterable[str], bound: int) ->
     on a negative bound.
     """
     names = _enumerated_names(variables, bound)
-    return names if type(names) is Unknown else _search(_predicate(names, AAnd(p, ANot(q))), names, bound)
+    if type(names) is Unknown:
+        return names
+    others = map(_local, (vars_of(p) | vars_of(q)).difference(names))
+    env = _generated(lambda: _search_lines("_entails(_states)", names, others, [f"  if {_source(AAnd(p, ANot(q)))}: return _s"]))
+    search = _walked(names, p, q) if env is None else env.pop("_entails")
+    return _verdict(names, search(_value_tuples(len(names), bound)))
 
 
 # --- verification conditions -------------------------------------------------------------
@@ -345,18 +358,22 @@ ENTRY_LABEL = "entry: precondition establishes computed precondition"
 
 @dataclass(frozen=True, slots=True)
 class VerificationCondition:
-    """One VC: its label, its free variables in enumeration order, and a
-    predicate over their values that holds exactly where the VC fails.
+    """One VC: its label, its free variables in enumeration order, and its
+    search, from tuples of their values to the first on which the VC fails.
     `formula`, the VC as an assertion, is built when read."""
 
     label: str
     variables: tuple[str, ...]
-    falsified: Callable[..., bool]
+    search: Callable[[Iterable[tuple[int, ...]]], Union[tuple[int, ...], int, None]] = field(repr=False, compare=False)
     _formula: Callable[[], Assertion] = field(repr=False, compare=False)
 
     @property
     def formula(self) -> Assertion:
         return self._formula()
+
+    def falsified(self, *values: int) -> bool:
+        """Whether the VC fails where its variables have these values."""
+        return type(self.search([values])) is tuple
 
 
 @dataclass(frozen=True)
@@ -390,17 +407,17 @@ def _loop_annotations(node: While, ordinal: int, mode: Mode) -> tuple[str, Asser
 
 # --- compiled verification conditions ----------------------------------------------------
 #
-# Each VC is compiled to one Python function over the values of its free
-# variables, true where the VC fails:
+# Each VC is compiled to one search over the values of its free variables,
+# whose body, run for each tuple `_s`, reads
 #
-#     def _vc(v_x, v_y):
-#      if not (<premise>): return False
-#      v_y = v_y + 1                 # an assignment rebinds a local
-#      if v_x < 3:                   # an `if` branches and joins again
-#       v_x = v_x + 1
-#      else:
-#       return not (<invariant>)     # a loop ends the walk with its invariant
-#      return not (<postcondition>)
+#     if not (<premise>): continue
+#     v_y = v_y + 1                       # an assignment rebinds a local
+#     if v_x < 3:                         # an `if` branches and joins again
+#      v_x = v_x + 1
+#     else:
+#      if not (<invariant>): return _s    # a loop ends the walk with its invariant
+#      continue
+#     if not (<postcondition>): return _s
 #
 # so the code after an `if` appears once, not once per branch as in the wp
 # tree.  Code is built backwards from the postcondition, in continuation-
@@ -440,23 +457,25 @@ def _items(k: _Cont) -> list:
     return items
 
 
-def _render(items: list, indent: str, lines: list[str]) -> None:
-    """The Python back end: `items` as statements, returning True where the
-    VC fails."""
+def _render(items: list, indent: str, lines: list[str], tail: bool = True) -> None:
+    """The Python back end: `items` as statements in a search, which return
+    `_s` where the VC fails and go on to the next `_s` where it holds."""
     if not items:
         lines.append(f"{indent}pass")
-    for item in items:
+    for i, item in enumerate(items, 1 - len(items)):  # i is 0 at the last item
         t = type(item)
         if t is Assign:
             lines.append(f"{indent}{_local(item.target)} = {_sum_source(item.rhs)}")
         elif t is tuple:
             cond, then_items, else_items = item
             lines.append(f"{indent}if {_source(cond)}:")
-            _render(then_items, indent + " ", lines)
+            _render(then_items, indent + " ", lines, tail and not i)
             lines.append(f"{indent}else:")
-            _render(else_items, indent + " ", lines)
+            _render(else_items, indent + " ", lines, tail and not i)
         else:
-            lines.append(f"{indent}return not ({_source(item)})")
+            lines.append(f"{indent}if not ({_source(item)}): return _s")
+            if not tail:
+                lines.append(f"{indent}continue")
 
 
 def _tree(items: list, post: Optional[Assertion] = None) -> Assertion:
@@ -480,17 +499,17 @@ def _compiled(
     specs: list[tuple[str, Assertion, frozenset[str], _Cont]], wp: Callable[[_Cont], Assertion]
 ) -> tuple[VerificationCondition, ...]:
     """VCs given as (label, premise, its variables, continuation k), each the
-    VC `premise -> wp(k)`, compiled together: one compile costs less than one
-    per VC.  Each formula is built when read, or at once where CPython
-    refuses the source and the VC is decided on it."""
+    VC `premise -> wp(k)`, their searches compiled together: one compile
+    costs less than one per VC.  Each formula is built when read, or at once
+    where CPython refuses the source and the VC is decided on it."""
     variables = [sorted(premise_vars | k[0].fv) for _, _, premise_vars, k in specs]
 
     def source() -> list[str]:
         lines: list[str] = []
         for i, ((_, premise, _, k), names) in enumerate(zip(specs, variables)):
-            lines.append(f"def _vc{i}({', '.join(map(_local, names))}):")
-            lines.append(f" if not ({_source(premise)}): return False")
-            _render(_items(k), " ", lines)
+            body = [f"  if not ({_source(premise)}): continue"]
+            _render(_items(k), "  ", body)
+            lines += _search_lines(f"_vc{i}(_states)", names, (), body)
         return lines
 
     env = _generated(source)
@@ -498,10 +517,10 @@ def _compiled(
     for i, ((label, premise, _, k), names) in enumerate(zip(specs, variables)):
         if env is None:
             formula = AImp(premise, wp(k))
-            falsified, read = _predicate(names, ANot(formula)), lambda f=formula: f
+            search, read = _walked(names, ATrue(), formula), lambda f=formula: f
         else:
-            falsified, read = env[f"_vc{i}"], lambda p=premise, k=k: AImp(p, wp(k))
-        conditions.append(VerificationCondition(label, tuple(names), falsified, read))
+            search, read = env.pop(f"_vc{i}"), lambda p=premise, k=k: AImp(p, wp(k))
+        conditions.append(VerificationCondition(label, tuple(names), search, read))
     return tuple(conditions)
 
 
@@ -602,32 +621,30 @@ def vcgen(c: Com, post: Assertion, mode: Mode, pre: Optional[Assertion] = None) 
 
 # --- semantic triple checking ---------------------------------------------------------------
 #
-# A triple's command is compiled to one Python function.  Its local `n`
-# counts the rules `big_step` applies, one per node visited, with the counts
-# of straight-line code folded into constants.  A loop becomes `while True:`
-# that breaks where its test fails; each iteration adds the body's rules and
-# the next test to `n`, and returns None once `n` exceeds the fuel, as the
-# function does at its end.  Loop `i` also keeps one saved state, the locals
-# `s<i>_<name>`: a back edge where `n` has reached `t<i>` saves the state and
-# sets `t<i>` to `2 * n` (Brent, "An improved Monte Carlo factorization
-# algorithm", BIT 1980).  A back edge that finds the saved state again has
-# repeated a configuration, so the run never ends: it returns None at once,
-# as `big_step` returns FuelExhausted.
+# A triple's search runs its command inline.  Its local `n` counts the rules
+# `big_step` applies, with the counts of straight-line code folded into
+# constants, and is exact at each loop test.  Where a test holds, the run
+# takes `big_step`'s own steps: it stops if n > fuel, stops with a repeat if
+# the configuration is the one saved (`p`, the loop head numbered by the
+# work list `big_step` holds there, and the locals `s_<name>`), and saves the
+# configuration at the 1st, 3rd, 7th, ... such event, counted in `e` (Brent,
+# "An improved Monte Carlo factorization algorithm", BIT 1980).  A repeat in
+# partial mode, like spent fuel, leaves n past the fuel, so every later loop
+# test breaks its loop at once, and the run is counted in `_out`.
 
 
-def _triple_run(command: Com, names: list[str], out_names: list[str], fuel: int) -> Callable[..., Optional[tuple]]:
-    """A function from the values of `names` to the final values of
-    `out_names`, None where the fuel runs out or a loop repeats a state:
-    `command` compiled, or run by `big_step` where CPython refuses to
-    compile it."""
-    lines = [f"def _run({', '.join(map(_local, names))}):", " n = 0"]
-    # Only the command's variables change, so they alone tell states apart.
-    changing = sorted(vars_of(command))
-    lines += [f" {_local(name)} = 0" for name in sorted(set(changing + out_names) - set(names))]
-    loops = itertools.count()
+def _run_lines(command: Com, changing: list[str], fuel: int, total: bool) -> list[str]:
+    """The run of `command` as lines at indent two of a triple's search.
+    Only the variables in `changing` tell configurations apart."""
+    lines: list[str] = []
+    heads: list[tuple[Com, ...]] = []
+    repeated = "return _s" if total else f"n = {fuel + 1}; break"
+    same = "".join(f" and {_local(name)} == s_{name}" for name in changing)
+    save = "".join(f"s_{name} = {_local(name)}; " for name in changing)
 
-    def block(c: Com, depth: int, pending: int) -> int:
-        """Append the code of `c`; return the rules counted since the last `n +=`."""
+    def block(c: Com, depth: int, pending: int, outer: tuple[Com, ...]) -> int:
+        """Append the code of `c`, run on `big_step`'s work list `outer`;
+        return the rules counted since the last `n +=`."""
         indent = " " * depth
         todo = [c]
         while todo:
@@ -639,41 +656,29 @@ def _triple_run(command: Com, names: list[str], out_names: list[str], fuel: int)
             elif t is Assign:
                 lines.append(f"{indent}{_local(node.target)} = {_sum_source(node.rhs)}")
             elif t is If:
+                below = (*outer, *todo)
                 lines.append(f"{indent}if {_source(_condition(node.cond))}:")
-                lines.append(f"{indent} n += {block(node.then_branch, depth + 1, pending)}")
+                lines.append(f"{indent} n += {block(node.then_branch, depth + 1, pending, below)}")
                 lines.append(f"{indent}else:")
-                lines.append(f"{indent} n += {block(node.else_branch, depth + 1, pending)}")
+                lines.append(f"{indent} n += {block(node.else_branch, depth + 1, pending, below)}")
                 pending = 0
             elif t is While:
-                i = next(loops)
-                saved = [(f"s{i}_{name}", _local(name)) for name in changing]
-                lines.append(f"{indent}n += {pending}")
-                lines.append(f"{indent}while True:")
-                lines.append(f"{indent} if not ({_source(_condition(node.cond))}): break")
-                lines.append(f"{indent} n += {block(node.body, depth + 1, 1)}")
-                lines.append(f"{indent} if n > {fuel}: return None")
-                lines.append(f"{indent} if {' and '.join([f't{i}', *(f'{v} == {s}' for s, v in saved)])}: return None")
-                lines.append(f"{indent} if n >= t{i}: {''.join(f'{s} = {v}; ' for s, v in saved)}t{i} = 2 * n")
+                below = (*outer, *todo, node)
+                if below not in heads:
+                    heads.append(below)
+                k = heads.index(below) + 1
+                lines.extend([f"{indent}n += {pending}", f"{indent}while {_source(_condition(node.cond))}:"])
+                lines.extend([f"{indent} if n > {fuel}: break", f"{indent} if p == {k}{same}: {repeated}"])
+                lines.extend([f"{indent} e += 1", f"{indent} if e > t: p = {k}; {save}t = 2 * e"])
+                lines.append(f"{indent} n += {block(node.body, depth + 1, 0, below) + 1}")
                 pending = 0
             elif t is not Skip:
                 raise TypeError(f"not a command: {node!r}")
         return pending
 
-    def source() -> list[str]:
-        lines.append(f" n += {block(command, 1, 0)}")
-        lines.append(f" if n > {fuel}: return None")
-        lines.append(f" return ({''.join(_local(name) + ', ' for name in out_names)})")
-        lines[2:2] = [f" t{i} = 0" for i in range(next(loops))]  # next(loops) is the loop count
-        return lines
-
-    env = _generated(source)
-    if env is not None:
-        return env["_run"]
-
-    def run(*values: int) -> Optional[tuple[int, ...]]:
-        outcome = big_step(command, State(zip(names, values)), fuel)
-        return tuple(map(outcome.final.read, out_names)) if type(outcome) is Terminated else None
-    return run
+    lines.append(f"  n += {block(command, 2, 0, ())}")
+    del block  # it calls itself through its cell: a reference cycle
+    return lines
 
 
 def check_triple(
@@ -685,31 +690,30 @@ def check_triple(
     fuel: int,
     mode: Mode = Mode.PARTIAL,
 ) -> Verdict:
-    """Check a triple semantically by running the command, compiled once to
-    count fuel exactly as `big_step` does, from every enumerated initial
-    state satisfying the precondition.
+    """Check a triple semantically by running the command, counting fuel as
+    `big_step` does, from every enumerated state satisfying the precondition.
 
-    In partial mode fuel exhaustion is never a counterexample, only tallied;
-    in total mode termination within fuel is part of the claim.  Raises
+    A run ending outside the postcondition is a counterexample, and so in
+    total mode is one that repeats a configuration.  A run that otherwise
+    spends its fuel is tallied, and then the verdict is Unknown.  Raises
     ValueError on a negative bound.
     """
     names = _enumerated_names(variables, bound)
     if type(names) is Unknown:
         return names
-    pre_holds = _predicate(names, pre_assertion)
-    post_names = sorted(vars_of(post_assertion))
-    post_holds = _predicate(post_names, post_assertion)
-    run = _triple_run(command, names, post_names, fuel)
-    exhausted = 0
-    for values in _satisfying(pre_holds, len(names), bound):
-        final = run(*values)
-        if final is None and mode is Mode.PARTIAL:
-            exhausted += 1
-        elif final is None or not post_holds(*final):
-            return CounterexampleFound(State(zip(names, values)))
-    if exhausted:
-        return Unknown(f"{exhausted} initial state(s) ran out of fuel")
-    return Valid()
+    changing = sorted(vars_of(command))
+    read = vars_of(pre_assertion) | vars_of(post_assertion) | set(changing)
+
+    def source() -> list[str]:
+        run = _run_lines(command, changing, fuel, mode is Mode.TOTAL)
+        body = [f"  if not ({_source(pre_assertion)}): continue", *run, f"  if n > {fuel}: _out += 1; continue"]
+        body.append(f"  if not ({_source(post_assertion)}): return _s")
+        zeroed = [*map(_local, read.difference(names)), "n", "e", "t", "p"]
+        return [*_search_lines("_triple(_states, _out=0)", names, zeroed, body), " return _out"]
+
+    env = _generated(source)
+    search = _walked(names, pre_assertion, post_assertion, command, fuel, mode is Mode.TOTAL) if env is None else env.pop("_triple")
+    return _verdict(names, search(_value_tuples(len(names), bound)))
 
 
 # --- verification reports ---------------------------------------------------------------------
@@ -776,7 +780,7 @@ def _verdict_json(v: Verdict) -> dict:
 def _decide(vc: VerificationCondition, bound: int) -> Verdict:
     """Validity of a VC over its enumerated states."""
     names = _enumerated_names(vc.variables, bound)
-    return names if type(names) is Unknown else _search(vc.falsified, names, bound)
+    return names if type(names) is Unknown else _verdict(names, vc.search(_value_tuples(len(names), bound)))
 
 
 def verify(
@@ -787,8 +791,8 @@ def verify(
     fuel: int,
     mode: Mode,
 ) -> VerificationReport:
-    """Full pipeline: VCs via vcgen, each decided by its compiled predicate
-    over its own variables, plus a semantic check of the whole triple.
+    """Full pipeline: VCs via vcgen, each decided by its search over its own
+    variables, plus a semantic check of the whole triple.
 
     The first report entry checks that the stated precondition establishes
     the computed one; snapshot variables are enumerated where they occur.  A

@@ -131,7 +131,9 @@ def enumerate_states(variables, bound):
 
 def reference_check_triple(pre, command, post, variables, bound, fuel, mode):
     """`hoare.check_triple` by `big_step` and `eval_assertion` from every
-    enumerated state: the definition the compiled runs must match."""
+    enumerated state: the definition the compiled runs must match.  In total
+    mode a run that repeats a configuration is a counterexample; one that
+    otherwise spends its fuel is counted, as in partial mode."""
     exhausted = 0
     for s in enumerate_states(variables, bound):
         if not eval_assertion(pre, s):
@@ -140,7 +142,7 @@ def reference_check_triple(pre, command, post, variables, bound, fuel, mode):
         if type(outcome) is Terminated:
             if not eval_assertion(post, outcome.final):
                 return CounterexampleFound(s)
-        elif mode is Mode.TOTAL:
+        elif mode is Mode.TOTAL and outcome.repeated:
             return CounterexampleFound(s)
         else:
             exhausted += 1

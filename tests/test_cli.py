@@ -291,6 +291,24 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "counterexample" in out
 
+    def test_fuel_running_out_is_unknown_in_total_mode(self, write, capsys):
+        # every run from the box ends in x = 0, after 10,003 rules: past the
+        # default fuel, which is no evidence against the triple
+        path = write("long.imp", "x := 5000; " + COUNTDOWN_ANN)
+        args = ["verify", path, "--total", "--pre", "true", "--post", "x = 0", "--bound", "2"]
+        assert main(args) == EXIT_UNKNOWN
+        out = capsys.readouterr().out
+        assert out.endswith("triple: unknown\n  detail: 5 initial state(s) ran out of fuel\n")
+        assert "counterexample" not in out
+        assert main([*args, "--fuel", "20000"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("triple: valid\n")
+
+    def test_a_repeated_state_stays_a_counterexample_in_total_mode(self, write, capsys):
+        # a run that comes back to a state at a loop head never ends
+        path = write("loop.imp", "while (0 < 1) invariant (true) measure (1) { x := x }")
+        assert main(["verify", path, "--total", "--bound", "1", "--fuel", "100000000"]) == EXIT_COUNTEREXAMPLE
+        assert capsys.readouterr().out.endswith("triple: counterexample\n  counterexample: x=-1\n")
+
     def test_oversized_state_space_is_unknown(self, write, capsys):
         path = write("wide.imp", "skip")
         pre = "a + b + c + d + e + f + g < 1"

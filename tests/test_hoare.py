@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import sys
@@ -47,7 +48,6 @@ from imptool.hoare import (
     verify,
     wp_loop_free,
     _enumerated_names,
-    _predicate,
     _value_tuples,
 )
 from imptool.harness import gen_assertion
@@ -225,6 +225,14 @@ WIDE = balanced_conjunction(
 )
 
 
+def point(ordered, values):
+    """The assertion that holds exactly where each name has its value."""
+    return reduce(AAnd, [ACmp(CmpOp.EQ, Var(name), NumLit(v)) for name, v in zip(ordered, values)], ATrue())
+
+
+RAN_OUT = Unknown("1 initial state(s) ran out of fuel")
+
+
 def refuse_to_compile(mp):
     """Make CPython refuse all generated code: the one switch that sends every
     caller of the gate to its fallback.  Returns the callers refused, by name."""
@@ -251,13 +259,15 @@ def refusals(monkeypatch):
 class TestCompiledPredicate:
     @given(assertions(12), st.sets(names), st.data())
     def test_agrees_with_eval_assertion(self, a, listed, data):
-        # names outside `listed` read 0 on both sides
+        # names outside `listed` read 0 on both sides; a point precondition
+        # leaves the search one state, a counterexample exactly where `a` fails
         ordered = sorted(listed)
         values = data.draw(st.tuples(*[st.integers(-7, 7) for _ in ordered]))
-        expected = eval_assertion(a, State(zip(ordered, values)))
+        state = State(zip(ordered, values))
+        expected = Valid() if eval_assertion(a, state) else CounterexampleFound(state)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hoare, "eval_assertion", None)  # the predicate must be the compiled one
-            assert _predicate(ordered, a)(*values) == expected
+            mp.setattr(hoare, "eval_assertion", None)  # the search must be the compiled one
+            assert entails(point(ordered, values), a, listed, max(map(abs, values), default=0)) == expected
 
     @given(assertions(6), assertions(6), st.sets(names), st.integers(0, 2))
     @settings(max_examples=60)
@@ -271,15 +281,15 @@ class TestCompiledPredicate:
             refuse_to_compile(mp)
             assert entails(p, q, listed, bound) == reference_entails(p, q, listed, bound)
 
-    def test_mixed_compiled_premise_and_walked_conclusion(self, refusals):
-        # check_triple compiles its precondition and its run, and walks the
-        # postcondition CPython refuses; entails walks the whole refused check
+    def test_a_refused_postcondition_sends_the_whole_check_to_its_reference(self, refusals):
+        # CPython refuses the postcondition, so check_triple and entails each
+        # run their whole check by eval_assertion (and big_step)
         listed = {"x", "y"}
         for post in (DEEPER, ANot(DEEPER)):
             expected = reference_check_triple(X_LT_0, Skip(), post, listed, 3, 10, Mode.PARTIAL)
             assert check_triple(X_LT_0, Skip(), post, listed, 3, 10) == expected
             assert entails(X_LT_0, post, listed, 3) == reference_entails(X_LT_0, post, listed, 3)
-        assert refusals == ["_predicate"] * 4
+        assert refusals == ["check_triple", "entails"] * 2
 
     def test_literals_must_be_plain_ints(self, refusals):
         # a bool is an int to Python: folded into a sum's constant, it reads as 1
@@ -476,27 +486,43 @@ def nested_whiles(depth):
     return c
 
 
+LOOPS = [
+    "while (0 < 1) { x := x }",
+    "while (x < 3) { x := x + 1 }; while (0 < 1) { y := y + 1; if (2 < y) { y := 0 } else { skip } }",
+    "while (0 < 1) { y := 0; while (y < 3) { y := y + 1 } }",
+    "while (0 < x) { y := x; while (0 < y) { y := y + -1 }; x := x + -1 }",
+    "while (x < 3) { x := x + 1; y := 0; while (y < 1) { y := y + 1 } }",
+    "x := 0; while (x < 2) { x := x + 1 }; x := 0; while (x < 2) { x := x + 1 }",
+]
+
+
 class TestCompiledRun:
-    """The compiled run of `check_triple` against `big_step`, the reference."""
+    """The run inside `check_triple`'s search against `big_step`, the
+    reference: a point precondition starts it from one state, and a
+    postcondition that pins every final value holds only where it ends in
+    `big_step`'s final state."""
 
     @given(coms(max_leaves=12), st.sets(names), st.data(), st.integers(0, 60))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_big_step(self, c, listed, data, fuel):
         ordered, out = sorted(listed), ["w", "x", "y", "z"]
         values = data.draw(st.tuples(*[st.integers(-6, 6) for _ in ordered]))
-        state = State(zip(ordered, values))
+        state, pre, bound = State(zip(ordered, values)), point(ordered, values), max(map(abs, values), default=0)
         outcome = big_step(c, state, fuel)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hoare, "big_step", None)  # the run must be the compiled one
-            got = hoare._triple_run(c, ordered, out, fuel)(*values)
-            if type(outcome) is not Terminated:
-                assert got is None
-                return
-            assert got == tuple(map(outcome.final.read, out))
-            # the run terminates with exactly `rules_applied` fuel, not one less
-            rules = outcome.rules_applied
-            assert hoare._triple_run(c, ordered, out, rules)(*values) == got
-            assert hoare._triple_run(c, ordered, out, rules - 1)(*values) is None
+            for mode in Mode:
+                if type(outcome) is not Terminated:
+                    # a repeat proves that the run never ends
+                    expected = CounterexampleFound(state) if mode is Mode.TOTAL and outcome.repeated else RAN_OUT
+                    assert check_triple(pre, c, ATrue(), listed, bound, fuel, mode) == expected
+                    continue
+                final = point(out, map(outcome.final.read, out))
+                assert check_triple(pre, c, final, listed, bound, fuel, mode) == Valid()
+                # the run terminates with exactly `rules_applied` fuel, not one less
+                rules = outcome.rules_applied
+                assert check_triple(pre, c, final, listed, bound, rules, mode) == Valid()
+                assert check_triple(pre, c, final, listed, bound, rules - 1, mode) == RAN_OUT
 
     @pytest.mark.parametrize(
         "text",
@@ -509,35 +535,53 @@ class TestCompiledRun:
     def test_exact_fuel_where_loops_exit(self, text):
         c = parse_com(text)
         for x in range(-1, 4):
-            rules = big_step(c, State.of(x=x), 10_000).rules_applied
-            assert hoare._triple_run(c, ["x"], ["x", "y"], rules)(x) is not None
-            assert hoare._triple_run(c, ["x"], ["x", "y"], rules - 1)(x) is None
+            outcome = big_step(c, State.of(x=x), 10_000)
+            final, rules = point(["x", "y"], map(outcome.final.read, ["x", "y"])), outcome.rules_applied
+            assert check_triple(point(["x"], [x]), c, final, {"x"}, 3, rules) == Valid()
+            assert check_triple(point(["x"], [x]), c, final, {"x"}, 3, rules - 1) == RAN_OUT
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "while (0 < 1) { x := x }",
-            "while (x < 3) { x := x + 1 }; while (0 < 1) { y := y + 1; if (2 < y) { y := 0 } else { skip } }",
-            "while (0 < 1) { y := 0; while (y < 3) { y := y + 1 } }",
-            "while (0 < x) { y := x; while (0 < y) { y := y + -1 }; x := x + -1 }",
-            "while (x < 3) { x := x + 1; y := 0; while (y < 1) { y := y + 1 } }",
-            "x := 0; while (x < 2) { x := x + 1 }; x := 0; while (x < 2) { x := x + 1 }",
-        ],
-    )
+    @pytest.mark.parametrize("text", LOOPS)
+    def test_agrees_with_big_step_at_every_small_fuel(self, text):
+        # a repeat and spent fuel are told apart where big_step tells them
+        # apart, one rule before and after the fuel runs out too
+        c = parse_com(text)
+        for fuel in range(80):
+            for mode in Mode:
+                expected = reference_check_triple(ATrue(), c, ATrue(), {"x", "y"}, 1, fuel, mode)
+                assert check_triple(ATrue(), c, ATrue(), {"x", "y"}, 1, fuel, mode) == expected
+
+    @pytest.mark.parametrize("text", LOOPS)
     def test_agrees_with_big_step_at_a_large_fuel(self, text):
         # A run that repeats a state must stop there, not spend 10**9 rules;
         # one that ends must not be taken for a repeat.  The last two reach,
-        # at one loop's back edge, a state that another loop saved: each loop
-        # keeps its own.
+        # at one loop's head, a state saved at another loop's head, which is
+        # not a repeat.
         c, fuel = parse_com(text), 10**9
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hoare, "big_step", None)  # the run must be the compiled one
-            run = hoare._triple_run(c, ["x", "y"], ["x", "y"], fuel)
             for x in range(-3, 4):
                 for y in range(-3, 4):
                     outcome = big_step(c, State.of(x=x, y=y), fuel)
-                    expected = (outcome.final.read("x"), outcome.final.read("y")) if type(outcome) is Terminated else None
-                    assert run(x, y) == expected
+                    for mode in Mode:
+                        if type(outcome) is Terminated:
+                            post, expected = point(["x", "y"], map(outcome.final.read, ["x", "y"])), Valid()
+                        else:
+                            assert outcome.repeated
+                            post = ATrue()
+                            expected = CounterexampleFound(State.of(x=x, y=y)) if mode is Mode.TOTAL else RAN_OUT
+                        assert check_triple(point(["x", "y"], [x, y]), c, post, {"x", "y"}, 3, fuel, mode) == expected
+
+    def test_equal_loops_under_equal_work_lists_are_one_loop_head(self, refusals):
+        # big_step compares work lists, not positions: the loops in the two
+        # branches are equal, and so is the work list under each, so a state
+        # saved at one is a repeat at the other
+        w = "while (y < 2) { y := y + 1 }"
+        c = parse_com(f"while (0 < 1) {{ if (x < 1) {{ x := 1; y := 0; {w} }} else {{ x := 1; y := 0; {w} }} }}")
+        for fuel in range(40):
+            expected = reference_check_triple(ATrue(), c, ATrue(), {"x", "y"}, 1, fuel, Mode.TOTAL)
+            assert check_triple(ATrue(), c, ATrue(), {"x", "y"}, 1, fuel, Mode.TOTAL) == expected
+        assert expected == CounterexampleFound(State.of(x=-1, y=-1))
+        assert not refusals
 
     @given(coms(max_leaves=8), assertions(4), assertions(4), st.sets(names, max_size=3), st.data())
     @settings(max_examples=150, deadline=None)
@@ -550,12 +594,13 @@ class TestCompiledRun:
     @pytest.mark.parametrize(
         "command, compiled",
         [
-            (nested_whiles(20), True),
+            (nested_whiles(19), True),
+            (nested_whiles(20), False),
             (nested_whiles(21), False),
             (reduce(lambda c, _: If(ACmp(CmpOp.LT, Var("x"), NumLit(2)), c, Skip()), range(20), Assign("y", NumLit(1))), True),
             (reduce(lambda c, _: If(ACmp(CmpOp.LT, Var("x"), NumLit(2)), c, Skip()), range(120), Assign("y", NumLit(1))), False),
         ],
-        ids=["20-whiles", "21-whiles", "20-ifs", "120-ifs"],
+        ids=["19-whiles", "20-whiles", "21-whiles", "20-ifs", "120-ifs"],
     )
     def test_too_deep_to_compile_runs_by_big_step(self, monkeypatch, command, compiled):
         calls = []
@@ -659,6 +704,7 @@ class TestVacuousTriple:
 
 
 VC_BOUND = 1
+VACUOUS = Unknown("precondition holds on no enumerated state")
 
 
 def random_pre_post(seed):
@@ -741,8 +787,48 @@ class TestCompiledVcs:
         with pytest.MonkeyPatch.context() as mp:
             refused = refuse_to_compile(mp)
             assert verdicts() == compiled
-        # VCs decided on their formulas, every assertion walked, the triple run by big_step
-        assert type(compiled) is str or refused == {"_compiled", "_predicate", "_triple_run"}
+        if type(compiled) is str:
+            return
+        # VCs decided on their formulas and the triple run by big_step; where
+        # the triple holds, and the precondition fails on the zero state,
+        # entails also looks for a state that satisfies the precondition
+        looked = compiled[1] in (Valid(), VACUOUS) and not eval_assertion(pre, State())
+        assert refused == {"_compiled", "check_triple", *(["entails"] if looked else [])}
+
+    @given(coms(max_leaves=6, annotated=True), st.integers(0, 2**32 - 1), st.sampled_from(tuple(Mode)))
+    @settings(max_examples=50, deadline=None)
+    def test_vc_verdicts_are_the_first_state_that_falsifies_the_formula(self, c, seed, mode):
+        pre, post = random_pre_post(seed)
+        for refused in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                if refused:
+                    refuse_to_compile(mp)
+                try:
+                    report = verify(c, pre, post, VC_BOUND, 200, mode)
+                except MissingAnnotationError:
+                    return
+            for entry in report.vcs:
+                ordered, formula = entry.condition.variables, entry.formula
+                first = next(
+                    (v for v in _value_tuples(len(ordered), VC_BOUND) if not eval_assertion(formula, State(zip(ordered, v)))),
+                    None,
+                )
+                assert entry.verdict == (Valid() if first is None else CounterexampleFound(State(zip(ordered, first))))
+
+    def test_checks_leave_no_reference_cycles(self):
+        # garbage in a cycle lives until the cyclic collector runs
+        c, pre, post = parse_annotated_com(COUNTDOWN_ANN), parse_assertion("0 <= x"), parse_assertion("x = 0")
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                check_triple(pre, c, post, {"x"}, 3, 1_000)
+            assert gc.collect() == 0
+            for _ in range(100):
+                verify(c, pre, post, 3, 1_000, Mode.TOTAL)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_deciding_builds_no_formula(self, monkeypatch):
         def refuse(*args):
