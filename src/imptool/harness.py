@@ -2,7 +2,9 @@
 
 Each case derives its own seed from the base seed with a SplitMix64-style
 mix, then drives a dedicated Mersenne Twister instance, so suites are pure
-functions of (cases, config): same inputs, byte-identical reports.
+functions of (cases, config): same inputs, byte-identical reports.  Integer
+draws call `getrandbits` as `Random.randint` and `choice` do (`_below`), so
+the streams are theirs, the same on CPython 3.10 to 3.13.
 
 Generated loops are biased toward progress (the loop-condition variable gets
 incremented toward its limit) so that most loopy programs terminate within
@@ -42,6 +44,7 @@ from .syntax import (
     If,
     NumLit,
     Plus,
+    Shared,
     Skip,
     State,
     Var,
@@ -138,18 +141,32 @@ def case_seed(base: int, index: int) -> int:
 # --- generators ---------------------------------------------------------------
 
 
-def gen_aexp(rng: random.Random, depth: int, variables: tuple[str, ...], literal_range: tuple[int, int]) -> "Plus | NumLit | Var":
+def _below(rng: random.Random, n: int) -> int:
+    """`Random._randbelow(n)`, n >= 1: `lo + _below(rng, hi - lo + 1)` draws as
+    `rng.randint(lo, hi)` does, and `s[_below(rng, len(s))]` as `rng.choice(s)`."""
+    k = n.bit_length()
+    while (r := rng.getrandbits(k)) >= n:
+        pass
+    return r
+
+
+def gen_aexp(
+    rng: random.Random, depth: int, variables: tuple[str, ...], literal_range: tuple[int, int], leaves: Shared | None = None
+) -> "Plus | NumLit | Var":
+    leaves = Shared() if leaves is None else leaves
     if depth <= 0 or rng.random() < 0.4:
         if rng.random() < 0.5:
-            return NumLit(rng.randint(*literal_range))
-        return Var(rng.choice(variables))
+            return leaves[NumLit, literal_range[0] + _below(rng, literal_range[1] - literal_range[0] + 1)]
+        return leaves[Var, variables[_below(rng, len(variables))]]
     return Plus(
-        gen_aexp(rng, depth - 1, variables, literal_range),
-        gen_aexp(rng, depth - 1, variables, literal_range),
+        gen_aexp(rng, depth - 1, variables, literal_range, leaves),
+        gen_aexp(rng, depth - 1, variables, literal_range, leaves),
     )
 
 
-def gen_bexp(rng: random.Random, depth: int, variables: tuple[str, ...], literal_range: tuple[int, int]) -> Assertion:
+def gen_bexp(
+    rng: random.Random, depth: int, variables: tuple[str, ...], literal_range: tuple[int, int], leaves: Shared | None = None
+) -> Assertion:
     """A random condition: an assertion built from true, false, !, && and <."""
     roll = rng.random()
     if depth <= 0 or roll < 0.5:
@@ -157,28 +174,29 @@ def gen_bexp(rng: random.Random, depth: int, variables: tuple[str, ...], literal
             return ATrue() if rng.random() < 0.5 else AFalse()
         return ACmp(
             CmpOp.LT,
-            gen_aexp(rng, min(depth, 1), variables, literal_range),
-            gen_aexp(rng, min(depth, 1), variables, literal_range),
+            gen_aexp(rng, min(depth, 1), variables, literal_range, leaves),
+            gen_aexp(rng, min(depth, 1), variables, literal_range, leaves),
         )
     if roll < 0.65:
-        return ANot(gen_bexp(rng, depth - 1, variables, literal_range))
+        return ANot(gen_bexp(rng, depth - 1, variables, literal_range, leaves))
     return AAnd(
-        gen_bexp(rng, depth - 1, variables, literal_range),
-        gen_bexp(rng, depth - 1, variables, literal_range),
+        gen_bexp(rng, depth - 1, variables, literal_range, leaves),
+        gen_bexp(rng, depth - 1, variables, literal_range, leaves),
     )
 
 
 def gen_com(cfg: GenConfig, rng: random.Random) -> Com:
     """A random command.  Sequences are always right-nested, matching the
     concrete syntax, so generated programs round-trip through the printer."""
-    literal_range = cfg.literal_range
+    literal_range = lo, hi = cfg.literal_range
+    leaves = Shared()
 
     def block(depth: int, variables: tuple[str, ...], loop_probability: float) -> Com:
-        count = rng.randint(1, 3) if depth > 0 else 1
+        count = 1 + _below(rng, 3) if depth > 0 else 1
         return seq_chain([stmt(depth, variables, loop_probability) for _ in range(count)])
 
     def assign(depth: int, variables: tuple[str, ...]) -> Com:
-        return Assign(rng.choice(variables), gen_aexp(rng, min(depth, 2), variables, literal_range))
+        return Assign(variables[_below(rng, len(variables))], gen_aexp(rng, min(depth, 2), variables, literal_range, leaves))
 
     def stmt(depth: int, variables: tuple[str, ...], loop_probability: float) -> Com:
         if depth <= 0:
@@ -188,7 +206,7 @@ def gen_com(cfg: GenConfig, rng: random.Random) -> Com:
             return loop(depth, variables, loop_probability / 2)
         if roll < loop_probability + 0.2:
             return If(
-                gen_bexp(rng, 2, variables, literal_range),
+                gen_bexp(rng, 2, variables, literal_range, leaves),
                 block(depth - 1, variables, loop_probability),
                 block(depth - 1, variables, loop_probability),
             )
@@ -200,13 +218,13 @@ def gen_com(cfg: GenConfig, rng: random.Random) -> Com:
         if rng.random() < 0.8:
             # Progress-biased loop: counter climbs to a literal limit, and the
             # rest of the body avoids touching the counter when it can.
-            counter = rng.choice(variables)
+            counter = variables[_below(rng, len(variables))]
             others = tuple(v for v in variables if v != counter) or variables
-            limit = rng.randint(*literal_range)
+            limit = leaves[NumLit, lo + _below(rng, hi - lo + 1)]
             extra = block(depth - 1, others, body_probability)
-            step = Assign(counter, Plus(Var(counter), NumLit(rng.randint(1, 2))))
-            return While(ACmp(CmpOp.LT, Var(counter), NumLit(limit)), seq_chain(seq_spine(extra) + [step]))
-        return While(gen_bexp(rng, 2, variables, literal_range), block(depth - 1, variables, body_probability))
+            step = Assign(counter, Plus(leaves[Var, counter], leaves[NumLit, 1 + _below(rng, 2)]))
+            return While(ACmp(CmpOp.LT, leaves[Var, counter], limit), seq_chain(seq_spine(extra) + [step]))
+        return While(gen_bexp(rng, 2, variables, literal_range, leaves), block(depth - 1, variables, body_probability))
 
     program = block(cfg.max_depth, cfg.variables(), cfg.loop_probability)
     # The closures call one another through their cells, a cycle that would
@@ -216,27 +234,18 @@ def gen_com(cfg: GenConfig, rng: random.Random) -> Com:
 
 
 def gen_state(cfg: GenConfig, rng: random.Random) -> State:
-    pairs = []
-    for name in cfg.variables():
-        if rng.random() < 0.7:
-            pairs.append((name, rng.randint(*cfg.literal_range)))
-    return State(pairs)
+    lo, hi = cfg.literal_range
+    return State([(name, lo + _below(rng, hi - lo + 1)) for name in cfg.variables() if rng.random() < 0.7])
 
 
-def gen_assertion(
-    rng: random.Random,
-    depth: int,
-    variables: tuple[str, ...],
-    literal_range: tuple[int, int],
-) -> Assertion:
+def gen_assertion(rng: random.Random, depth: int, variables: tuple[str, ...], literal_range: tuple[int, int]) -> Assertion:
     roll = rng.random()
     if depth <= 0 or roll < 0.45:
         inner = rng.random()
         if inner < 0.1:
             return ATrue() if rng.random() < 0.5 else AFalse()
-        op = rng.choice((CmpOp.LT, CmpOp.LE, CmpOp.EQ))
         return ACmp(
-            op,
+            (CmpOp.LT, CmpOp.LE, CmpOp.EQ)[_below(rng, 3)],
             gen_aexp(rng, 1, variables, literal_range),
             gen_aexp(rng, 1, variables, literal_range),
         )

@@ -132,10 +132,8 @@ def subst_assertion(a: Assertion, name: str, replacement: AExp) -> Assertion:
         return ACmp(a.op, subst_aexp(a.left, name, replacement), subst_aexp(a.right, name, replacement))
     if t is ANot:
         return ANot(subst_assertion(a.inner, name, replacement))
-    if t is AAnd:
-        return AAnd(subst_assertion(a.left, name, replacement), subst_assertion(a.right, name, replacement))
-    if t is AOr:
-        return AOr(subst_assertion(a.left, name, replacement), subst_assertion(a.right, name, replacement))
+    if t is AAnd or t is AOr:
+        return t(subst_assertion(a.left, name, replacement), subst_assertion(a.right, name, replacement))
     if t is AImp:
         return AImp(subst_assertion(a.premise, name, replacement), subst_assertion(a.conclusion, name, replacement))
     raise TypeError(f"not an assertion: {a!r}")

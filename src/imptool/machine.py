@@ -38,10 +38,12 @@ from .syntax import (
     NumLit,
     Plus,
     Seq,
+    Shared,
     Skip,
     State,
     Var,
     While,
+    slot_inits,
 )
 
 
@@ -118,6 +120,7 @@ class StuckOrExhausted:
 
 
 MachineOutcome = Union[Halted, StuckOrExhausted]
+slot_inits(LoadI, Load, Store, Jmp, JmpLess, JmpGe, MachineConfig)
 
 
 class StackUnderflowError(Exception):
@@ -237,20 +240,10 @@ def steps_to_halt(prog: Program, cfg: MachineConfig, fuel: int) -> Optional[int]
 # --- compiler -------------------------------------------------------------------
 
 
-class _Shared(dict):
-    """The instructions one compile has built, by class and operand.
-    Instructions are immutable, so each is built once and then shared."""
-
-    def __missing__(self, key: tuple[type, object]) -> Instr:
-        cls, operand = key
-        instr = self[key] = cls(operand)
-        return instr
-
-
 _ADD = Add()  # the one `Add` every compile shares
 
 
-def acomp(a: AExp, shared: Optional[_Shared] = None) -> list[Instr]:
+def acomp(a: AExp, shared: Optional[Shared] = None) -> list[Instr]:
     """Compile an arithmetic expression to code leaving its value on top,
     walking a sum down its left spine: calls nest only for parentheses.
     The calls of one compile pass one `shared`, so they build one `Load` per
@@ -263,7 +256,7 @@ def acomp(a: AExp, shared: Optional[_Shared] = None) -> list[Instr]:
     if t is not Plus:
         raise TypeError(f"not an arithmetic expression: {a!r}")
     if shared is None:
-        shared = _Shared()
+        shared = Shared()
     rights = []
     while type(a) is Plus:
         rights.append(a.right)
@@ -300,12 +293,12 @@ def bcomp(b: Assertion, jump_if: bool, offset: int) -> list[Instr]:
     raise TypeError(f"not a condition: {b!r}")
 
 
-def ccomp(c: Com, shared: Optional[_Shared] = None) -> list[Instr]:
+def ccomp(c: Com, shared: Optional[Shared] = None) -> list[Instr]:
     """Compile a command.  Compiled code ends with the pc one past the end.
     Outside its tests, a compile builds one `Load`, `LoadI` or `Store` per
     name or value, passing `shared` to every call it makes."""
     if shared is None:
-        shared = _Shared()
+        shared = Shared()
     code: list[Instr] = []
     stack: list[Com] = [c]
     while stack:

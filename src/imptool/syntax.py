@@ -5,8 +5,10 @@ commands, and the source span a parsed loop carries.  The test of an `if` or
 a `while`, a condition, is the assertion it denotes, built from `true`,
 `false`, `!`, `&&` and `<` alone.  IMP programs operate on a single store
 mapping identifiers to unbounded integers.  Everything in this module is an
-immutable value: updating a state returns a fresh one, and syntax nodes can
-be shared freely.
+immutable value: updating a state returns a fresh one, and syntax nodes can be
+shared freely.  Built in bulk, they get from `slot_inits` an `__init__` that
+sets each slot through its descriptor's `__set__`, a third cheaper than the
+dataclass's `object.__setattr__`.
 
 `_CHILDREN` says once, for every node class, what its children are;
 `vars_of` and `node_count` are both short loops over it, for expressions,
@@ -20,7 +22,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
+from types import CodeType, FunctionType
 from typing import Iterable, Mapping, Optional, Union
+
+
+def slot_inits(*classes: type) -> None:
+    """Give each frozen slotted dataclass with fields an `__init__` that sets every
+    slot through its descriptor: `_(self, a0, ...)` calling `_a0(self, a0)`, ..., with the fields' names."""
+    codes: dict[int, CodeType] = {}
+    for cls in classes:
+        names, generated = cls.__slots__, cls.__init__
+        if (n := len(names)) not in codes:
+            args = [f"a{k}" for k in range(n)]
+            exec(f"def _(self, {', '.join(args)}): " + "; ".join(f"_{a}(self, {a})" for a in args), space := {})
+            codes[n] = space["_"].__code__
+        setters = {"__name__": cls.__module__} | {f"_a{k}": cls.__dict__[name].__set__ for k, name in enumerate(names)}
+        code = codes[n].replace(co_varnames=("self", *names))
+        init = cls.__init__ = FunctionType(code, setters, "__init__", generated.__defaults__)
+        init.__qualname__, init.__annotations__ = generated.__qualname__, generated.__annotations__
+
+
+class Shared(dict):
+    """Nodes of one operand, built once per class and operand and then shared
+    as `shared[Var, "x"]`: a compile's instructions, a generated program's leaves."""
+
+    def __missing__(self, key: tuple[type, object]):
+        cls, operand = key
+        node = self[key] = cls(operand)
+        return node
 
 
 # --- arithmetic expressions -------------------------------------------------
@@ -139,6 +168,7 @@ class While:
 
 
 Com = Union[Skip, Assign, Seq, If, While]
+slot_inits(NumLit, Var, Plus, ACmp, ANot, AAnd, AOr, AImp, Assign, Seq, If, While)
 
 
 @dataclass(frozen=True, slots=True)

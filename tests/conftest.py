@@ -1,10 +1,11 @@
 """Shared test helpers: hypothesis strategies over the language ASTs, a
-random instruction-list generator, the enumerated states, a reference
-triple check and reference VCs, a condition printer of its own, a walk for
-the variables of an assertion, the recursive `aval` and `acomp`, the textbook
-small step, the plain run loops without a cycle check, a swapped-branch
-mutant of the small-step stepper, and a way to build one-line mutants of
-library functions.
+random instruction-list generator, the program generators by `randint` and
+`choice`, the enumerated states, a reference triple check and reference
+VCs, a condition printer of its own, a walk for the variables of an
+assertion, the recursive `aval` and `acomp`, the textbook small step, the
+plain run loops without a cycle check, a swapped-branch mutant of the
+small-step stepper, and a way to build one-line mutants of library
+functions.
 
 Command strategies only build right-nested Seq spines, matching what the
 concrete syntax can express; round-trip tests rely on that.
@@ -51,6 +52,7 @@ from imptool.syntax import (
     aval,
     bval,
     seq_chain,
+    seq_spine,
     vars_of,
 )
 
@@ -245,6 +247,117 @@ def gen_instrs(rng, length, variables=("x", "y", "z", "w")):
         lambda: JmpGe(rng.randint(-8, 8)),
     )
     return [makers[rng.randrange(7)]() for _ in range(length)]
+
+
+# --- the program generators by randint and choice ---------------------------------
+#
+# `harness`'s generators written with `randint` and `choice`: the definition
+# the generators, which call `getrandbits` themselves, must match value for
+# value and draw for draw.
+
+
+def reference_gen_aexp(rng, depth, variables, literal_range):
+    if depth <= 0 or rng.random() < 0.4:
+        if rng.random() < 0.5:
+            return NumLit(rng.randint(*literal_range))
+        return Var(rng.choice(variables))
+    return Plus(
+        reference_gen_aexp(rng, depth - 1, variables, literal_range),
+        reference_gen_aexp(rng, depth - 1, variables, literal_range),
+    )
+
+
+def reference_gen_bexp(rng, depth, variables, literal_range):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.5:
+        if rng.random() < 0.15:
+            return ATrue() if rng.random() < 0.5 else AFalse()
+        return ACmp(
+            CmpOp.LT,
+            reference_gen_aexp(rng, min(depth, 1), variables, literal_range),
+            reference_gen_aexp(rng, min(depth, 1), variables, literal_range),
+        )
+    if roll < 0.65:
+        return ANot(reference_gen_bexp(rng, depth - 1, variables, literal_range))
+    return AAnd(
+        reference_gen_bexp(rng, depth - 1, variables, literal_range),
+        reference_gen_bexp(rng, depth - 1, variables, literal_range),
+    )
+
+
+def reference_gen_com(cfg, rng):
+    literal_range = cfg.literal_range
+
+    def block(depth, variables, loop_probability):
+        count = rng.randint(1, 3) if depth > 0 else 1
+        return seq_chain([stmt(depth, variables, loop_probability) for _ in range(count)])
+
+    def assign(depth, variables):
+        return Assign(rng.choice(variables), reference_gen_aexp(rng, min(depth, 2), variables, literal_range))
+
+    def stmt(depth, variables, loop_probability):
+        if depth <= 0:
+            return assign(0, variables) if rng.random() < 0.8 else Skip()
+        roll = rng.random()
+        if roll < loop_probability:
+            return loop(depth, variables, loop_probability / 2)
+        if roll < loop_probability + 0.2:
+            return If(
+                reference_gen_bexp(rng, 2, variables, literal_range),
+                block(depth - 1, variables, loop_probability),
+                block(depth - 1, variables, loop_probability),
+            )
+        if roll < loop_probability + 0.25:
+            return Skip()
+        return assign(depth, variables)
+
+    def loop(depth, variables, body_probability):
+        if rng.random() < 0.8:
+            counter = rng.choice(variables)
+            others = tuple(v for v in variables if v != counter) or variables
+            limit = rng.randint(*literal_range)
+            extra = block(depth - 1, others, body_probability)
+            step = Assign(counter, Plus(Var(counter), NumLit(rng.randint(1, 2))))
+            return While(ACmp(CmpOp.LT, Var(counter), NumLit(limit)), seq_chain(seq_spine(extra) + [step]))
+        return While(reference_gen_bexp(rng, 2, variables, literal_range), block(depth - 1, variables, body_probability))
+
+    program = block(cfg.max_depth, cfg.variables(), cfg.loop_probability)
+    del block
+    return program
+
+
+def reference_gen_state(cfg, rng):
+    pairs = []
+    for name in cfg.variables():
+        if rng.random() < 0.7:
+            pairs.append((name, rng.randint(*cfg.literal_range)))
+    return State(pairs)
+
+
+def reference_gen_assertion(rng, depth, variables, literal_range):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.45:
+        inner = rng.random()
+        if inner < 0.1:
+            return ATrue() if rng.random() < 0.5 else AFalse()
+        op = rng.choice((CmpOp.LT, CmpOp.LE, CmpOp.EQ))
+        return ACmp(
+            op,
+            reference_gen_aexp(rng, 1, variables, literal_range),
+            reference_gen_aexp(rng, 1, variables, literal_range),
+        )
+    if roll < 0.55:
+        return ANot(reference_gen_assertion(rng, depth - 1, variables, literal_range))
+    args = (
+        reference_gen_assertion(rng, depth - 1, variables, literal_range),
+        reference_gen_assertion(rng, depth - 1, variables, literal_range),
+    )
+    pick = rng.random()
+    if pick < 0.5:
+        return AAnd(*args)
+    if pick < 0.8:
+        return AOr(*args)
+    return AImp(*args)
 
 
 # --- a condition printer of its own ---------------------------------------------

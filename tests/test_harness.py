@@ -1,14 +1,26 @@
+import dataclasses
 import gc
 import hashlib
 import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import imptool.smallstep as smallstep
-from conftest import coms, gen_instrs, mutant, states, swap_branches
+from conftest import (
+    coms,
+    gen_instrs,
+    mutant,
+    reference_gen_aexp,
+    reference_gen_assertion,
+    reference_gen_bexp,
+    reference_gen_com,
+    reference_gen_state,
+    states,
+    swap_branches,
+)
 from imptool import bigstep, harness
 from imptool.bigstep import Terminated, big_step
 from imptool.harness import (
@@ -42,11 +54,24 @@ from imptool.parser import (
     pretty_com,
 )
 from imptool.smallstep import ProgConfig, TraceStatus, star_run
-from imptool.syntax import Assign, Seq, Skip, State, vars_of
+from imptool.syntax import Assign, NumLit, Seq, Skip, State, Var, vars_of
 
 
 def rng_for(index, seed=DEFAULT_SEED):
     return random.Random(case_seed(seed, index))
+
+
+# Generator configs: literal ranges of one value, of a power of two values and
+# wide ones, one to eight variables, depth 0 and up, and loop probabilities
+# at and between 0 and 1.
+gen_configs = st.builds(
+    GenConfig,
+    max_depth=st.integers(min_value=0, max_value=6),
+    max_vars=st.integers(min_value=1, max_value=8),
+    literal_range=st.sampled_from(((3, 3), (-4, 3), (-1000, 7)))
+    | st.tuples(st.integers(-1000, 1000), st.integers(0, 1100)).map(lambda t: (t[0], t[0] + t[1])),
+    loop_probability=st.sampled_from((0.0, 1.0)) | st.floats(min_value=0.0, max_value=1.0),
+)
 
 
 class TestGenConfig:
@@ -166,14 +191,66 @@ class TestGenerators:
     def test_generation_leaves_no_reference_cycles(self):
         # garbage in a cycle, and the rng it holds, lives until the cyclic
         # collector runs, which then runs several times as often
+        cfg = GenConfig()
+        variables = cfg.variables()
         gc.collect()
         gc.disable()
         try:
             for k in range(20):
-                gen_com(GenConfig(), rng_for(k))
+                rng = rng_for(k)
+                gen_com(cfg, rng)
+                gen_state(cfg, rng)
+                gen_aexp(rng, 3, variables, cfg.literal_range)
+                gen_bexp(rng, 3, variables, cfg.literal_range)
+                gen_assertion(rng, 3, variables, cfg.literal_range)
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @given(gen_configs, st.integers(min_value=0, max_value=2**64 - 1))
+    @example(GenConfig(literal_range=(3, 3)), 0)
+    @example(GenConfig(literal_range=(-1000, 7)), 1)
+    @example(GenConfig(max_vars=1), 2)
+    @example(GenConfig(max_vars=8), 3)
+    @example(GenConfig(max_depth=0), 4)
+    @example(GenConfig(loop_probability=0.0), 5)
+    @example(GenConfig(loop_probability=1.0), 6)
+    def test_draws_are_those_of_randint_and_choice(self, cfg, seed):
+        # every generator gives what the randint/choice reference gives, and
+        # leaves its generator in the same state
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert gen_com(cfg, rng) == reference_gen_com(cfg, ref)
+        assert gen_state(cfg, rng) == reference_gen_state(cfg, ref)
+        assert rng.getstate() == ref.getstate()
+        args = (min(cfg.max_depth, 4), cfg.variables(), cfg.literal_range)
+        for gen, reference in (
+            (gen_aexp, reference_gen_aexp),
+            (gen_bexp, reference_gen_bexp),
+            (gen_assertion, reference_gen_assertion),
+        ):
+            assert gen(rng, *args) == reference(ref, *args)
+            assert rng.getstate() == ref.getstate()
+
+    @given(st.randoms(use_true_random=False))
+    def test_hypothesis_randoms_still_drive_generation(self, rng):
+        cfg = GenConfig(max_depth=3)
+        program, initial = gen_com(cfg, rng), gen_state(cfg, rng)
+        assert parse_com(pretty_com(program)) == program
+        assert initial.bound_names() <= set(cfg.variables())
+
+    def test_a_program_shares_its_leaves(self):
+        # one NumLit per value and one Var per name, as a parsed program has
+        repeats = 0
+        for k in range(50):
+            leaves = {}
+            todo = [gen_com(GenConfig(), rng_for(k))]
+            while todo:
+                node = todo.pop()
+                if type(node) in (NumLit, Var):
+                    repeats += node in leaves
+                    assert leaves.setdefault(node, node) is node
+                todo += [v for v in (getattr(node, f.name) for f in dataclasses.fields(node)) if dataclasses.is_dataclass(v)]
+        assert repeats > 1000
 
     def test_weakest_preconditions_are_pinned(self):
         # 1000 loop-free programs and postconditions drawn as the hoare suite

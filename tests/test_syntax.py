@@ -1,5 +1,8 @@
 import ast
+import copy
 import dataclasses
+import inspect
+import pickle
 
 import pytest
 from hypothesis import given
@@ -10,7 +13,7 @@ import imptool.syntax
 from conftest import aexps, assertions, bexps, coms, names, reference_assertion_vars, reference_aval, small_ints, states
 from imptool.bigstep import big_step
 from imptool.hoare import Mode, check_triple, erase, vcgen
-from imptool.machine import ccomp
+from imptool.machine import Jmp, JmpGe, JmpLess, Load, LoadI, MachineConfig, Store, ccomp
 from imptool.parser import parse_assertion
 from imptool.smallstep import ProgConfig, star_run
 from imptool.syntax import (
@@ -28,6 +31,7 @@ from imptool.syntax import (
     Plus,
     Seq,
     Skip,
+    SourceSpan,
     State,
     Var,
     While,
@@ -254,11 +258,76 @@ def test_node_count_positive(node):
     assert node_count(node) >= 1
 
 
-def test_ast_nodes_are_immutable():
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        NumLit(1).value = 2
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        Assign("x", NumLit(1)).target = "y"
+# One instance of every class whose `__init__` comes from `slot_inits`, each
+# field set to a value other than its default.
+SLOT_INIT_NODES = (
+    NumLit(1),
+    Var("x"),
+    Plus(NumLit(1), Var("x")),
+    ACmp(CmpOp.LE, Var("x"), NumLit(2)),
+    ANot(ATrue()),
+    AAnd(ATrue(), AFalse()),
+    AOr(AFalse(), ATrue()),
+    AImp(ATrue(), AFalse()),
+    Assign("x", NumLit(1)),
+    Seq(Skip(), Assign("y", Var("x"))),
+    If(ATrue(), Skip(), Skip()),
+    While(ATrue(), Skip(), AFalse(), Var("x"), SourceSpan(1, 1, 1, 9)),
+    LoadI(3),
+    Load("x"),
+    Store("y"),
+    Jmp(-2),
+    JmpLess(1),
+    JmpGe(2),
+    MachineConfig(3, State.of(x=1), (4, 5)),
+)
+
+
+@pytest.mark.parametrize("node", SLOT_INIT_NODES, ids=lambda node: type(node).__name__)
+def test_ast_nodes_are_immutable(node):
+    """A node built through its slots' descriptors keeps every part of the
+    dataclass contract: frozen fields, the generated signature and defaults,
+    keyword construction, `replace`, copying, pickling, equality and hash."""
+    cls, fields = type(node), dataclasses.fields(node)
+    assert "_a0" in cls.__init__.__code__.co_names  # the slot_inits __init__
+    values = {f.name: getattr(node, f.name) for f in fields}
+    for name in values:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+    assert inspect.signature(cls) == inspect.Signature(
+        [
+            inspect.Parameter(
+                f.name,
+                inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                default=inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default,
+                annotation=f.type,
+            )
+            for f in fields
+        ],
+        return_annotation=None,
+    )
+    assert cls(**values) == cls(*values.values()) == node
+    required = [getattr(node, f.name) for f in fields if f.default is dataclasses.MISSING]
+    assert all(getattr(cls(*required), f.name) == f.default for f in fields if f.default is not dataclasses.MISSING)
+    with pytest.raises(TypeError):
+        cls(*values.values(), None)
+    assert dataclasses.replace(node) == node
+    assert copy.copy(node) == node
+    assert pickle.loads(pickle.dumps(node)) == node
+    compared = tuple(getattr(node, f.name) for f in fields if f.compare)
+    assert hash(node) == hash(cls(*values.values())) == hash(compared)
+    assert node != cls(*[object() for _ in values])
+
+
+def test_keywords_and_defaults_of_a_loop_and_a_machine_configuration():
+    span = SourceSpan(2, 3, 4, 5)
+    loop = While(ATrue(), Skip(), span=span)
+    assert (loop.invariant, loop.measure, loop.span) == (None, None, span)
+    assert loop == While(ATrue(), Skip()) and hash(loop) == hash(While(ATrue(), Skip()))
+    assert dataclasses.replace(loop, body=Seq(Skip(), Skip())).span is span
+    assert MachineConfig(0, State()) == MachineConfig(pc=0, state=State(), stack=())
 
 
 class TestOneWalk:
