@@ -44,7 +44,6 @@ from .syntax import (
     If,
     NumLit,
     Plus,
-    Shared,
     Skip,
     State,
     Var,
@@ -150,23 +149,18 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def gen_aexp(
-    rng: random.Random, depth: int, variables: tuple[str, ...], literal_range: tuple[int, int], leaves: Shared | None = None
-) -> "Plus | NumLit | Var":
-    leaves = Shared() if leaves is None else leaves
+def gen_aexp(rng: random.Random, depth: int, variables: tuple[str, ...], literal_range: tuple[int, int]) -> "Plus | NumLit | Var":
     if depth <= 0 or rng.random() < 0.4:
         if rng.random() < 0.5:
-            return leaves[NumLit, literal_range[0] + _below(rng, literal_range[1] - literal_range[0] + 1)]
-        return leaves[Var, variables[_below(rng, len(variables))]]
+            return NumLit(literal_range[0] + _below(rng, literal_range[1] - literal_range[0] + 1))
+        return Var(variables[_below(rng, len(variables))])
     return Plus(
-        gen_aexp(rng, depth - 1, variables, literal_range, leaves),
-        gen_aexp(rng, depth - 1, variables, literal_range, leaves),
+        gen_aexp(rng, depth - 1, variables, literal_range),
+        gen_aexp(rng, depth - 1, variables, literal_range),
     )
 
 
-def gen_bexp(
-    rng: random.Random, depth: int, variables: tuple[str, ...], literal_range: tuple[int, int], leaves: Shared | None = None
-) -> Assertion:
+def gen_bexp(rng: random.Random, depth: int, variables: tuple[str, ...], literal_range: tuple[int, int]) -> Assertion:
     """A random condition: an assertion built from true, false, !, && and <."""
     roll = rng.random()
     if depth <= 0 or roll < 0.5:
@@ -174,14 +168,14 @@ def gen_bexp(
             return ATrue() if rng.random() < 0.5 else AFalse()
         return ACmp(
             CmpOp.LT,
-            gen_aexp(rng, min(depth, 1), variables, literal_range, leaves),
-            gen_aexp(rng, min(depth, 1), variables, literal_range, leaves),
+            gen_aexp(rng, min(depth, 1), variables, literal_range),
+            gen_aexp(rng, min(depth, 1), variables, literal_range),
         )
     if roll < 0.65:
-        return ANot(gen_bexp(rng, depth - 1, variables, literal_range, leaves))
+        return ANot(gen_bexp(rng, depth - 1, variables, literal_range))
     return AAnd(
-        gen_bexp(rng, depth - 1, variables, literal_range, leaves),
-        gen_bexp(rng, depth - 1, variables, literal_range, leaves),
+        gen_bexp(rng, depth - 1, variables, literal_range),
+        gen_bexp(rng, depth - 1, variables, literal_range),
     )
 
 
@@ -189,14 +183,13 @@ def gen_com(cfg: GenConfig, rng: random.Random) -> Com:
     """A random command.  Sequences are always right-nested, matching the
     concrete syntax, so generated programs round-trip through the printer."""
     literal_range = lo, hi = cfg.literal_range
-    leaves = Shared()
 
     def block(depth: int, variables: tuple[str, ...], loop_probability: float) -> Com:
         count = 1 + _below(rng, 3) if depth > 0 else 1
         return seq_chain([stmt(depth, variables, loop_probability) for _ in range(count)])
 
     def assign(depth: int, variables: tuple[str, ...]) -> Com:
-        return Assign(variables[_below(rng, len(variables))], gen_aexp(rng, min(depth, 2), variables, literal_range, leaves))
+        return Assign(variables[_below(rng, len(variables))], gen_aexp(rng, min(depth, 2), variables, literal_range))
 
     def stmt(depth: int, variables: tuple[str, ...], loop_probability: float) -> Com:
         if depth <= 0:
@@ -206,7 +199,7 @@ def gen_com(cfg: GenConfig, rng: random.Random) -> Com:
             return loop(depth, variables, loop_probability / 2)
         if roll < loop_probability + 0.2:
             return If(
-                gen_bexp(rng, 2, variables, literal_range, leaves),
+                gen_bexp(rng, 2, variables, literal_range),
                 block(depth - 1, variables, loop_probability),
                 block(depth - 1, variables, loop_probability),
             )
@@ -220,11 +213,11 @@ def gen_com(cfg: GenConfig, rng: random.Random) -> Com:
             # rest of the body avoids touching the counter when it can.
             counter = variables[_below(rng, len(variables))]
             others = tuple(v for v in variables if v != counter) or variables
-            limit = leaves[NumLit, lo + _below(rng, hi - lo + 1)]
+            limit = NumLit(lo + _below(rng, hi - lo + 1))
             extra = block(depth - 1, others, body_probability)
-            step = Assign(counter, Plus(leaves[Var, counter], leaves[NumLit, 1 + _below(rng, 2)]))
-            return While(ACmp(CmpOp.LT, leaves[Var, counter], limit), seq_chain(seq_spine(extra) + [step]))
-        return While(gen_bexp(rng, 2, variables, literal_range, leaves), block(depth - 1, variables, body_probability))
+            step = Assign(counter, Plus(Var(counter), NumLit(1 + _below(rng, 2))))
+            return While(ACmp(CmpOp.LT, Var(counter), limit), seq_chain(seq_spine(extra) + [step]))
+        return While(gen_bexp(rng, 2, variables, literal_range), block(depth - 1, variables, body_probability))
 
     program = block(cfg.max_depth, cfg.variables(), cfg.loop_probability)
     # The closures call one another through their cells, a cycle that would

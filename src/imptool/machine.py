@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .syntax import (
@@ -38,7 +39,6 @@ from .syntax import (
     NumLit,
     Plus,
     Seq,
-    Shared,
     Skip,
     State,
     Var,
@@ -240,30 +240,26 @@ def steps_to_halt(prog: Program, cfg: MachineConfig, fuel: int) -> Optional[int]
 # --- compiler -------------------------------------------------------------------
 
 
-_ADD = Add()  # the one `Add` every compile shares
+# A compile builds `Add`, `LoadI`, `Load` and `Store` through these, so equal
+# instructions are one object; the caches are bounded, so fresh literals cannot
+# grow them without limit.
+_ADD = Add()
+_LOAD_I, _LOAD, _STORE = (lru_cache(maxsize=4096)(cls) for cls in (LoadI, Load, Store))
 
 
-def acomp(a: AExp, shared: Optional[Shared] = None) -> list[Instr]:
+def acomp(a: AExp) -> list[Instr]:
     """Compile an arithmetic expression to code leaving its value on top,
-    walking a sum down its left spine: calls nest only for parentheses.
-    The calls of one compile pass one `shared`, so they build one `Load` per
-    name and one `LoadI` per value."""
-    t = type(a)
-    if t is NumLit:
-        return [LoadI(a.value) if shared is None else shared[LoadI, a.value]]
-    if t is Var:
-        return [Load(a.name) if shared is None else shared[Load, a.name]]
-    if t is not Plus:
-        raise TypeError(f"not an arithmetic expression: {a!r}")
-    if shared is None:
-        shared = Shared()
+    walking a sum down its left spine: calls nest only for parentheses."""
     rights = []
     while type(a) is Plus:
         rights.append(a.right)
         a = a.left
-    code = acomp(a, shared)
+    t = type(a)
+    if t is not NumLit and t is not Var:
+        raise TypeError(f"not an arithmetic expression: {a!r}")
+    code: list[Instr] = [_LOAD_I(a.value) if t is NumLit else _LOAD(a.name)]
     for right in reversed(rights):
-        code += acomp(right, shared)
+        code += acomp(right)
         code.append(_ADD)
     return code
 
@@ -293,12 +289,8 @@ def bcomp(b: Assertion, jump_if: bool, offset: int) -> list[Instr]:
     raise TypeError(f"not a condition: {b!r}")
 
 
-def ccomp(c: Com, shared: Optional[Shared] = None) -> list[Instr]:
-    """Compile a command.  Compiled code ends with the pc one past the end.
-    Outside its tests, a compile builds one `Load`, `LoadI` or `Store` per
-    name or value, passing `shared` to every call it makes."""
-    if shared is None:
-        shared = Shared()
+def ccomp(c: Com) -> list[Instr]:
+    """Compile a command.  Compiled code ends with the pc one past the end."""
     code: list[Instr] = []
     stack: list[Com] = [c]
     while stack:
@@ -310,17 +302,17 @@ def ccomp(c: Com, shared: Optional[Shared] = None) -> list[Instr]:
         elif t is Skip:
             pass
         elif t is Assign:
-            code += acomp(node.rhs, shared)
-            code.append(shared[Store, node.target])
+            code += acomp(node.rhs)
+            code.append(_STORE(node.target))
         elif t is If:
-            code_then = ccomp(node.then_branch, shared)
-            code_else = ccomp(node.else_branch, shared)
+            code_then = ccomp(node.then_branch)
+            code_else = ccomp(node.else_branch)
             code += bcomp(node.cond, False, len(code_then) + 1)
             code += code_then
             code.append(Jmp(len(code_else)))
             code += code_else
         elif t is While:
-            body = ccomp(node.body, shared)
+            body = ccomp(node.body)
             cond = bcomp(node.cond, False, len(body) + 1)
             code += cond
             code += body

@@ -42,16 +42,6 @@ def slot_inits(*classes: type) -> None:
         init.__qualname__, init.__annotations__ = generated.__qualname__, generated.__annotations__
 
 
-class Shared(dict):
-    """Nodes of one operand, built once per class and operand and then shared
-    as `shared[Var, "x"]`: a compile's instructions, a generated program's leaves."""
-
-    def __missing__(self, key: tuple[type, object]):
-        cls, operand = key
-        node = self[key] = cls(operand)
-        return node
-
-
 # --- arithmetic expressions -------------------------------------------------
 
 

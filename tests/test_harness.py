@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import json
@@ -54,7 +53,7 @@ from imptool.parser import (
     pretty_com,
 )
 from imptool.smallstep import ProgConfig, TraceStatus, star_run
-from imptool.syntax import Assign, NumLit, Seq, Skip, State, Var, vars_of
+from imptool.syntax import Assign, Seq, Skip, State, vars_of
 
 
 def rng_for(index, seed=DEFAULT_SEED):
@@ -237,20 +236,6 @@ class TestGenerators:
         program, initial = gen_com(cfg, rng), gen_state(cfg, rng)
         assert parse_com(pretty_com(program)) == program
         assert initial.bound_names() <= set(cfg.variables())
-
-    def test_a_program_shares_its_leaves(self):
-        # one NumLit per value and one Var per name, as a parsed program has
-        repeats = 0
-        for k in range(50):
-            leaves = {}
-            todo = [gen_com(GenConfig(), rng_for(k))]
-            while todo:
-                node = todo.pop()
-                if type(node) in (NumLit, Var):
-                    repeats += node in leaves
-                    assert leaves.setdefault(node, node) is node
-                todo += [v for v in (getattr(node, f.name) for f in dataclasses.fields(node)) if dataclasses.is_dataclass(v)]
-        assert repeats > 1000
 
     def test_weakest_preconditions_are_pinned(self):
         # 1000 loop-free programs and postconditions drawn as the hoare suite

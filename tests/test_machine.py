@@ -32,6 +32,7 @@ from imptool.syntax import (
     ACmp,
     AFalse,
     ANot,
+    Assign,
     ATrue,
     CmpOp,
     NumLit,
@@ -344,6 +345,17 @@ class TestCcomp:
         code = ccomp(c)
         assert code == [*reference_acomp(c.first.rhs), Store("x")] * 2
         assert [code[i] is code[i + 4] for i in range(4)] == [True] * 4
+        # a test shares its instructions with the assignments
+        code = ccomp(parse_com("if (y < 1) { x := y } else { skip }"))
+        assert code[0] == Load("y") and code[0] is code[3]
+
+    def test_instruction_caches_stay_bounded(self):
+        # a long-lived process that compiles fresh literals must not grow them
+        # without limit
+        for k in range(10_000):
+            assert ccomp(Assign("x", NumLit(k))) == [LoadI(k), Store("x")]
+            info = machine._LOAD_I.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
 
     def test_if_shape(self):
         code = ccomp(parse_com("if (x < 0) { y := 1 } else { y := 2 }"))
