@@ -21,9 +21,10 @@ Grammar, resolved:
     cmp       ::= "<" | "<=" | "="
 
 A condition (`bexp`) is the fragment of the assertion language without
-`||`, `->`, `<=` and `=`, and parses to the assertion it denotes; `batom` and
-`aunary` are one rule, which takes the comparisons and the parenthesised rule
-of its language.
+`||`, `->`, `<=` and `=`, and parses to the assertion it denotes.  Precedence
+and associativity come from one table, `_CONNECTIVES`: one precedence-climbing
+method parses both languages by it, and `pretty_assertion` parenthesises by
+it.
 
 Integers are ASCII digits, and negative numbers exist only as literal tokens
 (`x + -1`).  Keywords are reserved, `//` starts a comment, and identifiers
@@ -110,8 +111,16 @@ _TOKEN_RE = re.compile(
 # The kind of every token that is not an integer or an identifier.
 _KINDS = {text: text for text in (":=", "->", "<=", "&&", "||", *";+<=!(){}", *KEYWORDS)}
 _KINDS[""] = "eof"
-_CMP_OPS = {"<": CmpOp.LT, "<=": CmpOp.LE, "=": CmpOp.EQ}
-_LT_OP = {"<": CmpOp.LT}  # the one comparison a condition makes
+# The binary connectives, loosest first: each symbol's node class, binding
+# power, and the least power its left and right operands bind at without
+# parentheses.  `->` associates right, `||` and `&&` left.  A comparison binds
+# at 4, and `!`, `true` and `false` at 5, tightest of all.
+_CONNECTIVES = {"->": (AImp, 1, 2, 1), "||": (AOr, 2, 2, 3), "&&": (AAnd, 3, 3, 4)}
+_CONNECTIVE_OF = {cls: (symbol, *levels) for symbol, (cls, *levels) in _CONNECTIVES.items()}
+_CMP_OPS = {op.value: op for op in CmpOp}
+# A language: its connectives and its comparisons.  A condition has `&&` and `<`.
+_ASSERTION = (_CONNECTIVES, _CMP_OPS)
+_CONDITION = ({"&&": _CONNECTIVES["&&"]}, {"<": CmpOp.LT})
 
 
 class _Parser:
@@ -207,7 +216,7 @@ class _Parser:
     def if_statement(self) -> Com:
         self.index += 1  # 'if'
         self.expect("(")
-        cond = self.bexp()
+        cond = self.formula(_CONDITION)
         self.expect(")")
         self.expect("{")
         then_branch = self.statements()
@@ -222,13 +231,13 @@ class _Parser:
         span = self.token_span(self.index)  # 'while'
         self.index += 1
         self.expect("(")
-        cond = self.bexp()
+        cond = self.formula(_CONDITION)
         self.expect(")")
         invariant = None
         measure = None
         if self.allow_annotations and self.eat("invariant"):
             self.expect("(")
-            invariant = self.assertion()
+            invariant = self.formula()
             self.expect(")")
             if self.eat("measure"):
                 self.expect("(")
@@ -265,36 +274,22 @@ class _Parser:
 
     # -- conditions and assertions
 
-    def bexp(self) -> Assertion:
-        """A condition: an assertion of true, false, !, && and < alone."""
-        node = self.unary(self.bexp, _LT_OP)
-        while self.eat("&&"):
-            node = AAnd(node, self.unary(self.bexp, _LT_OP))
-        return node
+    def formula(self, lang=_ASSERTION, level: int = 0) -> Assertion:
+        """An assertion of `lang` whose connectives bind at `level` or tighter."""
+        connectives = lang[0]
+        node = self.unary(lang)
+        while True:
+            row = connectives.get(self.kinds[self.index])
+            if row is None or row[1] < level:
+                return node
+            self.index += 1
+            node = row[0](node, self.formula(lang, row[3]))
 
-    def assertion(self) -> Assertion:
-        left = self.assert_or()
-        if self.eat("->"):
-            return AImp(left, self.assertion())
-        return left
-
-    def assert_or(self) -> Assertion:
-        node = self.assert_and()
-        while self.eat("||"):
-            node = AOr(node, self.assert_and())
-        return node
-
-    def assert_and(self) -> Assertion:
-        node = self.unary(self.assertion, _CMP_OPS)
-        while self.eat("&&"):
-            node = AAnd(node, self.unary(self.assertion, _CMP_OPS))
-        return node
-
-    def unary(self, group, ops: dict[str, CmpOp]) -> Assertion:
-        """`batom` or `aunary`: `!`, true, false, a comparison by one of
-        `ops`, or `group` in parentheses."""
+    def unary(self, lang) -> Assertion:
+        """`batom` or `aunary`: `!`, true, false, a comparison of `lang`, or
+        a formula of `lang` in parentheses."""
         if self.eat("!"):
-            return ANot(self.unary(group, ops))
+            return ANot(self.unary(lang))
         if self.eat("true"):
             return ATrue()
         if self.eat("false"):
@@ -302,12 +297,13 @@ class _Parser:
         mark = self.index
         if self.eat("("):
             try:
-                inner = group()
+                inner = self.formula(lang)
                 self.expect(")")
                 return inner
             except ParseError:
                 self.index = mark
         left = self.aexp()
+        ops = lang[1]
         op = ops.get(self.kinds[self.index])
         if op is None:
             raise self.error(*(f"'{text}'" for text in ops))
@@ -340,7 +336,7 @@ def parse_annotated_com(text: str) -> Com:
 
 
 def parse_assertion(text: str) -> Assertion:
-    return _parse(text, _Parser.assertion)
+    return _parse(text, _Parser.formula)
 
 
 # --- pretty-printing --------------------------------------------------------------
@@ -362,47 +358,34 @@ def _aatom_str(a: AExp) -> str:
         return str(a.value)
     if t is Var:
         return a.name
-    return f"({pretty_aexp(a)})"
+    if t is Plus:
+        return f"({pretty_aexp(a)})"
+    raise TypeError(f"not an arithmetic expression: {a!r}")
 
 
 def pretty_assertion(a: Assertion) -> str:
-    if type(a) is AImp:
-        return f"{_assn_or_str(a.premise)} -> {pretty_assertion(a.conclusion)}"
-    return _assn_or_str(a)
+    return _assertion_str(a, 0)
 
 
-def _assn_or_str(a: Assertion) -> str:
+def _assertion_str(a: Assertion, level: int) -> str:
+    """`a`, in parentheses when it binds looser than `level`."""
     t = type(a)
-    if t is AOr:
-        return f"{_assn_or_str(a.left)} || {_assn_and_str(a.right)}"
-    if t is AImp:
-        return f"({pretty_assertion(a)})"
-    return _assn_and_str(a)
-
-
-def _assn_and_str(a: Assertion) -> str:
-    t = type(a)
-    if t is AAnd:
-        return f"{_assn_and_str(a.left)} && {_assn_unary_str(a.right)}"
-    if t is AImp or t is AOr:
-        return f"({pretty_assertion(a)})"
-    return _assn_unary_str(a)
-
-
-def _assn_unary_str(a: Assertion) -> str:
-    t = type(a)
+    row = _CONNECTIVE_OF.get(t)
+    if row is not None:
+        symbol, power, left, right = row
+        first, second = (a.premise, a.conclusion) if t is AImp else (a.left, a.right)
+        text = f"{_assertion_str(first, left)} {symbol} {_assertion_str(second, right)}"
+        return f"({text})" if power < level else text
     if t is ANot:
-        inner = a.inner
-        if type(inner) in (ATrue, AFalse, ANot):
-            return f"!{_assn_unary_str(inner)}"
-        return f"!({pretty_assertion(inner)})"
+        return f"!{_assertion_str(a.inner, 5)}"
+    if t is ACmp:
+        text = f"{pretty_aexp(a.left)} {a.op.value} {pretty_aexp(a.right)}"
+        return f"({text})" if level > 4 else text
     if t is ATrue:
         return "true"
     if t is AFalse:
         return "false"
-    if t is ACmp:
-        return f"{pretty_aexp(a.left)} {a.op.value} {pretty_aexp(a.right)}"
-    return f"({pretty_assertion(a)})"
+    raise TypeError(f"not an assertion: {a!r}")
 
 
 def pretty_com(c: Com) -> str:

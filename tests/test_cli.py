@@ -465,13 +465,44 @@ class TestBadSource:
         assert captured.err.count("\n") == 1
 
 
-    # This parses, but generating its verification conditions recurses past
-    # the interpreter's limit.
-    @pytest.mark.parametrize("command, text", [("verify", NESTED_IFS)], ids=["verify-nested-if"])
-    def test_deep_input_that_parses(self, write, capsys, command, text):
-        path = write("deep.imp", text)
-        assert main([command, path]) == EXIT_PARSE_ERROR
+    def test_nested_ifs_verify(self, write, capsys):
+        # printing the formulas takes one frame per connective
+        path = write("deep.imp", NESTED_IFS)
+        assert main(["verify", path]) == EXIT_OK
         captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.endswith("\ntriple: valid\n")
+
+    def test_deeply_parenthesised_postcondition_verifies(self, write, capsys):
+        # an assertion parses at two frames per parenthesis
+        path = write("one.imp", "x := 1")
+        assert main(["verify", path, "--post", "(" * 400 + "x = 1" + ")" * 400]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.endswith(
+            "computed precondition: 1 = 1\n"
+            "vc entry: precondition establishes computed precondition: true -> 1 = 1 -- valid\n"
+            "triple: valid\n"
+        )
+
+    def test_deep_input_that_parses(self, write, capsys):
+        # The parser takes one frame per `->` of a chain, and so does the
+        # verifier's substitution into it, from deeper in the stack: the
+        # longest chain that parses overflows after parsing.
+        path = write("one.imp", "x := 1")
+
+        def verify(n):
+            code = main(["verify", path, "--post", " -> ".join(["x = 1"] * n)])
+            return code, capsys.readouterr()
+
+        parses, too_deep = 1, 5000
+        while too_deep - parses > 1:
+            n = (parses + too_deep) // 2
+            code, captured = verify(n)
+            parse_error = code == EXIT_PARSE_ERROR and captured.err.startswith("--post: ")
+            parses, too_deep = (parses, n) if parse_error else (n, too_deep)
+        code, captured = verify(parses)
+        assert code == EXIT_PARSE_ERROR
         assert captured.out == ""
         assert captured.err == f"{path}: nesting too deep\n"
 
@@ -686,8 +717,12 @@ class TestIntTextLimit:
         assert self._limit_after(["run", path]) == (EXIT_OK, 4321)
         assert len(capsys.readouterr().out.splitlines()[1]) == len("x=") + 4365
 
-    def test_restored_after_nesting_too_deep(self, write, capsys):
-        path = write("deep.imp", NESTED_IFS)
+    def test_restored_after_nesting_too_deep(self, write, capsys, monkeypatch):
+        def too_deep(args):
+            raise RecursionError
+
+        monkeypatch.setattr(cli, "cmd_verify", too_deep)
+        path = write("skip.imp", "skip")
         assert self._limit_after(["verify", path]) == (EXIT_PARSE_ERROR, 4321)
         assert capsys.readouterr().err == f"{path}: nesting too deep\n"
 

@@ -319,6 +319,19 @@ class TestPretty:
         a = AImp(ACmp(CmpOp.LT, Var("x"), NumLit(0)), ACmp(CmpOp.LE, Var("x"), NumLit(0)))
         assert pretty_assertion(a) == "x < 0 -> x <= 0"
 
+    @pytest.mark.parametrize(
+        "printer, node, kind",
+        [
+            (pretty_assertion, Var("x"), "an assertion"),
+            (pretty_aexp, Skip(), "an arithmetic expression"),
+            (pretty_com, If(Var("x"), Skip(), Skip()), "an assertion"),
+        ],
+        ids=["assertion", "aexp", "if-test"],
+    )
+    def test_non_node_is_a_type_error(self, printer, node, kind):
+        with pytest.raises(TypeError, match=f"^not {kind}: "):
+            printer(node)
+
     def test_measure_without_invariant_is_rejected(self):
         # the concrete syntax has no measure without an invariant
         with pytest.raises(ValueError):

@@ -353,7 +353,7 @@ class TestOneWalk:
 
 def _imported_modules(module):
     """The modules `module`'s source imports, relative ones as `.name`."""
-    tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+    tree = ast.parse(inspect.getsource(module))
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module is None:
