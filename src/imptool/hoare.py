@@ -19,12 +19,19 @@ Assertions are quantifier-free formulas over program variables, evaluated
 directly on states.  Entailments, VCs and triples are decided by
 exhaustively enumerating states within a bound, so a Valid verdict always
 means valid-within-bound and a counterexample is always a genuine state.
-The bound must be non-negative.
+The bound must be non-negative.  A search skips the states that the
+top-level conjuncts of its premise (an entailment's left side, a triple's
+precondition, a VC's premise) exclude, as `_box` reads them: every state
+cut fails the premise, so the order, the first counterexample and the count
+of runs out of fuel are those of the full box, to which the enumeration
+limit still applies.
 
 Each such check is one generated Python function, a search, compiled once
 (Feeley & Lapalme, "Using closures for code generation", 1987): it runs the
 enumeration itself, unpacking each value tuple into locals, and returns the
-first on which the check fails, so it makes no Python call per state.  A
+first on which the check fails, so it makes no Python call per state.  Each
+comparison in it is one difference `Σ k·x op c`, and a part left without
+variables folds away as a constant.  A
 triple's search runs the command inline, counting rules, running out of fuel
 and finding a repeated configuration just as `big_step` does.  All generated
 code passes one gate, `_generated`, which reports where CPython refuses it:
@@ -40,7 +47,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .bigstep import Terminated, big_step
 from .parser import pretty_assertion
@@ -113,30 +120,43 @@ def eval_assertion(a: Assertion, s: State) -> bool:
 
 
 def subst_aexp(a: AExp, name: str, replacement: AExp) -> AExp:
-    t = type(a)
-    if t is Var:
-        return replacement if a.name == name else a
-    if t is NumLit:
-        return a
-    if t is Plus:
-        return Plus(subst_aexp(a.left, name, replacement), subst_aexp(a.right, name, replacement))
-    raise TypeError(f"not an arithmetic expression: {a!r}")
+    """Substitute an arithmetic expression for a variable in another.  Only
+    a parenthesised right operand of `+` recurses."""
+    rights = []
+    while type(a) is Plus:
+        rights.append(a.right)
+        a = a.left
+    if type(a) is Var and a.name == name:
+        a = replacement
+    elif type(a) is not Var and type(a) is not NumLit:
+        raise TypeError(f"not an arithmetic expression: {a!r}")
+    for right in reversed(rights):
+        a = Plus(a, subst_aexp(right, name, replacement))
+    return a
 
 
 def subst_assertion(a: Assertion, name: str, replacement: AExp) -> Assertion:
-    """Substitute an arithmetic expression for a variable in an assertion."""
-    t = type(a)
-    if t is ATrue or t is AFalse:
-        return a
-    if t is ACmp:
-        return ACmp(a.op, subst_aexp(a.left, name, replacement), subst_aexp(a.right, name, replacement))
-    if t is ANot:
-        return ANot(subst_assertion(a.inner, name, replacement))
-    if t is AAnd or t is AOr:
-        return t(subst_assertion(a.left, name, replacement), subst_assertion(a.right, name, replacement))
-    if t is AImp:
-        return AImp(subst_assertion(a.premise, name, replacement), subst_assertion(a.conclusion, name, replacement))
-    raise TypeError(f"not an assertion: {a!r}")
+    """Substitute an arithmetic expression for a variable in an assertion.
+    Iterative, so that a long chain of connectives, as a parsed `->` chain,
+    does not hit the call stack."""
+    done: list[Assertion] = []
+    todo: list = [a]
+    while todo:
+        node = todo.pop()
+        t = type(node)
+        if t is tuple:  # (connective, arity): its operands are done
+            connective, arity = node
+            done[-arity:] = [connective(*done[-arity:])]
+        elif t is ACmp:
+            done.append(ACmp(node.op, subst_aexp(node.left, name, replacement), subst_aexp(node.right, name, replacement)))
+        elif t is ATrue or t is AFalse:
+            done.append(node)
+        elif t is ANot or t is AAnd or t is AOr or t is AImp:
+            operands = [getattr(node, slot) for slot in t.__slots__]
+            todo += ((t, len(operands)), *reversed(operands))
+        else:
+            raise TypeError(f"not an assertion: {node!r}")
+    return done[0]
 
 
 # --- bounded entailment -----------------------------------------------------------
@@ -162,12 +182,6 @@ Verdict = Union[Valid, CounterexampleFound, Unknown]
 
 def state_space_size(variables: Iterable[str], bound: int) -> int:
     return (2 * bound + 1) ** len(set(variables))
-
-
-def _value_tuples(arity: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """Every assignment of values in [-bound, bound] to `arity` positions, in
-    lexicographic order with values ascending: the enumeration order."""
-    return itertools.product(range(-bound, bound + 1), repeat=arity)
 
 
 def _enumerated_names(variables: Iterable[str], bound: int) -> Union[list[str], Unknown]:
@@ -215,7 +229,9 @@ def _walked(
 # --- compiled assertions ---------------------------------------------------------
 
 
-_CMP_SOURCE = {CmpOp.LT: "<", CmpOp.LE: "<=", CmpOp.EQ: "=="}
+# Each comparison operator's Python source, and its truth between two ints.
+_CMP_SOURCE = {CmpOp.LT: ("<", int.__lt__), CmpOp.LE: ("<=", int.__le__), CmpOp.EQ: ("==", int.__eq__)}
+_NEGATED = {"True": "False", "False": "True"}
 
 
 def _local(name: str) -> str:
@@ -223,38 +239,98 @@ def _local(name: str) -> str:
     return "v_" + name
 
 
-def _sum_source(a: AExp) -> str:
-    """`linear(a)` as one flat sum over the locals: each variable once, times
-    its multiplicity, then the constant unless it is 0."""
-    constant, coefficients = linear(a)
-    terms = [_local(name) if k == 1 else f"{k} * {_local(name)}" for name, k in coefficients]
-    if constant or not terms:
-        terms.append(str(constant))
-    return " + ".join(terms)
+def _sum_source(constant: int, terms: Iterable[tuple[str, int]]) -> str:
+    """The linear form `Σ k·x + constant` as one flat sum over the locals:
+    each variable once, times its coefficient, then the constant unless it is 0."""
+    parts = [_local(name) if k == 1 else f"{k} * {_local(name)}" for name, k in terms]
+    if constant or not parts:
+        parts.append(str(constant))
+    return " + ".join(parts)
+
+
+def _comparison(a: ACmp) -> tuple[list[tuple[str, int]], int]:
+    """The normal form `Σ k·x op c` of a comparison, `linear(a.left) -
+    linear(a.right) op 0`: the terms (x, k) with a nonzero net coefficient k,
+    in order of first occurrence, and the constant c."""
+    left, terms = linear(a.left)
+    right, subtracted = linear(a.right)
+    net = dict(terms)
+    for name, k in subtracted:
+        net[name] = net.get(name, 0) - k
+    return [(name, k) for name, k in net.items() if k], right - left
+
+
+def _box(premise: Assertion, names: list[str], bound: int) -> Iterable[tuple[int, ...]]:
+    """The tuples of values of `names` in [-bound, bound] in enumeration
+    order (lexicographic, values ascending), clipped to the interval that
+    each top-level conjunct of `premise` puts on one variable x: `k·x <= c`,
+    `<` or `=`, or `!` of a `<` or `<=`, read as its complement (the interval
+    domain; Cousot & Cousot, POPL 1977).  A name not enumerated reads 0, and
+    a conjunct with no variable left that fails leaves no tuple, so every
+    tuple cut fails the premise."""
+    low, high = dict.fromkeys(names, -bound), dict.fromkeys(names, bound)
+    todo = [premise]
+    while todo:
+        a, sign = todo.pop(), 1
+        while type(a) is ANot:
+            a, sign = a.inner, -sign
+        t = type(a)
+        if t is AAnd and sign > 0:
+            todo += (a.right, a.left)
+        elif t is AFalse or t is ATrue:
+            if (t is AFalse) == (sign > 0):
+                return ()
+        elif t is ACmp and (sign > 0 or a.op is not CmpOp.EQ):
+            terms, c = _comparison(a)
+            terms = [(name, sign * k) for name, k in terms if name in low]
+            # as Σ <= c or Σ = c: Σ < c is Σ <= c - 1, !(Σ < c) is -Σ <= -c,
+            # and !(Σ <= c) is -Σ <= -c - 1
+            c, equal = sign * c - ((a.op is CmpOp.LT) == (sign > 0)), a.op is CmpOp.EQ
+            if not terms and (c < 0 or equal and c):
+                return ()
+            if len(terms) == 1:
+                [(name, k)] = terms  # an equation k·x = c has ⌈c / k⌉ <= x <= ⌊c / k⌋
+                if equal or k > 0:  # x <= ⌊c / k⌋
+                    high[name] = min(high[name], c // k)
+                if equal or k < 0:  # x >= ⌈c / k⌉
+                    low[name] = max(low[name], -(c // -k))
+    return itertools.product(*(range(low[name], high[name] + 1) for name in names))
+
+
+def _folded(parts: list[str], conjunction: bool) -> str:
+    """The sources `parts` joined by `and` or by `or`, each in parentheses,
+    with `True` and `False` folded away."""
+    unit, zero = ("True", "False") if conjunction else ("False", "True")
+    if zero in parts:
+        return zero
+    return (" and " if conjunction else " or ").join(f"({p})" for p in parts if p != unit) or unit
 
 
 def _source(a: Assertion) -> str:
-    """Python source true exactly where `a` holds.  Recurses only where the
+    """Python source true exactly where `a` holds: each comparison as one
+    difference, and `True` or `False` for a part without variables, which
+    the connectives around it fold away.  Recurses only where the
     connective changes."""
     t = type(a)
-    if t is ATrue:
-        return "True"
-    if t is AFalse:
-        return "False"
+    if t is ATrue or t is AFalse:
+        return str(t is ATrue)
     if t is ACmp:
-        return f"{_sum_source(a.left)} {_CMP_SOURCE[a.op]} {_sum_source(a.right)}"
+        terms, c = _comparison(a)
+        symbol, holds = _CMP_SOURCE[a.op]
+        return f"{_sum_source(0, terms)} {symbol} {c}" if terms else str(holds(0, c))
     if t is ANot:
         negated = False
         while type(a) is ANot:
             a, negated = a.inner, not negated
-        return f"not ({_source(a)})" if negated else _source(a)
+        inner = _source(a)
+        return _NEGATED.get(inner, f"not ({inner})") if negated else inner
     if t is AImp:
         parts = []
         while type(a) is AImp:
-            parts.append(f"not ({_source(a.premise)})")
+            premise = _source(a.premise)
+            parts.append(_NEGATED.get(premise, f"not ({premise})"))
             a = a.conclusion
-        parts.append(f"({_source(a)})")
-        return " or ".join(parts)
+        return _folded([*parts, _source(a)], False)
     parts = []
     stack = [a]
     while stack:
@@ -263,8 +339,8 @@ def _source(a: Assertion) -> str:
             stack.append(node.right)
             stack.append(node.left)
         else:
-            parts.append(f"({_source(node)})")
-    return (" and " if t is AAnd else " or ").join(parts)
+            parts.append(_source(node))
+    return _folded(parts, t is AAnd)
 
 
 def _condition(b: Assertion) -> Assertion:
@@ -318,7 +394,7 @@ def entails(p: Assertion, q: Assertion, variables: Iterable[str], bound: int) ->
     others = map(_local, (vars_of(p) | vars_of(q)).difference(names))
     env = _generated(lambda: _search_lines("_entails(_states)", names, others, [f"  if {_source(AAnd(p, ANot(q)))}: return _s"]))
     search = _walked(names, p, q) if env is None else env.pop("_entails")
-    return _verdict(names, search(_value_tuples(len(names), bound)))
+    return _verdict(names, search(_box(p, names, bound)))
 
 
 # --- verification conditions -------------------------------------------------------------
@@ -356,12 +432,14 @@ ENTRY_LABEL = "entry: precondition establishes computed precondition"
 
 @dataclass(frozen=True, slots=True)
 class VerificationCondition:
-    """One VC: its label, its free variables in enumeration order, and its
-    search, from tuples of their values to the first on which the VC fails.
-    `formula`, the VC as an assertion, is built when read."""
+    """One VC: its label, its free variables in enumeration order, its
+    premise, which clips the box it is decided on, and its search, from
+    tuples of their values to the first on which the VC fails.  `formula`,
+    the VC as an assertion, is built when read."""
 
     label: str
     variables: tuple[str, ...]
+    premise: Assertion = field(repr=False, compare=False)
     search: Callable[[Iterable[tuple[int, ...]]], Union[tuple[int, ...], int, None]] = field(repr=False, compare=False)
     _formula: Callable[[], Assertion] = field(repr=False, compare=False)
 
@@ -463,7 +541,7 @@ def _render(items: list, indent: str, lines: list[str], tail: bool = True) -> No
     for i, item in enumerate(items, 1 - len(items)):  # i is 0 at the last item
         t = type(item)
         if t is Assign:
-            lines.append(f"{indent}{_local(item.target)} = {_sum_source(item.rhs)}")
+            lines.append(f"{indent}{_local(item.target)} = {_sum_source(*linear(item.rhs))}")
         elif t is tuple:
             cond, then_items, else_items = item
             lines.append(f"{indent}if {_source(cond)}:")
@@ -518,7 +596,7 @@ def _compiled(
             search, read = _walked(names, ATrue(), formula), lambda f=formula: f
         else:
             search, read = env.pop(f"_vc{i}"), lambda p=premise, k=k: AImp(p, wp(k))
-        conditions.append(VerificationCondition(label, tuple(names), search, read))
+        conditions.append(VerificationCondition(label, tuple(names), premise, search, read))
     return tuple(conditions)
 
 
@@ -652,7 +730,7 @@ def _run_lines(command: Com, changing: list[str], fuel: int, total: bool) -> lis
             if t is Seq:
                 todo += [node.second, node.first]
             elif t is Assign:
-                lines.append(f"{indent}{_local(node.target)} = {_sum_source(node.rhs)}")
+                lines.append(f"{indent}{_local(node.target)} = {_sum_source(*linear(node.rhs))}")
             elif t is If:
                 below = (*outer, *todo)
                 lines.append(f"{indent}if {_source(_condition(node.cond))}:")
@@ -711,7 +789,7 @@ def check_triple(
 
     env = _generated(source)
     search = _walked(names, pre_assertion, post_assertion, command, fuel, mode is Mode.TOTAL) if env is None else env.pop("_triple")
-    return _verdict(names, search(_value_tuples(len(names), bound)))
+    return _verdict(names, search(_box(pre_assertion, names, bound)))
 
 
 # --- verification reports ---------------------------------------------------------------------
@@ -778,7 +856,7 @@ def _verdict_json(v: Verdict) -> dict:
 def _decide(vc: VerificationCondition, bound: int) -> Verdict:
     """Validity of a VC over its enumerated states."""
     names = _enumerated_names(vc.variables, bound)
-    return names if type(names) is Unknown else _verdict(names, vc.search(_value_tuples(len(names), bound)))
+    return names if type(names) is Unknown else _verdict(names, vc.search(_box(vc.premise, names, bound)))
 
 
 def verify(

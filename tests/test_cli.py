@@ -486,9 +486,10 @@ class TestBadSource:
         )
 
     def test_deep_input_that_parses(self, write, capsys):
-        # The parser takes one frame per `->` of a chain, and so does the
-        # verifier's substitution into it, from deeper in the stack: the
-        # longest chain that parses overflows after parsing.
+        # The parser takes one frame per `->` of a chain; substitution into
+        # it walks the chain without recursing, so the longest chain that
+        # parses, and the one before it, verify rather than overflow and
+        # blame the one-line program
         path = write("one.imp", "x := 1")
 
         def verify(n):
@@ -501,10 +502,10 @@ class TestBadSource:
             code, captured = verify(n)
             parse_error = code == EXIT_PARSE_ERROR and captured.err.startswith("--post: ")
             parses, too_deep = (parses, n) if parse_error else (n, too_deep)
-        code, captured = verify(parses)
-        assert code == EXIT_PARSE_ERROR
-        assert captured.out == ""
-        assert captured.err == f"{path}: nesting too deep\n"
+        for n in (parses - 1, parses):
+            code, captured = verify(n)
+            assert (code, captured.err) == (EXIT_OK, "")
+            assert captured.out.endswith("triple: valid\n")
 
     @pytest.mark.parametrize("command", ["run", "compile", "trace"])
     def test_long_sum(self, write, capsys, command):
@@ -534,6 +535,16 @@ class TestBadSource:
             "vc entry: precondition establishes computed precondition: true -> true -- valid\n"
             "triple: valid\n"
         )
+
+    def test_long_sum_in_the_postcondition_verifies(self, write, capsys):
+        # substituting into the sum walks its left spine without recursing,
+        # so the one-line program is not blamed for a nesting too deep
+        path = write("one.imp", "x := 1")
+        post = "x" + " + 1" * 5000 + " = 5001"
+        assert main(["verify", path, "--post", post]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.endswith(" -- valid\ntriple: valid\n")
 
 
 class TestQuickcheck:

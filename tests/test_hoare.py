@@ -48,9 +48,9 @@ from imptool.hoare import (
     verify,
     wp_loop_free,
     _enumerated_names,
-    _value_tuples,
+    _box,
 )
-from imptool.harness import gen_assertion
+from imptool.harness import GenConfig, gen_assertion, gen_com
 from imptool.parser import (
     parse_annotated_com,
     parse_assertion,
@@ -132,11 +132,11 @@ class TestSubstitution:
 
 class TestEnumeration:
     def test_single_variable_order(self):
-        assert list(_value_tuples(1, 1)) == [(-1,), (0,), (1,)]
+        assert list(_box(ATrue(), ["x"], 1)) == [(-1,), (0,), (1,)]
 
     def test_names_sorted_values_lexicographic(self):
         assert _enumerated_names(["y", "x", "y"], 1) == ["x", "y"]
-        assert list(_value_tuples(2, 1)) == [
+        assert list(_box(ATrue(), ["x", "y"], 1)) == [
             (-1, -1), (-1, 0), (-1, 1),
             (0, -1), (0, 0), (0, 1),
             (1, -1), (1, 0), (1, 1),
@@ -743,7 +743,7 @@ class TestCompiledVcs:
         for vc, (_, formula) in zip(got, expected):
             assert vc.formula == formula
             assert vc.variables == tuple(sorted(vars_of(formula)))
-            for values in _value_tuples(len(vc.variables), VC_BOUND):
+            for values in _box(ATrue(), vc.variables, VC_BOUND):
                 state = State(zip(vc.variables, values))
                 assert vc.falsified(*values) == (not eval_assertion(formula, state))
 
@@ -767,7 +767,7 @@ class TestCompiledVcs:
         for vc, (_, formula) in zip(got, expected):
             assert vc.formula == formula
             assert vc.variables == tuple(sorted(vars_of(formula)))
-            for values in _value_tuples(len(vc.variables), 2):
+            for values in _box(ATrue(), vc.variables, 2):
                 state = State(zip(vc.variables, values))
                 assert vc.falsified(*values) == (not eval_assertion(formula, state))
 
@@ -810,7 +810,7 @@ class TestCompiledVcs:
             for entry in report.vcs:
                 ordered, formula = entry.condition.variables, entry.formula
                 first = next(
-                    (v for v in _value_tuples(len(ordered), VC_BOUND) if not eval_assertion(formula, State(zip(ordered, v)))),
+                    (v for v in _box(ATrue(), ordered, VC_BOUND) if not eval_assertion(formula, State(zip(ordered, v)))),
                     None,
                 )
                 assert entry.verdict == (Valid() if first is None else CounterexampleFound(State(zip(ordered, first))))
@@ -923,3 +923,232 @@ class TestAnnotatedCom:
         assert isinstance(loop, While)
         assert loop.invariant is None and loop.measure is None
         assert loop.span.start_line == 1
+
+
+# --- the folded comparison source and the precondition's box -------------------
+
+
+FOLDED_EDGES = [
+    "1 < 2", "2 <= 1", "3 = 3", "x + 11 <= x + 11", "x < x", "x + 3 <= x",
+    "!!!(x < 1)", "!!(1 < 0)", "!(true)", "!!!(x + y = y + x)",
+    "false -> x < 1", "x < 1 -> true", "true -> x < 1", "x < 1 -> false", "x < 1 -> false -> y < 0",
+    "x < 1 -> 1 < 0", "y < 0 -> x = x -> x < 1",
+    "x < 1 && true", "false || x < 1", "x < 1 || true", "1 < 0 && x < 1", "!(0 < 1) || !(x < 1)",
+    "x < x + x", "x + y <= y + x", "x + x + y = y + 3", "y + 2 < x + x + y", "x + x <= x + x + x + -1",
+    "x + y + y < y", "0 <= x + -1 + y + y + -1",
+]
+
+
+def agrees_on_every_state(a, bound):
+    """The compiled `entails` from each state's point precondition holds
+    exactly where `eval_assertion` says `a` does."""
+    ordered = sorted(vars_of(a))
+    expected = []
+    for values in _box(ATrue(), ordered, bound):
+        state = State(zip(ordered, values))
+        expected.append((values, Valid() if eval_assertion(a, state) else CounterexampleFound(state)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hoare, "eval_assertion", None)  # the search must be the compiled one
+        for values, verdict in expected:
+            assert entails(point(ordered, values), a, ordered, bound) == verdict
+
+
+class TestFoldedSource:
+    @pytest.mark.parametrize("text", FOLDED_EDGES)
+    def test_edge_cases_agree_with_eval_assertion(self, text):
+        agrees_on_every_state(parse_assertion(text), 2)
+
+    def test_generated_assertions_agree_with_eval_assertion(self):
+        rng = random.Random(25)
+        for _ in range(120):
+            agrees_on_every_state(gen_assertion(rng, 3, ("x", "y"), (-3, 3)), 2)
+
+    @pytest.mark.parametrize(
+        "text, source",
+        [
+            ("x + 11 <= x + 11", "True"),
+            ("!(false)", "True"),
+            ("x < 1 || true", "True"),
+            ("false -> x < 1", "True"),
+            ("x < 1 -> true", "True"),
+            ("true && x < 2", "(v_x < 2)"),
+            ("x < 1 -> false", "(not (v_x < 1))"),
+            ("x + y <= y + x + 1 && 1 < 2", "True"),
+            ("x < x + x", "-1 * v_x < 0"),
+            ("y + 3 = x + x + y", "-2 * v_x == -3"),
+        ],
+    )
+    def test_constants_fold_away(self, text, source):
+        assert hoare._source(parse_assertion(text)) == source
+
+
+def interval(rng, name, other):
+    """`k·name op c` for a random nonzero k, written with the variable on
+    both sides, a constant split between them and, sometimes, `other` on
+    both sides to cancel; at times negated."""
+    k, c, d = rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-7, 7), rng.randint(-3, 3)
+    left, right = [Var(name)] * max(k, 0) + [NumLit(d)], [Var(name)] * max(-k, 0) + [NumLit(d + c)]
+    if rng.random() < 0.3:
+        left, right = left + [Var(other)], [Var(other)] + right
+    rng.shuffle(left)
+    rng.shuffle(right)
+    a = ACmp(rng.choice(tuple(CmpOp)), reduce(Plus, left), reduce(Plus, right))
+    return not_chain(rng.choice((0, 0, 1, 2)), a)
+
+
+def boxed_premise(rng, names):
+    """A conjunction, nested at random, of intervals over `names` and over
+    `u` (never enumerated), constants, and generated assertions; at times
+    with intervals under `||` or `->`, which bound nothing."""
+    parts = [interval(rng, rng.choice(names), rng.choice(names)) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        parts.append(rng.choice((AOr, AImp))(interval(rng, "x", "y"), interval(rng, "y", "x")))
+    if rng.random() < 0.2:
+        parts.append(interval(rng, "u", "x"))
+    if rng.random() < 0.1:
+        parts.append(rng.choice((ATrue(), AFalse(), ANot(ATrue()), ANot(AFalse()))))
+    if rng.random() < 0.5:
+        parts.append(gen_assertion(rng, 2, names, (-3, 3)))
+    rng.shuffle(parts)
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i:i + 2] = [AAnd(parts[i], parts[i + 1])]
+    return parts[0]
+
+
+def small_com(rng):
+    """A small random command from the quickcheck generator."""
+    return gen_com(GenConfig(max_depth=2, max_vars=3, literal_range=(-2, 2)), rng)
+
+
+class TestBox:
+    """`_box` reads exact intervals off the top-level conjuncts, and the
+    searches over it give the verdicts of the references over the full box."""
+
+    @pytest.mark.parametrize(
+        "text, names, expected",
+        [
+            ("x + x <= -3", ["x"], [-3, -2]),  # floor, not truncation
+            ("-3 <= x + x", ["x"], [-1, 0, 1, 2, 3]),  # ceiling
+            ("x + x + x <= 4", ["x"], [-3, -2, -1, 0, 1]),
+            ("4 < x + x + x", ["x"], [2, 3]),
+            ("x + x + x = 6", ["x"], [2]),
+            ("-6 = x + x + x", ["x"], [-2]),
+            ("x + x = 3", ["x"], []),
+            ("!(x < 1)", ["x"], [1, 2, 3]),
+            ("!(x <= 1)", ["x"], [2, 3]),
+            ("!!(x < 1)", ["x"], [-3, -2, -1, 0]),
+            ("!(x = 1)", ["x"], [-3, -2, -1, 0, 1, 2, 3]),
+            ("x < 0 || 2 < x", ["x"], [-3, -2, -1, 0, 1, 2, 3]),
+            ("x < 0 -> false", ["x"], [-3, -2, -1, 0, 1, 2, 3]),
+            ("!(x < 0 && 2 < x)", ["x"], [-3, -2, -1, 0, 1, 2, 3]),
+            ("y < 1 && x < 0", ["x"], [-3, -2, -1]),  # y reads 0
+            ("1 < y && x < 0", ["x"], []),
+            ("x < 1 && false", ["x"], []),
+            ("!true && x < 1", ["x"], []),
+            ("!false && x < 1 && 0 < 1", ["x"], [-3, -2, -1, 0]),
+            ("x + 3 <= x", ["x"], []),
+            ("x + y < 3", ["x"], [-3, -2, -1, 0, 1, 2]),  # y reads 0
+            ("0 <= x && x <= 1 && -2 < x + x && x < 5", ["x"], [0, 1]),
+        ],
+    )
+    def test_exact_integer_bounds(self, text, names, expected):
+        assert list(_box(parse_assertion(text), names, 3)) == [(v,) for v in expected]
+
+    def test_a_product_of_intervals(self):
+        premise = parse_assertion("0 <= x && (y < 0 && x <= 1)")
+        assert list(_box(premise, ["x", "y", "z"], 1)) == [(x, -1, z) for x in (0, 1) for z in (-1, 0, 1)]
+        # y cancels, leaving x < 1
+        got = list(_box(parse_assertion("x + y < y + 1"), ["x", "y"], 1))
+        assert got == [(x, y) for x in (-1, 0) for y in (-1, 0, 1)]
+
+    def test_every_state_cut_fails_the_premise(self):
+        rng = random.Random(25)
+        for _ in range(300):
+            names = ("x", "y", "z")[: rng.randint(1, 3)]
+            premise, bound = boxed_premise(rng, names), rng.randint(0, 3)
+            full = list(_box(ATrue(), list(names), bound))
+            box = list(_box(premise, list(names), bound))
+            assert box == [v for v in full if v in set(box)]  # a subsequence, in order
+            for values in set(full) - set(box):
+                assert not eval_assertion(premise, State(zip(names, values)))
+
+    def test_one_conjunct_is_read_exactly(self):
+        # a lone interval on x leaves exactly the states that satisfy it,
+        # except a negated equation, which bounds nothing
+        rng = random.Random(25)
+        full = list(_box(ATrue(), ["x", "y"], 3))
+        for _ in range(300):
+            a = comparison = interval(rng, "x", "y")
+            negations = 0
+            while type(comparison) is ANot:
+                comparison, negations = comparison.inner, negations + 1
+            satisfying = [v for v in full if eval_assertion(a, State(zip("xy", v)))]
+            unread = negations % 2 and comparison.op is CmpOp.EQ
+            assert list(_box(a, ["x", "y"], 3)) == (full if unread else satisfying), pretty_assertion(a)
+
+    def test_an_interval_under_or_or_implication_bounds_nothing(self):
+        either = parse_assertion("x < 0 || 2 < x")
+        assert entails(either, X_LT_0, {"x"}, 3) == CounterexampleFound(State.of(x=3))
+        assert check_triple(either, Skip(), parse_assertion("x = 0"), {"x"}, 3, 10) == CounterexampleFound(State.of(x=-3))
+        got = entails(parse_assertion("x < 0 -> false"), parse_assertion("x < 2"), {"x"}, 3)
+        assert got == CounterexampleFound(State.of(x=2))
+        got = entails(parse_assertion("0 <= y -> x < 0"), X_LT_0, {"x", "y"}, 1)
+        assert got == CounterexampleFound(State.of(y=-1))
+
+    def test_a_negated_comparison_is_its_complement(self):
+        three = CounterexampleFound(State.of(x=3))
+        assert entails(parse_assertion("!(x < 1)"), parse_assertion("x < 3"), {"x"}, 3) == three
+        assert entails(parse_assertion("!(x <= 1)"), parse_assertion("x < 3"), {"x"}, 3) == three
+        assert check_triple(parse_assertion("!(x < 1)"), Skip(), parse_assertion("x < 3"), {"x"}, 3, 10) == three
+
+    def test_the_limit_applies_to_the_full_box(self):
+        many = sorted(f"v{i}" for i in range(7))
+        assert state_space_size(many, 5) > ENUMERATION_LIMIT
+        single = point(many, [0] * 7)
+        for got in (entails(single, AFalse(), many, 5), check_triple(single, Skip(), ATrue(), many, 5, 10)):
+            assert got == Unknown(f"state space exceeds {ENUMERATION_LIMIT} states")
+
+    def test_fuel_out_counts_only_the_states_of_the_precondition(self):
+        pre = parse_assertion("0 <= x && !(2 < x) && y = 1")
+        spin = parse_com("while (0 < x) { y := y + 1 }")
+        for mode in Mode:
+            expected = reference_check_triple(pre, spin, ATrue(), {"x", "y"}, 3, 50, mode)
+            assert check_triple(pre, spin, ATrue(), {"x", "y"}, 3, 50, mode) == expected
+        assert expected == Unknown("2 initial state(s) ran out of fuel")
+
+    def test_entails_and_check_triple_agree_with_the_references(self):
+        rng = random.Random(25)
+        for _ in range(150):
+            names = ("x", "y", "z")[: rng.randint(1, 3)]
+            p, bound = boxed_premise(rng, names), rng.randint(0, 2)
+            q = gen_assertion(rng, 2, names, (-3, 3))
+            listed = set(names)
+            assert entails(p, q, listed, bound) == reference_entails(p, q, listed, bound)
+            c = small_com(rng)
+            listed |= vars_of(c)
+            for mode in Mode:
+                expected = reference_check_triple(p, c, q, listed, bound, 40, mode)
+                assert check_triple(p, c, q, listed, bound, 40, mode) == expected
+
+    def test_verify_agrees_with_the_full_box(self):
+        # every VC's premise and the precondition clip their searches; the
+        # same searches over the full box give the same verdicts
+        c = parse_annotated_com(
+            "while (0 < x) invariant (0 <= x && y <= 2) measure (x) "
+            "{ x := x + -1; if (y < 2) { y := y + 1 } else { skip } }"
+        )
+        rng = random.Random(25)
+
+        def verdicts(pre, post, mode):
+            report = verify(c, pre, post, 2, 100, mode)
+            return [entry.verdict for entry in report.vcs], report.triple_verdict
+
+        for _ in range(40):
+            names = ("x", "y", "z")[: rng.randint(1, 3)]
+            pre, post = boxed_premise(rng, names), gen_assertion(rng, 2, names, (-3, 3))
+            for mode in Mode:
+                clipped = verdicts(pre, post, mode)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(hoare, "_box", lambda premise, names, bound: _box(ATrue(), names, bound))
+                    assert verdicts(pre, post, mode) == clipped
