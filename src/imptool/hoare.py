@@ -26,14 +26,16 @@ cut fails the premise, so the order, the first counterexample and the count
 of runs out of fuel are those of the full box, to which the enumeration
 limit still applies.
 
-Each such check is one generated Python function, a search, compiled once
-(Feeley & Lapalme, "Using closures for code generation", 1987): it runs the
+Each such check is one generated Python function, a search (Feeley &
+Lapalme, "Using closures for code generation", 1987): it runs the
 enumeration itself, unpacking each value tuple into locals, and returns the
-first on which the check fails, so it makes no Python call per state.  Each
-comparison in it is one difference `Σ k·x op c`, and a part left without
-variables folds away as a constant.  A
-triple's search runs the command inline, counting rules, running out of fuel
-and finding a repeated configuration just as `big_step` does.  All generated
+first on which the check fails, so it makes no Python call per state.  A
+process compiles each distinct source once, and an entailment or triple
+whose box holds no state compiles nothing: over no state every search
+returns Valid.  Each comparison in a search is one difference `Σ k·x op c`,
+and a part left without variables folds away as a constant.  A triple's
+search runs the command inline, counting rules, running out of fuel and
+finding a repeated configuration just as `big_step` does.  All generated
 code passes one gate, `_generated`, which reports where CPython refuses it:
 source nested deeper than its compiler takes (200 parentheses, 100
 indentation levels, 20 nested loops, the search's own among them), or a
@@ -47,6 +49,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from types import CodeType
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .bigstep import Terminated, big_step
@@ -267,7 +270,7 @@ def _box(premise: Assertion, names: list[str], bound: int) -> Iterable[tuple[int
     `<` or `=`, or `!` of a `<` or `<=`, read as its complement (the interval
     domain; Cousot & Cousot, POPL 1977).  A name not enumerated reads 0, and
     a conjunct with no variable left that fails leaves no tuple, so every
-    tuple cut fails the premise."""
+    tuple cut fails the premise.  Where no tuple is left, this is `()`."""
     low, high = dict.fromkeys(names, -bound), dict.fromkeys(names, bound)
     todo = [premise]
     while todo:
@@ -294,7 +297,8 @@ def _box(premise: Assertion, names: list[str], bound: int) -> Iterable[tuple[int
                     high[name] = min(high[name], c // k)
                 if equal or k < 0:  # x >= ⌈c / k⌉
                     low[name] = max(low[name], -(c // -k))
-    return itertools.product(*(range(low[name], high[name] + 1) for name in names))
+    ranges = [range(low[name], high[name] + 1) for name in names]
+    return itertools.product(*ranges) if all(ranges) else ()
 
 
 def _folded(parts: list[str], conjunction: bool) -> str:
@@ -356,16 +360,28 @@ def _condition(b: Assertion) -> Assertion:
     return b
 
 
+# How many distinct generated sources a process keeps compiled.
+_COMPILED_SOURCES = 512
+
+
+@functools.lru_cache(maxsize=_COMPILED_SOURCES)
+def _code(source: str) -> CodeType:
+    """The compiled generated source; a source CPython refuses raises, and is
+    not kept."""
+    return compile(source, "<generated>", "exec")
+
+
 def _generated(build: Callable[[], list[str]]) -> Optional[dict[str, object]]:
-    """The names defined by the Python lines `build()` returns, compiled and
-    run once without builtins, or None where CPython refuses the source.  It
-    refuses by raising SyntaxError (too many nested parentheses, indentation
-    levels or statically nested blocks), RecursionError or MemoryError (too
-    deep for its compiler or parser), or ValueError (a literal past the
-    int-to-text limit).  Pop each function out: it and its globals form a cycle."""
+    """The names defined by the Python lines `build()` returns, compiled once
+    per distinct source and run in a fresh namespace without builtins, or
+    None where CPython refuses the source.  It refuses by raising SyntaxError
+    (too many nested parentheses, indentation levels or statically nested
+    blocks), RecursionError or MemoryError (too deep for its compiler or
+    parser), or ValueError (a literal past the int-to-text limit).  Pop each
+    function out: it and its globals form a cycle."""
     env: dict[str, object] = {"__builtins__": {}}
     try:
-        exec(compile("\n".join(build()), "<generated>", "exec"), env)
+        exec(_code("\n".join(build())), env)
     except (SyntaxError, RecursionError, MemoryError, ValueError):
         return None
     return env
@@ -391,10 +407,13 @@ def entails(p: Assertion, q: Assertion, variables: Iterable[str], bound: int) ->
     names = _enumerated_names(variables, bound)
     if type(names) is Unknown:
         return names
+    states = _box(p, names, bound)
+    if not states:
+        return Valid()
     others = map(_local, (vars_of(p) | vars_of(q)).difference(names))
     env = _generated(lambda: _search_lines("_entails(_states)", names, others, [f"  if {_source(AAnd(p, ANot(q)))}: return _s"]))
     search = _walked(names, p, q) if env is None else env.pop("_entails")
-    return _verdict(names, search(_box(p, names, bound)))
+    return _verdict(names, search(states))
 
 
 # --- verification conditions -------------------------------------------------------------
@@ -777,6 +796,9 @@ def check_triple(
     names = _enumerated_names(variables, bound)
     if type(names) is Unknown:
         return names
+    states = _box(pre_assertion, names, bound)
+    if not states:
+        return Valid()
     changing = sorted(vars_of(command))
     read = vars_of(pre_assertion) | vars_of(post_assertion) | set(changing)
 
@@ -789,7 +811,7 @@ def check_triple(
 
     env = _generated(source)
     search = _walked(names, pre_assertion, post_assertion, command, fuel, mode is Mode.TOTAL) if env is None else env.pop("_triple")
-    return _verdict(names, search(_box(pre_assertion, names, bound)))
+    return _verdict(names, search(states))
 
 
 # --- verification reports ---------------------------------------------------------------------

@@ -31,10 +31,11 @@ Integers are ASCII digits, and negative numbers exist only as literal tokens
 beginning with a double underscore are reserved for the verifier's snapshot
 variables.  Input nested deeper than the interpreter's recursion limit is a
 `ParseError` ("nesting too deep").  One `findall` lexes the whole text, and
-token offsets, lines and columns are computed only when a span is needed.
-Nodes are immutable, so a parse builds one `NumLit` or `Var` per distinct
-lexeme and shares it.  A sum prints along its left spine, so a sum of any
-length prints without recursion.
+token offsets, lines and columns are computed only when a span is needed,
+lexing again only as far as that token.  Nodes are immutable, so a parse
+builds one `NumLit` or `Var` per distinct lexeme and shares it.  A sum prints
+along its left spine, and an assertion by an explicit stack, so both print
+at any size without recursion.
 
 The pretty-printers emit text that parses back to the identical AST, a
 command when every test in it is a condition: a loop prints its invariant
@@ -49,6 +50,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import fields
+from itertools import islice
 
 from .machine import Add, Instr, Jmp, JmpGe, JmpLess, Load, LoadI, Store
 from .syntax import (
@@ -129,17 +131,19 @@ class _Parser:
     A token's kind is the symbol or keyword itself, or "int", "ident" or
     "eof".  One `findall` lexes the text; the start offsets of the tokens, and
     from them their lines and columns, are computed only when an error or a
-    `While` first needs a span.
+    `While` needs a span, by lexing again up to that token.
     """
 
     def __init__(self, text: str, allow_annotations: bool) -> None:
         self.text = text
         self.allow_annotations = allow_annotations
         self.newlines: list[int] | None = None
-        self.starts: list[int] | None = None
+        first = _LAYOUT_RE.match(text).end()
+        self.starts: list[int] = []  # of the tokens lexed again so far
+        self.matches = _TOKEN_RE.finditer(text, first)
         self.index = 0
         self.leaves: dict[str, AExp] = {}  # one NumLit or Var per lexeme
-        self.texts = texts = _TOKEN_RE.findall(text, _LAYOUT_RE.match(text).end())
+        self.texts = texts = _TOKEN_RE.findall(text, first)
         bad = texts.index("")  # the end of input, unless a bad lexeme comes first
         if bad < len(texts) - 1:
             start = self.token_start(bad)
@@ -156,12 +160,14 @@ class _Parser:
 
     def token_start(self, i: int) -> int:
         """The start offset of token i; the end of input sits on the last
-        character of the last token."""
-        if self.starts is None:
-            starts = [m.start() for m in _TOKEN_RE.finditer(self.text, _LAYOUT_RE.match(self.text).end())]
-            starts[-1] = starts[-2] + len(self.texts[-2]) - 1 if len(starts) > 1 else 0
-            self.starts = starts
-        return self.starts[i]
+        character of the last token.  The text is lexed again only up to
+        token i."""
+        if i == len(self.texts) - 1:
+            return self.token_start(i - 1) + len(self.texts[i - 1]) - 1 if i else 0
+        starts = self.starts
+        if len(starts) <= i:
+            starts += [m.start() for m in islice(self.matches, i + 1 - len(starts))]
+        return starts[i]
 
     def span(self, start: int, length: int) -> SourceSpan:
         """The one-line span of `length` characters from offset `start`."""
@@ -364,28 +370,37 @@ def _aatom_str(a: AExp) -> str:
 
 
 def pretty_assertion(a: Assertion) -> str:
-    return _assertion_str(a, 0)
-
-
-def _assertion_str(a: Assertion, level: int) -> str:
-    """`a`, in parentheses when it binds looser than `level`."""
-    t = type(a)
-    row = _CONNECTIVE_OF.get(t)
-    if row is not None:
-        symbol, power, left, right = row
-        first, second = (a.premise, a.conclusion) if t is AImp else (a.left, a.right)
-        text = f"{_assertion_str(first, left)} {symbol} {_assertion_str(second, right)}"
-        return f"({text})" if power < level else text
-    if t is ANot:
-        return f"!{_assertion_str(a.inner, 5)}"
-    if t is ACmp:
-        text = f"{pretty_aexp(a.left)} {a.op.value} {pretty_aexp(a.right)}"
-        return f"({text})" if level > 4 else text
-    if t is ATrue:
-        return "true"
-    if t is AFalse:
-        return "false"
-    raise TypeError(f"not an assertion: {a!r}")
+    """`a` with the parentheses its connectives need and no others.  An
+    explicit stack of pending nodes and text walks it, so an assertion of any
+    depth prints."""
+    out: list[str] = []
+    todo: list = [(a, 0)]  # (node, least level it binds at unparenthesised), or text
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        a, level = item
+        t = type(a)
+        row = _CONNECTIVE_OF.get(t)
+        if row is not None:
+            symbol, power, left, right = row
+            first, second = (a.premise, a.conclusion) if t is AImp else (a.left, a.right)
+            if power < level:
+                out.append("(")
+                todo.append(")")
+            todo += [(second, right), f" {symbol} ", (first, left)]
+        elif t is ANot:
+            out.append("!")
+            todo.append((a.inner, 5))
+        elif t is ACmp:
+            text = f"{pretty_aexp(a.left)} {a.op.value} {pretty_aexp(a.right)}"
+            out.append(f"({text})" if level > 4 else text)
+        elif t is ATrue or t is AFalse:
+            out.append("true" if t is ATrue else "false")
+        else:
+            raise TypeError(f"not an assertion: {a!r}")
+    return "".join(out)
 
 
 def pretty_com(c: Com) -> str:

@@ -485,6 +485,21 @@ class TestBadSource:
             "triple: valid\n"
         )
 
+    def test_a_postcondition_deeper_than_the_stack_prints(self, write, capsys):
+        # 1,200 `&&` nest the formula 2,400 connectives deep; printing walks
+        # it by an explicit stack, so the report prints in full
+        path = write("one.imp", "skip")
+        post = " && ".join(["(x = 1 || y < i)"] * 1200)
+        assert main(["verify", path, "--post", post]) == EXIT_COUNTEREXAMPLE
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        cex = "  counterexample: i=-5, x=-5, y=-5\n"
+        assert captured.out == (
+            f"mode: partial\nbound: 5\ncomputed precondition: {post}\n"
+            f"vc entry: precondition establishes computed precondition: true -> {post} -- counterexample\n{cex}"
+            f"triple: counterexample\n{cex}"
+        )
+
     def test_deep_input_that_parses(self, write, capsys):
         # The parser takes one frame per `->` of a chain; substitution into
         # it walks the chain without recursing, so the longest chain that

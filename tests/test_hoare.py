@@ -791,9 +791,11 @@ class TestCompiledVcs:
             return
         # VCs decided on their formulas and the triple run by big_step; where
         # the triple holds, and the precondition fails on the zero state,
-        # entails also looks for a state that satisfies the precondition
+        # entails also looks for a state that satisfies the precondition.  A
+        # search over an empty box compiles nothing, so reaches no gate.
+        searched = bool(_box(pre, sorted(vars_of(c) | vars_of(pre) | vars_of(post)), VC_BOUND))
         looked = compiled[1] in (Valid(), VACUOUS) and not eval_assertion(pre, State())
-        assert refused == {"_compiled", "check_triple", *(["entails"] if looked else [])}
+        assert refused == {"_compiled", *(["check_triple"] if searched else []), *(["entails"] if looked and searched else [])}
 
     @given(coms(max_leaves=6, annotated=True), st.integers(0, 2**32 - 1), st.sampled_from(tuple(Mode)))
     @settings(max_examples=50, deadline=None)
@@ -818,6 +820,10 @@ class TestCompiledVcs:
     def test_checks_leave_no_reference_cycles(self):
         # garbage in a cycle lives until the cyclic collector runs
         c, pre, post = parse_annotated_com(COUNTDOWN_ANN), parse_assertion("0 <= x"), parse_assertion("x = 0")
+        # warm: the searches below reuse the code the first calls compiled
+        check_triple(pre, c, post, {"x"}, 3, 1_000)
+        verify(c, pre, post, 3, 1_000, Mode.TOTAL)
+        hits = hoare._code.cache_info().hits
         gc.collect()
         gc.disable()
         try:
@@ -829,6 +835,7 @@ class TestCompiledVcs:
             assert gc.collect() == 0
         finally:
             gc.enable()
+        assert hoare._code.cache_info().hits >= hits + 200
 
     def test_deciding_builds_no_formula(self, monkeypatch):
         def refuse(*args):
@@ -1152,3 +1159,105 @@ class TestBox:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(hoare, "_box", lambda premise, names, bound: _box(ATrue(), names, bound))
                     assert verdicts(pre, post, mode) == clipped
+
+
+# --- compiled sources, shared per process, and the empty box --------------------
+
+
+@st.composite
+def empty_premises(draw):
+    """A premise whose conjuncts put an empty interval on an enumerated name
+    (`lo <= k·x` and `k·x <= hi` with hi < lo, each at times written as the
+    negated comparison), conjoined in any order with random assertions;
+    with the names it lists and a small bound."""
+    name = draw(names)
+    listed = draw(st.sets(names)) | {name}
+    k, lo = draw(st.integers(1, 3)), draw(st.integers(-4, 4))
+    hi = draw(st.integers(lo - 4, lo - 1))
+    kx = reduce(Plus, [Var(name)] * k)
+    above = draw(st.sampled_from((ACmp(CmpOp.LE, NumLit(lo), kx), ANot(ACmp(CmpOp.LT, kx, NumLit(lo))))))
+    below = draw(st.sampled_from((ACmp(CmpOp.LE, kx, NumLit(hi)), ANot(ACmp(CmpOp.LT, NumLit(hi), kx)))))
+    parts = draw(st.permutations([above, below, *draw(st.lists(assertions(4), max_size=2))]))
+    return reduce(AAnd, parts), listed, draw(st.integers(0, 2))
+
+
+class TestCompiledSources:
+    """Each distinct generated source is compiled once per process, and a
+    search over an empty box compiles nothing; every verdict is that of the
+    references over the full box."""
+
+    def test_equal_sources_share_one_code_object(self):
+        first = hoare._generated(lambda: ["def _f(_s):", " return _s"])
+        second = hoare._generated(lambda: ["def _f(_s):", " return _s"])
+        assert first is not second  # each call runs in its own namespace
+        assert first.pop("_f").__code__ is second.pop("_f").__code__
+
+    def test_a_repeated_check_reuses_its_code(self):
+        p, q = parse_assertion("0 <= x"), parse_assertion("x < 2")
+        before = hoare._code.cache_info()
+        # the bound is not part of the source
+        assert entails(p, q, {"x"}, 2) == reference_entails(p, q, {"x"}, 2)
+        assert entails(p, q, {"x"}, 3) == reference_entails(p, q, {"x"}, 3)
+        after = hoare._code.cache_info()
+        assert after.hits >= before.hits + 1
+        assert after.hits + after.misses == before.hits + before.misses + 2
+
+    def test_the_cache_stays_bounded(self):
+        # a long-lived process that checks fresh literals must not keep every source
+        for k in range(10_000):
+            assert entails(ATrue(), ACmp(CmpOp.LT, Var("x"), NumLit(k)), {"x"}, 0) == (
+                Valid() if k > 0 else CounterexampleFound(State())
+            )
+            info = hoare._code.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_a_refused_source_is_refused_on_every_call_and_never_kept(self):
+        for _ in range(3):
+            before = hoare._code.cache_info()
+            assert hoare._generated(lambda: [f"_x = {'(' * 300}1{')' * 300}"]) is None
+            after = hoare._code.cache_info()
+            assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses + 1, before.currsize)
+
+    def test_a_refused_check_runs_its_reference_on_every_call(self, refusals):
+        for _ in range(3):
+            assert entails(X_LT_0, DEEPER, {"x", "y"}, 2) == reference_entails(X_LT_0, DEEPER, {"x", "y"}, 2)
+        assert refusals == ["entails"] * 3
+
+    @given(empty_premises(), assertions(4), coms(max_leaves=4))
+    @settings(max_examples=60, deadline=None)
+    def test_an_empty_box_reaches_no_gate(self, premise_listed_bound, q, c):
+        p, listed, bound = premise_listed_bound
+        assert _box(p, sorted(listed), bound) == ()
+        listed |= vars_of(c)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hoare, "_generated", None)  # no search may be compiled
+            assert entails(p, q, listed, bound) == reference_entails(p, q, listed, bound)
+            for mode in Mode:
+                assert check_triple(p, c, q, listed, bound, 40, mode) == reference_check_triple(p, c, q, listed, bound, 40, mode)
+
+    @pytest.mark.parametrize(
+        "text, listed, bound, expected",
+        [
+            ("x = 3", ["x"], 3, {"x": 3}),  # one value, at the top of the range
+            ("x = -3", ["x"], 3, {"x": -3}),  # and at the bottom
+            ("0 <= x && x <= 0 && y = 2", ["x", "y"], 2, {"y": 2}),
+            ("x + x + x = 6 && !(y < 1) && y < 2", ["x", "y"], 3, {"x": 2, "y": 1}),
+            ("true", ["x", "y"], 0, {}),  # every range holds one value at bound 0
+            ("x < 1 && y = 0", ["x", "y"], 0, {}),
+        ],
+    )
+    def test_a_single_valued_range_is_searched(self, text, listed, bound, expected):
+        p, state = parse_assertion(text), State(expected.items())
+        assert list(_box(p, listed, bound)) == [tuple(map(state.read, listed))]
+        assert entails(p, AFalse(), listed, bound) == CounterexampleFound(state)
+        for mode in Mode:
+            assert check_triple(p, Skip(), AFalse(), listed, bound, 10, mode) == CounterexampleFound(state)
+        assert verify(Skip(), p, ATrue(), bound, 10, Mode.PARTIAL).triple_verdict == Valid()
+
+    @pytest.mark.parametrize("text", ["x = 4", "3 < x", "x + x = 3", "0 < x && x < 1", "y < 0 && 0 <= y"])
+    def test_an_empty_box_is_valid(self, text):
+        p = parse_assertion(text)
+        assert _box(p, ["x", "y"], 3) == ()
+        assert entails(p, AFalse(), {"x", "y"}, 3) == Valid()
+        assert check_triple(p, Skip(), AFalse(), {"x", "y"}, 3, 10) == Valid()
+        assert verify(Skip(), p, AFalse(), 3, 10, Mode.PARTIAL).triple_verdict == VACUOUS

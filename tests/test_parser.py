@@ -18,6 +18,7 @@ from imptool.hoare import (
     erase,
 )
 from imptool.harness import gen_bexp
+from imptool import parser
 from imptool.machine import Add, Jmp, JmpGe, JmpLess, Load, LoadI, Store, ccomp
 from imptool.parser import (
     ParseError,
@@ -415,13 +416,18 @@ def _loops(c):
     return out
 
 
-@given(coms(annotated=True), st.data())
-def test_relaid_source_parses_to_same_command_with_while_spans(c, data):
+def _relaid(c, data):
+    """`pretty_com(c)` with drawn layout around and between its tokens."""
     tokens = _PRETTY_TOKEN.findall(pretty_com(c))
     text = data.draw(st.sampled_from(["", "\n", "// head\n\t"])) + tokens[0]
     for token in tokens[1:]:
         text += data.draw(_LAYOUT) + token
-    text += data.draw(st.sampled_from(["", "\r\n", " // tail", "\n// tail\n"]))
+    return text + data.draw(st.sampled_from(["", "\r\n", " // tail", "\n// tail\n"]))
+
+
+@given(coms(annotated=True), st.data())
+def test_relaid_source_parses_to_same_command_with_while_spans(c, data):
+    text = _relaid(c, data)
     got = parse_annotated_com(text)
     assert got == c
     lines = text.split("\n")
@@ -429,6 +435,36 @@ def test_relaid_source_parses_to_same_command_with_while_spans(c, data):
         span = loop.span
         assert lines[span.start_line - 1][span.start_col - 1 :].startswith("while")
         assert (span.end_line, span.end_col) == (span.start_line, span.start_col + 4)
+
+
+def _eager_token_start(self, i):
+    """`_Parser.token_start` by lexing the whole text again: the reference
+    for the offsets lexed only as far as a span needs."""
+    starts = [m.start() for m in parser._TOKEN_RE.finditer(self.text, parser._LAYOUT_RE.match(self.text).end())]
+    starts[-1] = starts[-2] + len(self.texts[-2]) - 1 if len(starts) > 1 else 0
+    return starts[i]
+
+
+def _spans_or_error(text):
+    """Every loop's span, or the parse error and its span."""
+    try:
+        c = parse_annotated_com(text)
+    except ParseError as err:
+        return str(err), err.span
+    return [loop.span for loop in _loops(c)]
+
+
+@given(coms(annotated=True), st.data())
+def test_spans_and_error_positions_match_a_whole_lexing(c, data):
+    text = _relaid(c, data)
+    edit = data.draw(st.sampled_from(["", "cut", "stray"]))
+    if edit:  # a cut or a stray lexeme makes most texts an error
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] if edit == "cut" else text[:at] + data.draw(st.sampled_from(["@", " __q", "\n\u00b2"])) + text[at:]
+    got = _spans_or_error(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parser._Parser, "token_start", _eager_token_start)
+        assert _spans_or_error(text) == got
 
 
 def _large_source(rng, size):
