@@ -36,9 +36,9 @@ returns Valid.  Each comparison in a search is one difference `Σ k·x op c`,
 and a part left without variables folds away as a constant.  A triple's
 search runs the command inline, counting rules, running out of fuel and
 finding a repeated configuration just as `big_step` does.  All generated
-code passes one gate, `_generated`, which reports where CPython refuses it:
-source nested deeper than its compiler takes (200 parentheses, 100
-indentation levels, 20 nested loops, the search's own among them), or a
+code passes one gate, `syntax._generated`, which reports where CPython
+refuses it: source nested deeper than its compiler takes (200 parentheses,
+100 indentation levels, 20 nested loops, the search's own among them), or a
 literal past its int-to-text limit.  There the whole check runs its
 reference, `eval_assertion` and `big_step`.
 """
@@ -49,7 +49,6 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from types import CodeType
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .bigstep import Terminated, big_step
@@ -76,6 +75,7 @@ from .syntax import (
     State,
     Var,
     While,
+    _generated,
     aval,
     linear,
     seq_chain,
@@ -358,33 +358,6 @@ def _condition(b: Assertion) -> Assertion:
     elif not (t is ATrue or t is AFalse or t is ACmp and b.op is CmpOp.LT):
         raise TypeError(f"not a condition: {b!r}")
     return b
-
-
-# How many distinct generated sources a process keeps compiled.
-_COMPILED_SOURCES = 512
-
-
-@functools.lru_cache(maxsize=_COMPILED_SOURCES)
-def _code(source: str) -> CodeType:
-    """The compiled generated source; a source CPython refuses raises, and is
-    not kept."""
-    return compile(source, "<generated>", "exec")
-
-
-def _generated(build: Callable[[], list[str]]) -> Optional[dict[str, object]]:
-    """The names defined by the Python lines `build()` returns, compiled once
-    per distinct source and run in a fresh namespace without builtins, or
-    None where CPython refuses the source.  It refuses by raising SyntaxError
-    (too many nested parentheses, indentation levels or statically nested
-    blocks), RecursionError or MemoryError (too deep for its compiler or
-    parser), or ValueError (a literal past the int-to-text limit).  Pop each
-    function out: it and its globals form a cycle."""
-    env: dict[str, object] = {"__builtins__": {}}
-    try:
-        exec(_code("\n".join(build())), env)
-    except (SyntaxError, RecursionError, MemoryError, ValueError):
-        return None
-    return env
 
 
 def _search_lines(signature: str, names: list[str], zeroed: Iterable[str], body: list[str]) -> list[str]:

@@ -143,6 +143,9 @@ class _Parser:
         self.matches = _TOKEN_RE.finditer(text, first)
         self.index = 0
         self.leaves: dict[str, AExp] = {}  # one NumLit or Var per lexeme
+        # Each parenthesised sum parsed, and the index after it, by the index
+        # of its `(`: `unary` tries a `(` as a formula, then as a sum.
+        self.sums: dict[int, tuple[AExp, int]] = {}
         self.texts = texts = _TOKEN_RE.findall(text, first)
         bad = texts.index("")  # the end of input, unless a bad lexeme comes first
         if bad < len(texts) - 1:
@@ -272,9 +275,13 @@ class _Parser:
             if leaf is None:
                 leaf = self.leaves[text] = NumLit(int(text)) if kind == "int" else Var(text)
             return leaf
-        if self.eat("("):
-            node = self.aexp()
-            self.expect(")")
+        if kind == "(":
+            if i not in self.sums:
+                self.index = i + 1
+                node = self.aexp()
+                self.expect(")")
+                self.sums[i] = node, self.index
+            node, self.index = self.sums[i]
             return node
         raise self.error("an integer literal", "an identifier", "'('")
 

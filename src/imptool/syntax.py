@@ -15,15 +15,18 @@ dataclass's `object.__setattr__`.
 assertions and commands alike.  `aval` walks a sum down its left spine, so a
 sum of any length evaluates without recursion, and `linear` reads any sum as
 its linear form.
+
+`hoare` and `machine` compile the Python they generate through `_generated`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from types import CodeType, FunctionType
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 
 def slot_inits(*classes: type) -> None:
@@ -40,6 +43,33 @@ def slot_inits(*classes: type) -> None:
         code = codes[n].replace(co_varnames=("self", *names))
         init = cls.__init__ = FunctionType(code, setters, "__init__", generated.__defaults__)
         init.__qualname__, init.__annotations__ = generated.__qualname__, generated.__annotations__
+
+
+# How many distinct generated sources a process keeps compiled.
+_COMPILED_SOURCES = 512
+
+
+@functools.lru_cache(maxsize=_COMPILED_SOURCES)
+def _code(source: str) -> CodeType:
+    """The compiled generated source; a source CPython refuses raises, and is
+    not kept."""
+    return compile(source, "<generated>", "exec")
+
+
+def _generated(build: Callable[[], list[str]]) -> Optional[dict[str, object]]:
+    """The names defined by the Python lines `build()` returns, compiled once
+    per distinct source and run in a fresh namespace without builtins, or
+    None where CPython refuses the source.  It refuses by raising SyntaxError
+    (too many nested parentheses, indentation levels or statically nested
+    blocks), RecursionError or MemoryError (too deep for its compiler or
+    parser), or ValueError (a literal past the int-to-text limit).  Pop each
+    function out: it and its globals form a cycle."""
+    env: dict[str, object] = {"__builtins__": {}}
+    try:
+        exec(_code("\n".join(build())), env)
+    except (SyntaxError, RecursionError, MemoryError, ValueError):
+        return None
+    return env
 
 
 # --- arithmetic expressions -------------------------------------------------

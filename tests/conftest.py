@@ -17,6 +17,7 @@ import sys
 
 from hypothesis import strategies as st
 
+from imptool import machine
 from imptool.bigstep import FuelExhausted, Terminated, big_step
 from imptool.hoare import (
     AAnd,
@@ -486,7 +487,10 @@ def reference_star_run(cfg, max_steps):
 
 
 def reference_run(prog, cfg, fuel):
-    """`machine._run` without its cycle check."""
+    """`machine._run` without its cycle check or its compiled blocks: every
+    instruction is stepped on its own.  `_run` runs a hot stretch as one
+    block only where each of its steps would be taken, so a block never
+    changes a step count, and the two agree step for step."""
     pc, end, steps = cfg.pc, len(prog), 0
     stack = list(reversed(cfg.stack))
     store = dict(cfg.state.items())
@@ -524,6 +528,27 @@ def reference_run(prog, cfg, fuel):
         else:
             raise TypeError(f"not an instruction: {instr!r}")
     return MachineConfig(pc, State(store), tuple(reversed(stack))), steps, reason
+
+
+def counting_blocks(mp):
+    """Patch `machine._block` so that every run of a block it compiles
+    records the block's leader; returns the records."""
+    ran, compile_block = [], machine._block
+
+    def counted(prog, start, targets):
+        block = compile_block(prog, start, targets)
+        if block is None:
+            return None
+        run, length, pops = block
+
+        def counted_run(stack, store):
+            ran.append(start)
+            return run(stack, store)
+
+        return counted_run, length, pops
+
+    mp.setattr(machine, "_block", counted)
+    return ran
 
 
 def mutant(fn, old, new):

@@ -19,7 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coms, mutant, reference_big_step, reference_run, reference_small_step, reference_star_run, states
+from conftest import (
+    coms,
+    counting_blocks,
+    mutant,
+    reference_big_step,
+    reference_run,
+    reference_small_step,
+    reference_star_run,
+    states,
+)
 from imptool import bigstep, harness, machine, smallstep
 from imptool.bigstep import FuelExhausted
 from imptool.harness import GenConfig, case_seed, gen_com, gen_state, suite_compiler, suite_small_big
@@ -163,9 +172,19 @@ class TestAgainstReference:
 
 
 # The cycle check of star_run, on the stepper's focus, stack and store where
-# the focus is a loop, and that of big_step, on its store and work list.
+# the focus is a loop, that of big_step, on its store and work list, and that
+# of the machine, with the skip it makes on a repeat.
 STAR_RUN_CHECK = "focus is saved_focus and stack == saved_stack and store == saved_store"
 BIG_STEP_CHECK = "store == saved_store and todo == saved_todo"
+MACHINE_CHECK = "pc == saved_pc and stack == saved_stack and store == saved_store"
+MACHINE_SKIP = "steps += (fuel - steps) // period * period"
+# The machine's mutants: two checks blind to the stack, and a loop that halts
+# at the first repeat.
+MACHINE_MUTANTS = {
+    "stack-blind": (MACHINE_CHECK, "pc == saved_pc and store == saved_store"),
+    "store-only": (MACHINE_CHECK, "store == saved_store"),
+    "halting": (MACHINE_SKIP, "reason = StopReason.OUT_OF_PROGRAM; break"),
+}
 
 
 class TestMutantsAreCaught:
@@ -192,12 +211,9 @@ class TestMutantsAreCaught:
         monkeypatch.setattr(smallstep, "star_run", mutant(smallstep.star_run, STAR_RUN_CHECK, check))
         assert first_mismatch(200) is not None
 
-    @pytest.mark.parametrize(
-        "check", ["pc == saved_pc and store == saved_store", "store == saved_store"], ids=["stack-blind", "store-only"]
-    )
-    def test_machine_check_blind_to_the_stack(self, monkeypatch, check):
-        broken = mutant(machine._run, "pc == saved_pc and stack == saved_stack and store == saved_store", check)
-        monkeypatch.setattr(machine, "_run", broken)
+    @pytest.mark.parametrize("name", ["stack-blind", "store-only"])
+    def test_machine_check_blind_to_the_stack(self, monkeypatch, name):
+        monkeypatch.setattr(machine, "_run", mutant(machine._run, *MACHINE_MUTANTS[name]))
         assert growing_stack_mismatch() is not None
 
     def test_big_step_terminating_on_a_cycle(self, monkeypatch):
@@ -212,12 +228,7 @@ class TestMutantsAreCaught:
         assert all("small-step terminated: False; big-step terminated: True" in f.observed for f in result.failures)
 
     def test_machine_halting_on_a_cycle(self, monkeypatch):
-        broken = mutant(
-            machine._run,
-            "steps += (fuel - steps) // period * period",
-            "reason = StopReason.OUT_OF_PROGRAM; break",
-        )
-        monkeypatch.setattr(machine, "_run", broken)
+        monkeypatch.setattr(machine, "_run", mutant(machine._run, *MACHINE_MUTANTS["halting"]))
         result = suite_compiler(1000, GenConfig())
         assert result.failures
         assert all("machine halts where big-step diverges" in f.observed for f in result.failures)
@@ -254,3 +265,49 @@ class TestMachine:
         assert growing_stack_mismatch() is None
         got = machine.execute(GROWING_STACK, MachineConfig(0, State(), ()), 1_001)
         assert (got.steps_taken, got.reason, len(got.last.stack)) == (1_001, StopReason.FUEL_EXHAUSTED, 501)
+
+
+# The bench's `sum` loop at 8,000 iterations, and two twins that never halt:
+# one with increments of 0, whose configuration recurs every iteration, and
+# one that also leaves each `i + 0` on the stack instead of storing it, so
+# that only its stack changes.  A never-ending run is cut at NEVER_ENDS steps.
+SUM = ccomp(parse_com("i := 0; s := -7; while (i < 8000) { s := s + i + 3; i := i + 1 }"))
+CYCLING_SUM = ccomp(parse_com("i := 0; s := -7; while (i < 8000) { s := s + i + 0; i := i + 0 }"))
+GROWING_SUM = [*CYCLING_SUM[:-2], Jmp(0), CYCLING_SUM[-1]]
+NEVER_ENDS = 20_000
+# The loop body of SUM, one block: from its first `Load s` to its backward jump.
+BODY = 11
+
+
+def long_loop_mismatch():
+    """The first of the long loops and fuel at which `execute`, at the
+    default hotness, differs from `reference_run`, with both results, or
+    None.  The fuels run from BODY + 1 steps before the end (the halt, or
+    NEVER_ENDS) to one step after it, so that the fuel runs out at every
+    step of a block."""
+    start = MachineConfig(0, State(), ())
+    for name, code in {"sum": SUM, "cycling": CYCLING_SUM, "growing": GROWING_SUM}.items():
+        end = machine.steps_to_halt(code, start, 10**6) or NEVER_ENDS
+        for fuel in range(end - BODY - 1, end + 2):
+            got = machine.execute(code, start, fuel)
+            with mock.patch.object(machine, "_run", reference_run):
+                expected = machine.execute(code, start, fuel)
+            if got != expected:
+                return name, fuel, got, expected
+    return None
+
+
+class TestLongLoops:
+    def test_every_fuel_near_the_end(self, monkeypatch):
+        ran = counting_blocks(monkeypatch)
+        assert long_loop_mismatch() is None
+        del ran[:]
+        machine.execute(SUM, MachineConfig(0, State(), ()), 10**6)
+        # the loop test turns hot, then the body it hands on to: from then on
+        # the body runs as a block
+        assert ran.count(SUM.index(Load("s"))) >= 8_000 - 2 * machine._HOT
+
+    @pytest.mark.parametrize("name", MACHINE_MUTANTS)
+    def test_catches_the_machine_mutants(self, monkeypatch, name):
+        monkeypatch.setattr(machine, "_run", mutant(machine._run, *MACHINE_MUTANTS[name]))
+        assert long_loop_mismatch() is not None

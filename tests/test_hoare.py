@@ -19,7 +19,7 @@ from conftest import (
     reference_vcs,
     states,
 )
-from imptool import hoare
+from imptool import hoare, syntax
 from imptool.bigstep import Terminated, big_step
 from imptool.hoare import (
     AAnd,
@@ -823,7 +823,7 @@ class TestCompiledVcs:
         # warm: the searches below reuse the code the first calls compiled
         check_triple(pre, c, post, {"x"}, 3, 1_000)
         verify(c, pre, post, 3, 1_000, Mode.TOTAL)
-        hits = hoare._code.cache_info().hits
+        hits = syntax._code.cache_info().hits
         gc.collect()
         gc.disable()
         try:
@@ -835,7 +835,7 @@ class TestCompiledVcs:
             assert gc.collect() == 0
         finally:
             gc.enable()
-        assert hoare._code.cache_info().hits >= hits + 200
+        assert syntax._code.cache_info().hits >= hits + 200
 
     def test_deciding_builds_no_formula(self, monkeypatch):
         def refuse(*args):
@@ -1187,18 +1187,18 @@ class TestCompiledSources:
     references over the full box."""
 
     def test_equal_sources_share_one_code_object(self):
-        first = hoare._generated(lambda: ["def _f(_s):", " return _s"])
-        second = hoare._generated(lambda: ["def _f(_s):", " return _s"])
+        first = syntax._generated(lambda: ["def _f(_s):", " return _s"])
+        second = syntax._generated(lambda: ["def _f(_s):", " return _s"])
         assert first is not second  # each call runs in its own namespace
         assert first.pop("_f").__code__ is second.pop("_f").__code__
 
     def test_a_repeated_check_reuses_its_code(self):
         p, q = parse_assertion("0 <= x"), parse_assertion("x < 2")
-        before = hoare._code.cache_info()
+        before = syntax._code.cache_info()
         # the bound is not part of the source
         assert entails(p, q, {"x"}, 2) == reference_entails(p, q, {"x"}, 2)
         assert entails(p, q, {"x"}, 3) == reference_entails(p, q, {"x"}, 3)
-        after = hoare._code.cache_info()
+        after = syntax._code.cache_info()
         assert after.hits >= before.hits + 1
         assert after.hits + after.misses == before.hits + before.misses + 2
 
@@ -1208,14 +1208,14 @@ class TestCompiledSources:
             assert entails(ATrue(), ACmp(CmpOp.LT, Var("x"), NumLit(k)), {"x"}, 0) == (
                 Valid() if k > 0 else CounterexampleFound(State())
             )
-            info = hoare._code.cache_info()
+            info = syntax._code.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize
 
     def test_a_refused_source_is_refused_on_every_call_and_never_kept(self):
         for _ in range(3):
-            before = hoare._code.cache_info()
-            assert hoare._generated(lambda: [f"_x = {'(' * 300}1{')' * 300}"]) is None
-            after = hoare._code.cache_info()
+            before = syntax._code.cache_info()
+            assert syntax._generated(lambda: [f"_x = {'(' * 300}1{')' * 300}"]) is None
+            after = syntax._code.cache_info()
             assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses + 1, before.currsize)
 
     def test_a_refused_check_runs_its_reference_on_every_call(self, refusals):

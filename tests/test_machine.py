@@ -1,8 +1,22 @@
+from unittest import mock
+
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import aexps, bexps, coms, gen_instrs, mutant, names, reference_acomp, small_ints, states
+from conftest import (
+    aexps,
+    bexps,
+    coms,
+    counting_blocks,
+    gen_instrs,
+    mutant,
+    names,
+    reference_acomp,
+    reference_run,
+    small_ints,
+    states,
+)
 from imptool import machine
 from imptool.bigstep import Terminated, big_step
 from imptool.machine import (
@@ -262,6 +276,80 @@ class TestRunLoopAgainstExec1:
         assert got == StuckOrExhausted(MachineConfig(1, State(), (1,)), 1, StopReason.FUEL_EXHAUSTED)
         with pytest.raises(TypeError, match="not an instruction: 'LoadI'"):
             execute(prog, cfg0(), 2)
+
+
+# --- compiled blocks ----------------------------------------------------------------
+
+
+# 5,000 digits: past CPython's int-to-text limit, so no block's source can hold it.
+HUGE = 10**4_999
+# How far past a halt a fuel may reach, and how many steps a run without one takes.
+SPARE, CAP = 3, 300
+_wild_offsets = st.integers(min_value=-9, max_value=9)
+_wild_instrs = st.one_of(
+    _instrs,
+    st.builds(Jmp, _wild_offsets),
+    st.builds(JmpLess, _wild_offsets),
+    st.builds(JmpGe, _wild_offsets),
+    st.builds(LoadI, st.sampled_from((HUGE, -HUGE))),
+    st.sampled_from(("LoadI", None)),
+)
+
+
+@st.composite
+def _wild_runs(draw):
+    """A program whose jumps may land before it or past its end and which
+    may hold non-instructions and huge literals, a start configuration whose
+    pc may lie outside it, a fuel from 0 to SPARE past the halt, and the
+    steps to that halt (None where the run does not halt in CAP steps)."""
+    prog = draw(st.lists(_wild_instrs, max_size=14))
+    pc = draw(st.integers(min_value=-2, max_value=len(prog) + 1))
+    cfg = MachineConfig(pc, draw(states()), tuple(draw(st.lists(small_ints, max_size=4))))
+    try:
+        _, steps, reason = reference_run(prog, cfg, CAP)
+    except TypeError:
+        reason = None
+    halt = steps if reason is StopReason.OUT_OF_PROGRAM else None
+    return prog, cfg, draw(st.integers(min_value=0, max_value=CAP if halt is None else halt + SPARE)), halt
+
+
+def _views(prog, cfg, fuel):
+    """What execute, exec_n and steps_to_halt return, or the message of the
+    TypeError each raises."""
+    out = []
+    for view in (execute, exec_n, steps_to_halt):
+        try:
+            out.append(view(prog, cfg, fuel))
+        except TypeError as e:
+            out.append(str(e))
+    return out
+
+
+class TestBlocksAgainstReference:
+    """With every pc hot at its first arrival, a run compiles a block where
+    it starts, after each backward jump it takes and after each block, and
+    runs it wherever the fuel and the stack allow: the answers must be those
+    of `reference_run`, which steps every instruction."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_wild_runs())
+    @example(([Jmp(-3)], cfg0(), 1, 1))  # hands control on to pc -2, where no block can start
+    def test_every_leader_hot(self, run):
+        prog, cfg, fuel, halt = run
+        with mock.patch.object(machine, "_run", reference_run):
+            expected = _views(prog, cfg, fuel)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(machine, "_HOT", 1)
+            ran = counting_blocks(mp)
+            assert _views(prog, cfg, fuel) == expected
+            if halt is not None:
+                # a block whose last step is the halt runs at a fuel with none to spare
+                del ran[:]
+                execute(prog, cfg, halt)
+                exact = ran[:]
+                del ran[:]
+                execute(prog, cfg, halt + SPARE)
+                assert exact == ran
 
 
 class TestAcomp:

@@ -290,6 +290,21 @@ class TestAssertions:
         assert parse_assertion("x <= 0") == ACmp(CmpOp.LE, Var("x"), NumLit(0))
         assert parse_assertion("x = 0") == ACmp(CmpOp.EQ, Var("x"), NumLit(0))
 
+    def test_a_parenthesised_sum_is_parsed_once(self, monkeypatch):
+        # each `(` is tried as a formula and then as a sum: parsing the sums
+        # again at every depth would make the calls grow with its square
+        calls = []
+        for name in ("aexp", "aatom"):
+            rule = getattr(parser._Parser, name)
+            monkeypatch.setattr(parser._Parser, name, lambda self, rule=rule: calls.append(rule) or rule(self))
+        counts = []
+        for depth in (50, 100, 200):
+            del calls[:]
+            got = parse_assertion("(" * depth + "x + 1" + ")" * depth + " < 2")
+            assert got == ACmp(CmpOp.LT, Plus(Var("x"), NumLit(1)), NumLit(2))
+            counts.append(len(calls))
+        assert counts[2] - counts[1] == 2 * (counts[1] - counts[0])
+
 
 class TestPretty:
     def test_com_goldens(self):
