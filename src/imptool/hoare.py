@@ -75,7 +75,12 @@ from .syntax import (
     State,
     Var,
     While,
+    _comparison,
+    _condition,
     _generated,
+    _local,
+    _source,
+    _sum_source,
     aval,
     linear,
     seq_chain,
@@ -232,37 +237,6 @@ def _walked(
 # --- compiled assertions ---------------------------------------------------------
 
 
-# Each comparison operator's Python source, and its truth between two ints.
-_CMP_SOURCE = {CmpOp.LT: ("<", int.__lt__), CmpOp.LE: ("<=", int.__le__), CmpOp.EQ: ("==", int.__eq__)}
-_NEGATED = {"True": "False", "False": "True"}
-
-
-def _local(name: str) -> str:
-    """The Python local holding an IMP variable in generated code."""
-    return "v_" + name
-
-
-def _sum_source(constant: int, terms: Iterable[tuple[str, int]]) -> str:
-    """The linear form `Σ k·x + constant` as one flat sum over the locals:
-    each variable once, times its coefficient, then the constant unless it is 0."""
-    parts = [_local(name) if k == 1 else f"{k} * {_local(name)}" for name, k in terms]
-    if constant or not parts:
-        parts.append(str(constant))
-    return " + ".join(parts)
-
-
-def _comparison(a: ACmp) -> tuple[list[tuple[str, int]], int]:
-    """The normal form `Σ k·x op c` of a comparison, `linear(a.left) -
-    linear(a.right) op 0`: the terms (x, k) with a nonzero net coefficient k,
-    in order of first occurrence, and the constant c."""
-    left, terms = linear(a.left)
-    right, subtracted = linear(a.right)
-    net = dict(terms)
-    for name, k in subtracted:
-        net[name] = net.get(name, 0) - k
-    return [(name, k) for name, k in net.items() if k], right - left
-
-
 def _box(premise: Assertion, names: list[str], bound: int) -> Iterable[tuple[int, ...]]:
     """The tuples of values of `names` in [-bound, bound] in enumeration
     order (lexicographic, values ascending), clipped to the interval that
@@ -299,65 +273,6 @@ def _box(premise: Assertion, names: list[str], bound: int) -> Iterable[tuple[int
                     low[name] = max(low[name], -(c // -k))
     ranges = [range(low[name], high[name] + 1) for name in names]
     return itertools.product(*ranges) if all(ranges) else ()
-
-
-def _folded(parts: list[str], conjunction: bool) -> str:
-    """The sources `parts` joined by `and` or by `or`, each in parentheses,
-    with `True` and `False` folded away."""
-    unit, zero = ("True", "False") if conjunction else ("False", "True")
-    if zero in parts:
-        return zero
-    return (" and " if conjunction else " or ").join(f"({p})" for p in parts if p != unit) or unit
-
-
-def _source(a: Assertion) -> str:
-    """Python source true exactly where `a` holds: each comparison as one
-    difference, and `True` or `False` for a part without variables, which
-    the connectives around it fold away.  Recurses only where the
-    connective changes."""
-    t = type(a)
-    if t is ATrue or t is AFalse:
-        return str(t is ATrue)
-    if t is ACmp:
-        terms, c = _comparison(a)
-        symbol, holds = _CMP_SOURCE[a.op]
-        return f"{_sum_source(0, terms)} {symbol} {c}" if terms else str(holds(0, c))
-    if t is ANot:
-        negated = False
-        while type(a) is ANot:
-            a, negated = a.inner, not negated
-        inner = _source(a)
-        return _NEGATED.get(inner, f"not ({inner})") if negated else inner
-    if t is AImp:
-        parts = []
-        while type(a) is AImp:
-            premise = _source(a.premise)
-            parts.append(_NEGATED.get(premise, f"not ({premise})"))
-            a = a.conclusion
-        return _folded([*parts, _source(a)], False)
-    parts = []
-    stack = [a]
-    while stack:
-        node = stack.pop()
-        if type(node) is t:
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            parts.append(_source(node))
-    return _folded(parts, t is AAnd)
-
-
-def _condition(b: Assertion) -> Assertion:
-    """`b` if it is a condition, a test `bval` and `bcomp` accept; else TypeError."""
-    t = type(b)
-    if t is AAnd:
-        _condition(b.left)
-        _condition(b.right)
-    elif t is ANot:
-        _condition(b.inner)
-    elif not (t is ATrue or t is AFalse or t is ACmp and b.op is CmpOp.LT):
-        raise TypeError(f"not a condition: {b!r}")
-    return b
 
 
 def _search_lines(signature: str, names: list[str], zeroed: Iterable[str], body: list[str]) -> list[str]:

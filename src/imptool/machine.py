@@ -12,12 +12,12 @@ one-step case; `execute`, `exec_n` and `steps_to_halt` read their answers
 off the same loop.
 
 Hot straight-line code runs as blocks, superinstructions (Ertl & Gregg, PLDI
-2003).  A run counts arrivals at a pc where it starts, after each backward
-jump it takes and after each block, as trace compilers count loop headers
-(Gal et al., PLDI 2009); the `_HOT`-th compiles the stretch from that pc into
-one function through `syntax._generated`.  A block runs only where all its
-steps fit in the fuel and the stack holds the operands it pops, so it never
-changes a step count; elsewhere the loop steps one instruction.
+2003).  A run counts arrivals at a pc after each backward jump it takes and
+after each block, as trace compilers count loop headers (Gal et al., PLDI
+2009); the `_HOT`-th compiles the stretch from that pc into one function
+through `syntax._generated`.  A block runs only where all its steps fit in
+the fuel and the stack holds the operands it pops, so it never changes a
+step count; elsewhere the loop steps one instruction.
 
 A configuration (pc, stack and store) that comes back proves the run never
 ends.  The loop finds one with Brent's cycle-finding algorithm (Brent, BIT 20,
@@ -51,6 +51,7 @@ from .syntax import (
     State,
     Var,
     While,
+    _HOT,
     _generated,
     slot_inits,
 )
@@ -135,13 +136,6 @@ MachineOutcome = Union[Halted, StuckOrExhausted]
 slot_inits(LoadI, Load, Store, Jmp, JmpLess, JmpGe, MachineConfig)
 
 
-# A pc reached this many times in one run has its stretch compiled.  A fresh
-# compile costs about 80 us, some 600 steps, so the short loops of most
-# generated programs stay below it.  On 2 vCPUs with CPython 3.11, batches of
-# `differential` ran no slower with blocks than without at 4, 16, 32 and 64.
-_HOT = 32
-
-
 class StackUnderflowError(Exception):
     def __init__(self, config: MachineConfig) -> None:
         super().__init__(f"instruction at pc={config.pc} pops an empty stack")
@@ -214,9 +208,10 @@ def _run(prog: Program, cfg: MachineConfig, fuel: int) -> tuple[MachineConfig, i
     The pc, the stack (top at the end of a list) and the store live in
     locals; zero bindings are dropped when the final `State` is built.
 
-    The pc is looked up among the blocks where the run starts, after each
-    taken backward jump and after each block; a forward jump costs the step
-    loop nothing more.
+    The pc is looked up among the blocks after each taken backward jump and
+    after each block, and the tables of arrivals and blocks are made at the
+    first backward jump: a run that takes none pays nothing for them, and a
+    forward jump costs the step loop nothing more.
 
     Every run that never ends takes a backward jump infinitely often, so the
     configuration after each taken backward jump, by an instruction or a
@@ -230,7 +225,7 @@ def _run(prog: Program, cfg: MachineConfig, fuel: int) -> tuple[MachineConfig, i
     reason = None  # while the run goes on
     saved_pc, saved_stack, saved_store, saved_steps = None, None, None, 0
     power, lam = 1, 0
-    hot, heat, blocks, targets = _HOT, {}, {}, None
+    hot, heat, blocks, targets = _HOT, None, None, None
     after = pc  # a pc below `after` was reached by a backward jump
     while 0 <= pc < end:
         if pc < after:
@@ -241,20 +236,23 @@ def _run(prog: Program, cfg: MachineConfig, fuel: int) -> tuple[MachineConfig, i
             if lam == power:
                 saved_pc, saved_stack, saved_store, saved_steps = pc, stack[:], dict(store), steps
                 power, lam = 2 * power, 0
-        block = blocks.get(pc)
-        if block is None:
-            heat[pc] = arrivals = heat.get(pc, 0) + 1
-            if arrivals == hot:
-                if targets is None:
-                    targets = {k + 1 + i.offset for k, i in enumerate(prog) if type(i) in _JUMPS}
-                block = blocks[pc] = _block(prog, pc, targets)
-        if block is not None:
-            run, length, pops = block
-            if steps + length <= fuel and len(stack) >= pops:
-                after = pc + length
-                pc = run(stack, store)
-                steps += length
-                continue
+            if heat is None:
+                heat, blocks = {}, {}
+        if heat is not None:
+            block = blocks.get(pc)
+            if block is None:
+                heat[pc] = arrivals = heat.get(pc, 0) + 1
+                if arrivals == hot:
+                    if targets is None:
+                        targets = {k + 1 + i.offset for k, i in enumerate(prog) if type(i) in _JUMPS}
+                    block = blocks[pc] = _block(prog, pc, targets)
+            if block is not None:
+                run, length, pops = block
+                if steps + length <= fuel and len(stack) >= pops:
+                    after = pc + length
+                    pc = run(stack, store)
+                    steps += length
+                    continue
         after = end  # the stepping below stops at a backward jump, below `end`
         while 0 <= pc < end:  # step by step up to a backward jump
             instr = prog[pc]

@@ -18,6 +18,13 @@ stack and store, sampled only where the focus is a `while` loop, as big-step
 samples where a loop test holds and the machine after a taken backward jump.
 It steps out only the fuel left after whole periods, so it returns exactly
 what the full run would.
+
+`star_run` runs a hot innermost loop, one it has reached `_HOT` times, as
+big-step does, through `syntax._iterations`: whole iterations on the shared
+store, each path's steps one constant, Brent's sample at the `while` focus.
+The stepper stays suspended at that focus, whose stack whole iterations
+leave as it was, so `small_steps`, `small_step` and `trace` still read off
+the one stepper.
 """
 
 from __future__ import annotations
@@ -27,9 +34,12 @@ from enum import Enum
 from itertools import islice
 from typing import Iterator, Optional
 
-from .syntax import Assign, Com, If, Seq, Skip, State, While, aval, bval
+from .syntax import _HOT, Assign, Com, If, Seq, Skip, State, While, _iterations, aval, bval
 
 _SKIP = Skip()
+# The steps each node of a loop body takes, the pop of the stack after it
+# included, and each iteration's own (to the `if`, and into the body).
+_COSTS = {Seq: 0, Assign: 2, Skip: 1, If: 1, While: 2}
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,19 +129,37 @@ def star_run(cfg: ProgConfig, max_steps: int) -> StepTrace:
     focuses = _focuses(cfg.command, stack, store)
     saved_focus, saved_stack, saved_store, saved_steps = None, None, None, 0
     power, lam = 1, 0
-    for steps, focus in enumerate(focuses):
+    steps, heat, loops = -1, None, None  # by id: arrivals at each loop, and compiled loops
+    for focus in focuses:
+        steps += 1
         if steps == fuel:
             break
-        if type(focus) is While:
-            if focus is saved_focus and stack == saved_stack and store == saved_store:
-                for focus in islice(focuses, (fuel - steps) % (steps - saved_steps)):
-                    pass
-                steps = fuel
-                break
+        if type(focus) is not While:
+            continue
+        repeated = focus is saved_focus and stack == saved_stack and store == saved_store
+        if not repeated:
             lam += 1
             if lam == power:
                 saved_focus, saved_stack, saved_store, saved_steps = focus, stack[:], dict(store), steps
                 power, lam = 2 * power, 0
+            if heat is None:
+                heat, loops = {}, {}
+            run = loops.get(key := id(focus))
+            if run is None:
+                heat[key] = arrivals = heat.get(key, 0) + 1
+                if arrivals == _HOT:
+                    run = loops[key] = _iterations(focus, _COSTS, True)
+                if run is None:
+                    continue
+            same = focus is saved_focus and stack == saved_stack
+            steps, lam, power, saved, at, repeated = run(store, steps, fuel, lam, power, saved_store, same)
+            if saved is not saved_store:
+                saved_focus, saved_stack, saved_store, saved_steps = focus, stack[:], saved, at
+        if repeated:
+            for focus in islice(focuses, (fuel - steps) % (steps - saved_steps)):
+                pass
+            steps = fuel
+            break
     status = TraceStatus.COMPLETED if type(focus) is Skip and not stack else TraceStatus.FUEL_EXHAUSTED
     for second in reversed(stack):
         focus = Seq(focus, second)

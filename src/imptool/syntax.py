@@ -16,7 +16,10 @@ assertions and commands alike.  `aval` walks a sum down its left spine, so a
 sum of any length evaluates without recursion, and `linear` reads any sum as
 its linear form.
 
-`hoare` and `machine` compile the Python they generate through `_generated`.
+`hoare` and `machine` compile the Python they generate through `_generated`,
+and so does `_iterations`, which compiles a hot innermost loop for `bigstep`
+and `smallstep`.  `_source` and `_sum_source` write conditions, assertions
+and sums as Python over one local per variable for all of them.
 """
 
 from __future__ import annotations
@@ -345,6 +348,98 @@ def bval(b: Assertion, s: State) -> bool:
     raise TypeError(f"not a condition: {b!r}")
 
 
+# --- generated source: one local per variable ---------------------------------------
+
+# Each comparison operator's Python source, and its truth between two ints.
+_CMP_SOURCE = {CmpOp.LT: ("<", int.__lt__), CmpOp.LE: ("<=", int.__le__), CmpOp.EQ: ("==", int.__eq__)}
+_NEGATED = {"True": "False", "False": "True"}
+
+
+def _local(name: str) -> str:
+    """The Python local holding an IMP variable in generated code."""
+    return "v_" + name
+
+
+def _sum_source(constant: int, terms: Iterable[tuple[str, int]]) -> str:
+    """The linear form `Σ k·x + constant` as one flat sum over the locals:
+    each variable once, times its coefficient, then the constant unless it is 0."""
+    parts = [_local(name) if k == 1 else f"{k} * {_local(name)}" for name, k in terms]
+    if constant or not parts:
+        parts.append(str(constant))
+    return " + ".join(parts)
+
+
+def _comparison(a: ACmp) -> tuple[list[tuple[str, int]], int]:
+    """The normal form `Σ k·x op c` of a comparison, `linear(a.left) -
+    linear(a.right) op 0`: the terms (x, k) with a nonzero net coefficient k,
+    in order of first occurrence, and the constant c."""
+    left, terms = linear(a.left)
+    right, subtracted = linear(a.right)
+    net = dict(terms)
+    for name, k in subtracted:
+        net[name] = net.get(name, 0) - k
+    return [(name, k) for name, k in net.items() if k], right - left
+
+
+def _folded(parts: list[str], conjunction: bool) -> str:
+    """The sources `parts` joined by `and` or by `or`, each in parentheses,
+    with `True` and `False` folded away."""
+    unit, zero = ("True", "False") if conjunction else ("False", "True")
+    if zero in parts:
+        return zero
+    return (" and " if conjunction else " or ").join(f"({p})" for p in parts if p != unit) or unit
+
+
+def _source(a: Assertion) -> str:
+    """Python source true exactly where `a` holds: each comparison as one
+    difference, and `True` or `False` for a part without variables, which
+    the connectives around it fold away.  Recurses only where the
+    connective changes."""
+    t = type(a)
+    if t is ATrue or t is AFalse:
+        return str(t is ATrue)
+    if t is ACmp:
+        terms, c = _comparison(a)
+        symbol, holds = _CMP_SOURCE[a.op]
+        return f"{_sum_source(0, terms)} {symbol} {c}" if terms else str(holds(0, c))
+    if t is ANot:
+        negated = False
+        while type(a) is ANot:
+            a, negated = a.inner, not negated
+        inner = _source(a)
+        return _NEGATED.get(inner, f"not ({inner})") if negated else inner
+    if t is AImp:
+        parts = []
+        while type(a) is AImp:
+            premise = _source(a.premise)
+            parts.append(_NEGATED.get(premise, f"not ({premise})"))
+            a = a.conclusion
+        return _folded([*parts, _source(a)], False)
+    parts = []
+    stack = [a]
+    while stack:
+        node = stack.pop()
+        if type(node) is t:
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            parts.append(_source(node))
+    return _folded(parts, t is AAnd)
+
+
+def _condition(b: Assertion) -> Assertion:
+    """`b` if it is a condition, a test `bval` and `bcomp` accept; else TypeError."""
+    t = type(b)
+    if t is AAnd:
+        _condition(b.left)
+        _condition(b.right)
+    elif t is ANot:
+        _condition(b.inner)
+    elif not (t is ATrue or t is AFalse or t is ACmp and b.op is CmpOp.LT):
+        raise TypeError(f"not a condition: {b!r}")
+    return b
+
+
 # The children of each node class, as a function to a tuple; None marks a
 # leaf.  A loop's invariant and measure are annotations, not children.
 _CHILDREN = {
@@ -390,3 +485,94 @@ def node_count(node: AExp | Assertion | Com) -> int:
         if (children := _CHILDREN.get(type(n))) is not None:
             stack += children(n)
     return count
+
+
+# --- compiled loops -------------------------------------------------------------
+
+
+# A loop, or a pc, reached this many times in one run is compiled, as trace
+# compilers count loop headers (Gal et al., PLDI 2009).  A fresh compile costs
+# about 80 us, some 600 machine steps, so the short loops of most generated
+# programs stay below it.  On 2 vCPUs with CPython 3.11, batches of
+# `differential` ran no slower with machine blocks than without at 4, 16, 32
+# and 64.
+_HOT = 32
+
+
+def _iterations(loop: While, costs: Mapping[type, int], tested_first: bool) -> Optional[Callable[..., tuple]]:
+    """An innermost loop's whole iterations, compiled: `_loop(store, n, fuel,
+    lam, power, saved, same)` runs them on the store (no zeros) and returns
+    `(n, lam, power, saved, at, why)`.  `costs` gives what each body node,
+    and under `While` each iteration, adds to the count `n`, so each path
+    adds a constant; an iteration runs only where `n` plus its largest path
+    stays below `fuel`.  Brent's sample sits before the test where
+    `tested_first`, else after it holds: the store is compared with `saved`
+    where `same` (the rest of the configuration is the saved one's), and
+    saved at the `power`-th sample, when `n` is `at`.  `why` is True on a
+    repeat, False where the test fails after the body, else None.  None
+    where the body holds a loop, a non-command, a non-condition or a name
+    that is not an identifier, or CPython refuses the source: that loop is
+    stepped."""
+
+    def source() -> list[str]:
+        def block(c: Com, depth: int, pending: int) -> tuple[int, int]:
+            """Append the lines of c at `depth`, after `pending` counts not yet
+            added to n; return those left pending after it, and the count of
+            c's largest path."""
+            indent, todo, largest = " " * depth, [c], 0
+            while todo:
+                node = todo.pop()
+                t = type(node)
+                if t is While or t not in costs:
+                    raise TypeError(f"not a loop-free command: {node!r}")
+                pending += costs[t]
+                largest += costs[t]
+                if t is Seq:
+                    todo += (node.second, node.first)
+                elif t is Assign:
+                    x = _local(node.target)
+                    body.append(f"{indent}{x} = {_sum_source(*linear(node.rhs))}")
+                    body.append(f"{indent}if {x}: _store[{node.target!r}] = {x}")
+                    body.append(f"{indent}else: _store.pop({node.target!r}, None)")
+                elif t is If:
+                    body.append(f"{indent}if {_source(_condition(node.cond))}:")
+                    then, then_largest = block(node.then_branch, depth + 1, pending)
+                    body.append(f"{indent} n += {then}")
+                    body.append(f"{indent}else:")
+                    other, other_largest = block(node.else_branch, depth + 1, pending)
+                    body.append(f"{indent} n += {other}")
+                    pending, largest = 0, largest + max(then_largest, other_largest)
+            return pending, largest
+
+        names = sorted(vars_of(loop))
+        if not all(name.isascii() and name.isidentifier() for name in names):
+            raise TypeError(f"not identifiers: {names!r}")
+        body: list[str] = []
+        pending, largest = block(loop.body, 2, costs[While])
+        del block  # it calls itself through its cell: a reference cycle
+        test = _source(_condition(loop.cond))
+        lines = ["def _loop(_store, n, fuel, lam, power, saved, same, at=None):"]
+        lines += [f" {_local(name)} = _store.get({name!r}, 0)" for name in names]
+        lines.append(f" _limit = fuel - {largest + costs[While]}")
+        if tested_first:
+            lines += [f" while {test}:", "  if n >= _limit: break"]
+        else:
+            lines.append(" while n < _limit:")
+        lines += body
+        if pending:
+            lines.append(f"  n += {pending}")
+        if not tested_first:
+            lines.append(f"  if not ({test}): return n, lam, power, saved, at, False")
+        return [
+            *lines,
+            "  if same and _store == saved: return n, lam, power, saved, at, True",
+            "  lam += 1",
+            "  if lam == power: saved = _store.copy(); at = n; power += power; lam = 0; same = True",
+            " return n, lam, power, saved, at, None",
+        ]
+
+    try:
+        env = _generated(source)
+    except TypeError:
+        return None
+    return None if env is None else env.pop("_loop")

@@ -3,9 +3,9 @@ random instruction-list generator, the program generators by `randint` and
 `choice`, the enumerated states, a reference triple check and reference
 VCs, a condition printer of its own, a walk for the variables of an
 assertion, the recursive `aval` and `acomp`, the textbook small step, the
-plain run loops without a cycle check, a swapped-branch mutant of the
-small-step stepper, and a way to build one-line mutants of library
-functions.
+plain run loops without a cycle check, counters of compiled blocks and
+loops, a swapped-branch mutant of the small-step stepper, and a way to
+build one-line mutants of library functions.
 
 Command strategies only build right-nested Seq spines, matching what the
 concrete syntax can express; round-trip tests rely on that.
@@ -17,7 +17,7 @@ import sys
 
 from hypothesis import strategies as st
 
-from imptool import machine
+from imptool import bigstep, machine, smallstep, syntax
 from imptool.bigstep import FuelExhausted, Terminated, big_step
 from imptool.hoare import (
     AAnd,
@@ -548,6 +548,29 @@ def counting_blocks(mp):
         return counted_run, length, pops
 
     mp.setattr(machine, "_block", counted)
+    return ran
+
+
+def counting_loops(mp):
+    """Patch the loop compiler that `bigstep` and `smallstep` call so that
+    every run of a loop it compiles records how far it moved the count;
+    returns the records."""
+    ran, compile_loop = [], syntax._iterations
+
+    def counted(loop, costs, tested_first):
+        run = compile_loop(loop, costs, tested_first)
+        if run is None:
+            return None
+
+        def counted_run(store, n, *brent):
+            out = run(store, n, *brent)
+            ran.append(out[0] - n)
+            return out
+
+        return counted_run
+
+    for module in (bigstep, smallstep):
+        mp.setattr(module, "_iterations", counted)
     return ran
 
 

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from conftest import (
     coms,
     counting_blocks,
+    counting_loops,
     mutant,
     reference_big_step,
     reference_run,
@@ -29,13 +30,13 @@ from conftest import (
     reference_star_run,
     states,
 )
-from imptool import bigstep, harness, machine, smallstep
-from imptool.bigstep import FuelExhausted
+from imptool import bigstep, harness, machine, smallstep, syntax
+from imptool.bigstep import FuelExhausted, Terminated
 from imptool.harness import GenConfig, case_seed, gen_com, gen_state, suite_compiler, suite_small_big
 from imptool.machine import Jmp, JmpGe, JmpLess, Load, LoadI, MachineConfig, StopReason, Store, ccomp
 from imptool.parser import parse_com
-from imptool.smallstep import ProgConfig, StepTrace
-from imptool.syntax import ACmp, Assign, CmpOp, NumLit, Plus, Seq, State, Var, While
+from imptool.smallstep import ProgConfig, StepTrace, TraceStatus
+from imptool.syntax import ACmp, Assign, CmpOp, If, NumLit, Plus, Seq, Skip, State, Var, While, seq_spine
 
 LARGE = 10**6
 # How many steps of a reference run `equivalent_fuel` keeps before giving up.
@@ -311,3 +312,152 @@ class TestLongLoops:
     def test_catches_the_machine_mutants(self, monkeypatch, name):
         monkeypatch.setattr(machine, "_run", mutant(machine._run, *MACHINE_MUTANTS[name]))
         assert long_loop_mismatch() is not None
+
+
+# --- compiled loops of the source semantics -------------------------------------------
+
+
+def every_loop_hot(mp):
+    """Make big_step and star_run compile every loop at its first arrival."""
+    for module in (bigstep, smallstep):
+        mp.setattr(module, "_HOT", 1)
+
+
+def _deep_loop(depth):
+    """A loop whose body nests `depth` ifs, past what CPython compiles."""
+    body = Assign("x", Plus(Var("x"), NumLit(1)))
+    for _ in range(depth):
+        body = If(ACmp(CmpOp.LT, Var("y"), NumLit(1)), body, Skip())
+    return While(ACmp(CmpOp.LT, Var("x"), NumLit(5)), body)
+
+
+# Loops of each shape the compiler meets, each with whether it compiles: an
+# inner loop, whose outer one stays stepped; ifs in the body; assignments that
+# leave 0, whose binding must go; literals far past a machine word, and past
+# CPython's int-to-text limit; and a body nested too deep for CPython.
+LOOP_SHAPES = {
+    "nested": parse_com("i := 0; while (i < 3) { j := 0; while (j < 4) { j := j + 1; t := t + j }; i := i + 1 }"),
+    "ifs": parse_com(
+        "x := 9; while (0 < x) { if (x < 4) { e := e + 1 } else { if (x < 6) { skip } else { o := o + 2;"
+        " o := o + -1 } }; x := x + -1 }"
+    ),
+    "zeros": parse_com("i := 0; while (i < 6) { y := y + 1; y := y + -1; i := i + 1 }"),
+    "huge": While(ACmp(CmpOp.LT, Var("x"), NumLit(3)), Seq(Assign("y", Plus(Var("y"), NumLit(10**100))), Assign("x", Plus(Var("x"), NumLit(1))))),
+    "too-long-literal": While(ACmp(CmpOp.LT, Var("x"), NumLit(3)), Assign("x", Plus(Var("x"), NumLit(10**5000)))),
+    "too-deep": _deep_loop(150),
+}
+
+
+class TestCompiledLoops:
+    """With every loop hot at its first arrival, big_step and star_run run
+    each innermost loop compiled wherever a whole iteration fits: the
+    answers must be those of the references, which step every rule."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        generated | st.tuples(coms(), states()) | st.tuples(st.sampled_from(list(LOOP_SHAPES.values())), states()),
+        st.randoms(use_true_random=False),
+    )
+    def test_every_loop_hot(self, case, rng):
+        program, initial = case
+        with pytest.MonkeyPatch.context() as mp:
+            every_loop_hot(mp)
+            for fuel in fuels(rng):
+                assert mismatch(program, initial, fuel) is None
+
+    @pytest.mark.parametrize("name", LOOP_SHAPES)
+    def test_which_loops_compile(self, name):
+        loops = [node for node in seq_spine(LOOP_SHAPES[name]) if type(node) is While]
+        if name == "nested":
+            loops.append(loops[0].body.second.first)
+        compiled = [syntax._iterations(loop, bigstep._COSTS, False) is not None for loop in loops]
+        assert compiled == {"nested": [False, True], "too-long-literal": [False], "too-deep": [False]}.get(name, [True])
+
+
+# The bench's `sum` loop at 8,000 iterations; two twins that never end, one
+# whose `s` grows and one whose `y` comes back to 0, so that its configuration
+# recurs every iteration; a loop whose `else` path is the longer; and one loop
+# entered from two places in the program in equal stores.  A never-ending run
+# is cut at SOURCE_NEVER_ENDS rules or steps.
+SOURCE_LOOPS = {
+    "sum": "i := 0; s := -7; while (i < 8000) { s := s + i + 3; i := i + 1 }",
+    "growing": "i := 0; s := -7; while (i < 8000) { s := s + i + 3; i := i + 0 }",
+    "recurring": "i := 0; s := -7; while (i < 8000) { y := y + 1; y := y + -1 }",
+    "branching": "x := 0; while (x < 8000) { if (x < 7990) { x := x + 1 } else { y := y + 1; y := y + 2; y := y + 3; x := x + 1 } }",
+    "twice": "i := 0; while (i < 8000) { i := i + 1 }; i := 4000; while (i < 8000) { i := i + 1 }",
+}
+SOURCE_NEVER_ENDS = 50_000
+# More than the rules or steps of any one iteration of these loops.
+ITERATION = 12
+
+
+def reference_star_runs(program, first, last):
+    """`reference_star_run` of `program` from the empty state at each fuel
+    from first to last, one run and then a step at a time."""
+    trace = reference_star_run(ProgConfig(program, State()), first)
+    cfg, steps = trace.last, trace.steps_taken
+    for fuel in range(first, last + 1):
+        if steps == fuel - 1 and (nxt := reference_small_step(cfg)) is not None:
+            cfg, steps = nxt, fuel
+        yield fuel, StepTrace(cfg, steps, TraceStatus.COMPLETED if cfg.is_final else TraceStatus.FUEL_EXHAUSTED)
+
+
+def source_loop_mismatch():
+    """The first of SOURCE_LOOPS and fuel at which big_step or star_run, at
+    the default hotness, differs from its reference, with both results, or
+    None.  The fuels run from ITERATION + 1 before the end (the halt, or
+    SOURCE_NEVER_ENDS) to one after it, so that the fuel runs out at every
+    point of an iteration.  A big-step run out of fuel must be `repeated`
+    exactly where the configuration recurs."""
+    for name, text in SOURCE_LOOPS.items():
+        program = parse_com(text)
+        done = bigstep.big_step(program, State(), 10**6)
+        end = done.rules_applied if type(done) is Terminated else SOURCE_NEVER_ENDS
+        # the reference spends one unit per rule, so at each fuel below the
+        # count of its whole run it runs out, and at each other fuel it ends so
+        ref = reference_big_step(program, State(), end + 1)
+        for fuel in range(end - ITERATION - 1, end + 2):
+            expected = ref if type(ref) is Terminated and ref.rules_applied <= fuel else FuelExhausted()
+            got = bigstep.big_step(program, State(), fuel)
+            if got != expected or type(got) is FuelExhausted and got.repeated != (name == "recurring"):
+                return name, "big_step", fuel, got, expected
+        done = smallstep.star_run(ProgConfig(program, State()), 10**6)
+        end = done.steps_taken if done.status is TraceStatus.COMPLETED else SOURCE_NEVER_ENDS
+        for fuel, expected in reference_star_runs(program, end - ITERATION - 1, end + 1):
+            got = smallstep.star_run(ProgConfig(program, State()), fuel)
+            if got != expected:
+                return name, "star_run", fuel, got, expected
+    return None
+
+
+# The loop compiler's mutants: one branch's count off by one, the fuel guard
+# reading the `then` path's count instead of the largest path's, and the
+# repeat check inside the loop without the check of the rest of the
+# configuration (big-step's work list, small-step's focus and stack) made
+# where the compiled run starts.
+LOOP_MUTANTS = {
+    "then-count": ('body.append(f"{indent} n += {then}")', 'body.append(f"{indent} n += {then + 1}")'),
+    "then-guard": ("largest + max(then_largest, other_largest)", "largest + then_largest"),
+    "entry-blind": ('"  if same and _store == saved:', '"  if _store == saved:'),
+}
+
+
+class TestSourceLongLoops:
+    def test_every_fuel_near_the_end(self, monkeypatch):
+        ran = counting_loops(monkeypatch)
+        assert source_loop_mismatch() is None
+        del ran[:]
+        program = parse_com(SOURCE_LOOPS["sum"])
+        rules = bigstep.big_step(program, State(), 10**6).rules_applied
+        # all but the iterations before the loop turns hot run compiled
+        assert sum(ran) >= rules - (bigstep._HOT + 1) * 4
+        del ran[:]
+        steps = smallstep.star_run(ProgConfig(program, State()), 10**6).steps_taken
+        assert sum(ran) >= steps - (smallstep._HOT + 1) * 6
+
+    @pytest.mark.parametrize("name", LOOP_MUTANTS)
+    def test_catches_the_loop_compiler_mutants(self, monkeypatch, name):
+        broken = mutant(syntax._iterations, *LOOP_MUTANTS[name])
+        for module in (bigstep, smallstep):
+            monkeypatch.setattr(module, "_iterations", broken)
+        assert source_loop_mismatch() is not None
