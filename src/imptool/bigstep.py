@@ -27,8 +27,8 @@ from typing import Union
 
 from .syntax import _HOT, Assign, Com, If, Seq, Skip, State, While, _iterations, aval, bval
 
-# The rules each node of a loop body applies, and each iteration's own (the
-# loop's, where its test holds).
+# The rules each node applies, a `while` one per test: the table by which
+# compiled loops and `hoare`'s triple search count.
 _COSTS = {Seq: 1, Assign: 1, Skip: 1, If: 1, While: 1}
 
 

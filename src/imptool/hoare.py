@@ -34,13 +34,15 @@ process compiles each distinct source once, and an entailment or triple
 whose box holds no state compiles nothing: over no state every search
 returns Valid.  Each comparison in a search is one difference `Σ k·x op c`,
 and a part left without variables folds away as a constant.  A triple's
-search runs the command inline, counting rules, running out of fuel and
-finding a repeated configuration just as `big_step` does.  All generated
-code passes one gate, `syntax._generated`, which reports where CPython
-refuses it: source nested deeper than its compiler takes (200 parentheses,
-100 indentation levels, 20 nested loops, the search's own among them), or a
-literal past its int-to-text limit.  There the whole check runs its
-reference, `eval_assertion` and `big_step`.
+search runs the command inline, as `syntax._command_lines` writes it (for
+hot loops too) with `big_step`'s rule table, counting rules, running out of
+fuel and finding a repeated configuration just as `big_step` does.  All
+generated code passes one gate, `syntax._generated`, which reports where
+CPython refuses it: source nested deeper than its compiler takes (200
+parentheses, 100 indentation levels, 20 nested loops, the search's own among
+them), or a literal past its int-to-text limit.  There, and where a name is
+not an identifier, the whole check runs its reference, `eval_assertion` and
+`big_step`.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from .bigstep import Terminated, big_step
+from .bigstep import _COSTS, Terminated, big_step
 from .parser import pretty_assertion
 from .syntax import (
     AAnd,
@@ -75,9 +77,11 @@ from .syntax import (
     State,
     Var,
     While,
+    _command_lines,
     _comparison,
     _condition,
     _generated,
+    _identifiers,
     _local,
     _source,
     _sum_source,
@@ -298,8 +302,10 @@ def entails(p: Assertion, q: Assertion, variables: Iterable[str], bound: int) ->
     states = _box(p, names, bound)
     if not states:
         return Valid()
-    others = map(_local, (vars_of(p) | vars_of(q)).difference(names))
-    env = _generated(lambda: _search_lines("_entails(_states)", names, others, [f"  if {_source(AAnd(p, ANot(q)))}: return _s"]))
+    read = vars_of(p) | vars_of(q)
+    others = map(_local, read.difference(names))
+    check = lambda: _search_lines("_entails(_states)", names, others, [f"  if {_source(AAnd(p, ANot(q)))}: return _s"])
+    env = _generated(check) if _identifiers(read.union(names)) else None
     search = _walked(names, p, q) if env is None else env.pop("_entails")
     return _verdict(names, search(states))
 
@@ -479,12 +485,13 @@ def _tree(items: list, post: Optional[Assertion] = None) -> Assertion:
 
 
 def _compiled(
-    specs: list[tuple[str, Assertion, frozenset[str], _Cont]], wp: Callable[[_Cont], Assertion]
+    specs: list[tuple[str, Assertion, frozenset[str], _Cont]], wp: Callable[[_Cont], Assertion], named: set[str]
 ) -> tuple[VerificationCondition, ...]:
     """VCs given as (label, premise, its variables, continuation k), each the
     VC `premise -> wp(k)`, their searches compiled together: one compile
     costs less than one per VC.  Each formula is built when read, or at once
-    where CPython refuses the source and the VC is decided on it."""
+    where CPython refuses the source or a name, a VC's or one in `named` (the
+    command's), is not an identifier, and the VC is decided on it."""
     variables = [sorted(premise_vars | k[0].fv) for _, _, premise_vars, k in specs]
 
     def source() -> list[str]:
@@ -495,7 +502,7 @@ def _compiled(
             lines += _search_lines(f"_vc{i}(_states)", names, (), body)
         return lines
 
-    env = _generated(source)
+    env = _generated(source) if _identifiers(named.union(*variables)) else None
     conditions = []
     for i, ((label, premise, _, k), names) in enumerate(zip(specs, variables)):
         if env is None:
@@ -596,7 +603,7 @@ def vcgen(c: Com, post: Assertion, mode: Mode, pre: Optional[Assertion] = None) 
     if pre is not None:
         specs.append((ENTRY_LABEL, pre, frozenset(vars_of(pre)), top))
     # The entry VC's formula shares the precondition's one build.
-    conditions = _compiled(specs, lambda k: precondition() if k is top else _tree(_items(k)))
+    conditions = _compiled(specs, lambda k: precondition() if k is top else _tree(_items(k)), vars_of(c))
     if pre is None:
         return VcResult(conditions, None, precondition)
     return VcResult(conditions[:-1], conditions[-1], precondition)
@@ -604,16 +611,16 @@ def vcgen(c: Com, post: Assertion, mode: Mode, pre: Optional[Assertion] = None) 
 
 # --- semantic triple checking ---------------------------------------------------------------
 #
-# A triple's search runs its command inline.  Its local `n` counts the rules
-# `big_step` applies, with the counts of straight-line code folded into
-# constants, and is exact at each loop test.  Where a test holds, the run
-# takes `big_step`'s own steps: it stops if n > fuel, stops with a repeat if
-# the configuration is the one saved (`p`, the loop head numbered by the
-# work list `big_step` holds there, and the locals `s_<name>`), and saves the
-# configuration at the 1st, 3rd, 7th, ... such event, counted in `e` (Brent,
-# "An improved Monte Carlo factorization algorithm", BIT 1980).  A repeat in
-# partial mode, like spent fuel, leaves n past the fuel, so every later loop
-# test breaks its loop at once, and the run is counted in `_out`.
+# A triple's search runs its command inline, written by `syntax._command_lines`
+# with big-step's own rule table: its local `n` counts the rules `big_step`
+# applies, with the counts of straight-line code folded into constants, and
+# is exact at each loop test.  Where a test holds, the loop head takes
+# `big_step`'s own steps: it stops if n > fuel, stops with a repeat if the
+# configuration is the one saved (`p`, the head numbered by the work list
+# `big_step` holds there, and the locals `s_<name>`), and saves it at the
+# 1st, 3rd, 7th, ... such event, counted in `e` (Brent, BIT 20, 1980).  A
+# repeat in partial mode, like spent fuel, leaves n past the fuel, so every
+# later loop test breaks its loop at once, and the run is counted in `_out`.
 
 
 def _run_lines(command: Com, changing: list[str], fuel: int, total: bool) -> list[str]:
@@ -625,42 +632,18 @@ def _run_lines(command: Com, changing: list[str], fuel: int, total: bool) -> lis
     same = "".join(f" and {_local(name)} == s_{name}" for name in changing)
     save = "".join(f"s_{name} = {_local(name)}; " for name in changing)
 
-    def block(c: Com, depth: int, pending: int, outer: tuple[Com, ...]) -> int:
-        """Append the code of `c`, run on `big_step`'s work list `outer`;
-        return the rules counted since the last `n +=`."""
-        indent = " " * depth
-        todo = [c]
-        while todo:
-            node = todo.pop()
-            pending += 1
-            t = type(node)
-            if t is Seq:
-                todo += [node.second, node.first]
-            elif t is Assign:
-                lines.append(f"{indent}{_local(node.target)} = {_sum_source(*linear(node.rhs))}")
-            elif t is If:
-                below = (*outer, *todo)
-                lines.append(f"{indent}if {_source(_condition(node.cond))}:")
-                lines.append(f"{indent} n += {block(node.then_branch, depth + 1, pending, below)}")
-                lines.append(f"{indent}else:")
-                lines.append(f"{indent} n += {block(node.else_branch, depth + 1, pending, below)}")
-                pending = 0
-            elif t is While:
-                below = (*outer, *todo, node)
-                if below not in heads:
-                    heads.append(below)
-                k = heads.index(below) + 1
-                lines.extend([f"{indent}n += {pending}", f"{indent}while {_source(_condition(node.cond))}:"])
-                lines.extend([f"{indent} if n > {fuel}: break", f"{indent} if p == {k}{same}: {repeated}"])
-                lines.extend([f"{indent} e += 1", f"{indent} if e > t: p = {k}; {save}t = 2 * e"])
-                lines.append(f"{indent} n += {block(node.body, depth + 1, 0, below) + 1}")
-                pending = 0
-            elif t is not Skip:
-                raise TypeError(f"not a command: {node!r}")
-        return pending
+    def head(node: While, indent: str, pending: int, below: tuple[Com, ...]) -> None:
+        """Append the loop `node`, after `pending` rules, over the work list `below` its body."""
+        if below not in heads:
+            heads.append(below)
+        k = heads.index(below) + 1
+        lines.extend([f"{indent}n += {pending}", f"{indent}while {_source(_condition(node.cond))}:"])
+        lines.extend([f"{indent} if n > {fuel}: break", f"{indent} if p == {k}{same}: {repeated}"])
+        lines.extend([f"{indent} e += 1", f"{indent} if e > t: p = {k}; {save}t = 2 * e"])
+        lines.append(f"{indent} n += {_command_lines(node.body, _COSTS, head, lines, indent + ' ', 0, below)[0] + _COSTS[While]}")
 
-    lines.append(f"  n += {block(command, 2, 0, ())}")
-    del block  # it calls itself through its cell: a reference cycle
+    lines.append(f"  n += {_command_lines(command, _COSTS, head, lines, '  ')[0]}")
+    del head  # it calls itself through its cell: a reference cycle
     return lines
 
 
@@ -697,7 +680,7 @@ def check_triple(
         zeroed = [*map(_local, read.difference(names)), "n", "e", "t", "p"]
         return [*_search_lines("_triple(_states, _out=0)", names, zeroed, body), " return _out"]
 
-    env = _generated(source)
+    env = _generated(source) if _identifiers(read.union(names)) else None
     search = _walked(names, pre_assertion, post_assertion, command, fuel, mode is Mode.TOTAL) if env is None else env.pop("_triple")
     return _verdict(names, search(states))
 

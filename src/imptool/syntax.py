@@ -18,8 +18,9 @@ its linear form.
 
 `hoare` and `machine` compile the Python they generate through `_generated`,
 and so does `_iterations`, which compiles a hot innermost loop for `bigstep`
-and `smallstep`.  `_source` and `_sum_source` write conditions, assertions
-and sums as Python over one local per variable for all of them.
+and `smallstep`.  Over one local per variable, `_command_lines` writes a
+command for it and for `hoare`'s triple search, counting by a cost table, and
+`_source` and `_sum_source` write conditions, assertions and sums for all.
 """
 
 from __future__ import annotations
@@ -360,6 +361,11 @@ def _local(name: str) -> str:
     return "v_" + name
 
 
+def _identifiers(names: Iterable[str]) -> bool:
+    """Whether every name is an ASCII identifier, as its local needs (`v_x.y` reads an attribute)."""
+    return all(name.isascii() and name.isidentifier() for name in names)
+
+
 def _sum_source(constant: int, terms: Iterable[tuple[str, int]]) -> str:
     """The linear form `Σ k·x + constant` as one flat sum over the locals:
     each variable once, times its coefficient, then the constant unless it is 0."""
@@ -440,6 +446,38 @@ def _condition(b: Assertion) -> Assertion:
     return b
 
 
+def _command_lines(c: Com, costs: Mapping[type, int], loop: Callable[..., None], lines: list[str], indent: str,
+                   pending: int = 0, below: tuple = ()) -> tuple[int, int]:
+    """Append `c` as Python at `indent`, an assignment rebinding its local and
+    each node adding `costs[class]` to `pending`; an `if` adds its path's count
+    in each branch, and `loop(node, indent, pending, work list below its body)`
+    writes a `while`, leaving nothing pending (`below`: big-step's work list
+    below `c`).  Return the count pending after `c` and its largest path's."""
+    todo, largest = [c], 0
+    while todo:
+        node = todo.pop()
+        t = type(node)
+        if t not in costs:
+            raise TypeError(f"not a command: {node!r}")
+        pending, largest = pending + costs[t], largest + costs[t]
+        if t is Seq:
+            todo += (node.second, node.first)
+        elif t is Assign:
+            lines.append(f"{indent}{_local(node.target)} = {_sum_source(*linear(node.rhs))}")
+        elif t is If:
+            under = (*below, *todo)
+            lines.append(f"{indent}if {_source(_condition(node.cond))}:")
+            then, then_largest = _command_lines(node.then_branch, costs, loop, lines, indent + " ", pending, under)
+            lines += [f"{indent} n += {then}", f"{indent}else:"]
+            other, other_largest = _command_lines(node.else_branch, costs, loop, lines, indent + " ", pending, under)
+            lines.append(f"{indent} n += {other}")
+            pending, largest = 0, largest + max(then_largest, other_largest)
+        elif t is While:
+            loop(node, indent, pending, (*below, *todo, node))
+            pending = 0
+    return pending, largest
+
+
 # The children of each node class, as a function to a tuple; None marks a
 # leaf.  A loop's invariant and measure are annotations, not children.
 _CHILDREN = {
@@ -491,11 +529,10 @@ def node_count(node: AExp | Assertion | Com) -> int:
 
 
 # A loop, or a pc, reached this many times in one run is compiled, as trace
-# compilers count loop headers (Gal et al., PLDI 2009).  A fresh compile costs
-# about 80 us, some 600 machine steps, so the short loops of most generated
-# programs stay below it.  On 2 vCPUs with CPython 3.11, batches of
-# `differential` ran no slower with machine blocks than without at 4, 16, 32
-# and 64.
+# compilers count loop headers (Gal et al., PLDI 2009).  On 2 vCPUs, CPython
+# 3.11, the bench's `branching` loop compiles in 210 us with `_code` cleared
+# and 22 us warm, a machine block in 46 and 4.7 us, so short loops stay below
+# it; `differential` ran no slower at 4, 16, 32 and 64.
 _HOT = 32
 
 
@@ -503,53 +540,30 @@ def _iterations(loop: While, costs: Mapping[type, int], tested_first: bool) -> O
     """An innermost loop's whole iterations, compiled: `_loop(store, n, fuel,
     lam, power, saved, same)` runs them on the store (no zeros) and returns
     `(n, lam, power, saved, at, why)`.  `costs` gives what each body node,
-    and under `While` each iteration, adds to the count `n`, so each path
-    adds a constant; an iteration runs only where `n` plus its largest path
-    stays below `fuel`.  Brent's sample sits before the test where
-    `tested_first`, else after it holds: the store is compared with `saved`
-    where `same` (the rest of the configuration is the saved one's), and
-    saved at the `power`-th sample, when `n` is `at`.  `why` is True on a
-    repeat, False where the test fails after the body, else None.  None
-    where the body holds a loop, a non-command, a non-condition or a name
-    that is not an identifier, or CPython refuses the source: that loop is
-    stepped."""
+    and under `While` each iteration, adds to `n`; an iteration runs only
+    where `n` plus its largest path stays below `fuel`, and ends by writing
+    the variables it assigns to the store.  Brent's sample sits before the
+    test where `tested_first`, else after it holds: the store is compared
+    with `saved` where `same` (the rest of the configuration is the saved
+    one's), and saved at the `power`-th sample, when `n` is `at`.  `why` is
+    True on a repeat, False where the test fails after the body, else None.
+    None where the body holds a loop, a non-command, a non-condition or a
+    name that is not an identifier, or CPython refuses the source: that loop
+    is stepped."""
+    names, assigned, todo = sorted(vars_of(loop)), set(), [loop.body]
+    while todo:
+        node = todo.pop()
+        if type(node) is Assign:
+            assigned.add(node.target)
+        elif type(node) is Seq or type(node) is If:
+            todo += _CHILDREN[type(node)](node)
+
+    def nested(node: While, *_: object) -> None:
+        raise TypeError(f"not a loop-free command: {node!r}")
 
     def source() -> list[str]:
-        def block(c: Com, depth: int, pending: int) -> tuple[int, int]:
-            """Append the lines of c at `depth`, after `pending` counts not yet
-            added to n; return those left pending after it, and the count of
-            c's largest path."""
-            indent, todo, largest = " " * depth, [c], 0
-            while todo:
-                node = todo.pop()
-                t = type(node)
-                if t is While or t not in costs:
-                    raise TypeError(f"not a loop-free command: {node!r}")
-                pending += costs[t]
-                largest += costs[t]
-                if t is Seq:
-                    todo += (node.second, node.first)
-                elif t is Assign:
-                    x = _local(node.target)
-                    body.append(f"{indent}{x} = {_sum_source(*linear(node.rhs))}")
-                    body.append(f"{indent}if {x}: _store[{node.target!r}] = {x}")
-                    body.append(f"{indent}else: _store.pop({node.target!r}, None)")
-                elif t is If:
-                    body.append(f"{indent}if {_source(_condition(node.cond))}:")
-                    then, then_largest = block(node.then_branch, depth + 1, pending)
-                    body.append(f"{indent} n += {then}")
-                    body.append(f"{indent}else:")
-                    other, other_largest = block(node.else_branch, depth + 1, pending)
-                    body.append(f"{indent} n += {other}")
-                    pending, largest = 0, largest + max(then_largest, other_largest)
-            return pending, largest
-
-        names = sorted(vars_of(loop))
-        if not all(name.isascii() and name.isidentifier() for name in names):
-            raise TypeError(f"not identifiers: {names!r}")
         body: list[str] = []
-        pending, largest = block(loop.body, 2, costs[While])
-        del block  # it calls itself through its cell: a reference cycle
+        pending, largest = _command_lines(loop.body, costs, nested, body, "  ", costs[While])
         test = _source(_condition(loop.cond))
         lines = ["def _loop(_store, n, fuel, lam, power, saved, same, at=None):"]
         lines += [f" {_local(name)} = _store.get({name!r}, 0)" for name in names]
@@ -561,6 +575,8 @@ def _iterations(loop: While, costs: Mapping[type, int], tested_first: bool) -> O
         lines += body
         if pending:
             lines.append(f"  n += {pending}")
+        for name in sorted(assigned):
+            lines += [f"  if {_local(name)}: _store[{name!r}] = {_local(name)}", f"  else: _store.pop({name!r}, None)"]
         if not tested_first:
             lines.append(f"  if not ({test}): return n, lam, power, saved, at, False")
         return [
@@ -572,7 +588,7 @@ def _iterations(loop: While, costs: Mapping[type, int], tested_first: bool) -> O
         ]
 
     try:
-        env = _generated(source)
+        env = _generated(source) if _identifiers(names) else None
     except TypeError:
         return None
     return None if env is None else env.pop("_loop")

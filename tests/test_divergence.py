@@ -334,7 +334,8 @@ def _deep_loop(depth):
 # Loops of each shape the compiler meets, each with whether it compiles: an
 # inner loop, whose outer one stays stepped; ifs in the body; assignments that
 # leave 0, whose binding must go; literals far past a machine word, and past
-# CPython's int-to-text limit; and a body nested too deep for CPython.
+# CPython's int-to-text limit; a body nested too deep for CPython; and a name
+# that is not an identifier.
 LOOP_SHAPES = {
     "nested": parse_com("i := 0; while (i < 3) { j := 0; while (j < 4) { j := j + 1; t := t + j }; i := i + 1 }"),
     "ifs": parse_com(
@@ -345,6 +346,7 @@ LOOP_SHAPES = {
     "huge": While(ACmp(CmpOp.LT, Var("x"), NumLit(3)), Seq(Assign("y", Plus(Var("y"), NumLit(10**100))), Assign("x", Plus(Var("x"), NumLit(1))))),
     "too-long-literal": While(ACmp(CmpOp.LT, Var("x"), NumLit(3)), Assign("x", Plus(Var("x"), NumLit(10**5000)))),
     "too-deep": _deep_loop(150),
+    "dotted": While(ACmp(CmpOp.LT, Var("x.y"), NumLit(3)), Assign("x.y", Plus(Var("x.y"), NumLit(1)))),
 }
 
 
@@ -371,7 +373,7 @@ class TestCompiledLoops:
         if name == "nested":
             loops.append(loops[0].body.second.first)
         compiled = [syntax._iterations(loop, bigstep._COSTS, False) is not None for loop in loops]
-        assert compiled == {"nested": [False, True], "too-long-literal": [False], "too-deep": [False]}.get(name, [True])
+        assert compiled == {"nested": [False, True], "too-long-literal": [False], "too-deep": [False], "dotted": [False]}.get(name, [True])
 
 
 # The bench's `sum` loop at 8,000 iterations; two twins that never end, one
@@ -430,15 +432,16 @@ def source_loop_mismatch():
     return None
 
 
-# The loop compiler's mutants: one branch's count off by one, the fuel guard
-# reading the `then` path's count instead of the largest path's, and the
-# repeat check inside the loop without the check of the rest of the
-# configuration (big-step's work list, small-step's focus and stack) made
-# where the compiled run starts.
+# The loop compiler's mutants: in the walker it shares with the triple
+# search, one branch's count off by one and the fuel guard reading the
+# `then` path's count instead of the largest path's; in the loop compiler
+# itself, the repeat check inside the loop without the check of the rest of
+# the configuration (big-step's work list, small-step's focus and stack)
+# made where the compiled run starts.
 LOOP_MUTANTS = {
-    "then-count": ('body.append(f"{indent} n += {then}")', 'body.append(f"{indent} n += {then + 1}")'),
-    "then-guard": ("largest + max(then_largest, other_largest)", "largest + then_largest"),
-    "entry-blind": ('"  if same and _store == saved:', '"  if _store == saved:'),
+    "then-count": (syntax._command_lines, 'f"{indent} n += {then}"', 'f"{indent} n += {then + 1}"'),
+    "then-guard": (syntax._command_lines, "largest + max(then_largest, other_largest)", "largest + then_largest"),
+    "entry-blind": (syntax._iterations, '"  if same and _store == saved:', '"  if _store == saved:'),
 }
 
 
@@ -457,7 +460,9 @@ class TestSourceLongLoops:
 
     @pytest.mark.parametrize("name", LOOP_MUTANTS)
     def test_catches_the_loop_compiler_mutants(self, monkeypatch, name):
-        broken = mutant(syntax._iterations, *LOOP_MUTANTS[name])
-        for module in (bigstep, smallstep):
-            monkeypatch.setattr(module, "_iterations", broken)
+        fn, old, new = LOOP_MUTANTS[name]
+        broken = mutant(fn, old, new)
+        for module in (syntax, bigstep, smallstep):
+            if hasattr(module, fn.__name__):
+                monkeypatch.setattr(module, fn.__name__, broken)
         assert source_loop_mismatch() is not None

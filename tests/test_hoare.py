@@ -1261,3 +1261,16 @@ class TestCompiledSources:
         assert entails(p, AFalse(), {"x", "y"}, 3) == Valid()
         assert check_triple(p, Skip(), AFalse(), {"x", "y"}, 3, 10) == Valid()
         assert verify(Skip(), p, AFalse(), 3, 10, Mode.PARTIAL).triple_verdict == VACUOUS
+
+    def test_a_name_that_is_not_an_identifier_runs_the_reference(self, refusals):
+        # `v_x.y` would read an attribute of `v_x`: each check refuses the
+        # name before building its source, and runs its reference instead
+        xy = Var("x.y")
+        assert entails(ACmp(CmpOp.LT, xy, NumLit(0)), AFalse(), ["x.y"], 1) == CounterexampleFound(State({"x.y": -1}))
+        assert check_triple(ATrue(), Assign("x.y", NumLit(1)), ATrue(), ["x.y"], 1, 100) == Valid()
+        inv = ACmp(CmpOp.LE, xy, NumLit(3))
+        loop = While(ACmp(CmpOp.LT, xy, NumLit(3)), Assign("x.y", Plus(xy, NumLit(1))), invariant=inv)
+        assert verify(loop, inv, ACmp(CmpOp.EQ, xy, NumLit(3)), 3, 100, Mode.PARTIAL).all_valid
+        # a name only assigned before it is read is no VC variable, but the VC's code writes it
+        assert verify(Assign("x.y", NumLit(1)), ATrue(), ACmp(CmpOp.EQ, xy, NumLit(1)), 1, 10, Mode.PARTIAL).all_valid
+        assert not refusals
