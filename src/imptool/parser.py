@@ -30,12 +30,13 @@ Integers are ASCII digits, and negative numbers exist only as literal tokens
 (`x + -1`).  Keywords are reserved, `//` starts a comment, and identifiers
 beginning with a double underscore are reserved for the verifier's snapshot
 variables.  Input nested deeper than the interpreter's recursion limit is a
-`ParseError` ("nesting too deep").  One `findall` lexes the whole text, and
-token offsets, lines and columns are computed only when a span is needed,
-lexing again only as far as that token.  Nodes are immutable, so a parse
-builds one `NumLit` or `Var` per distinct lexeme and shares it.  A sum prints
-along its left spine, and an assertion by an explicit stack, so both print
-at any size without recursion.
+`ParseError` ("nesting too deep").  One `findall` lexes the whole text into
+one list of token texts; a symbol or keyword is its own kind, and an integer
+is told from an identifier once per lexeme, when its `NumLit` or `Var` is
+built to be shared (nodes are immutable).  Token offsets, lines and columns
+are computed only when a span is needed, lexing again only as far as that
+token.  A sum prints along its left spine, and an assertion by an explicit
+stack, so both print at any size without recursion.
 
 The pretty-printers emit text that parses back to the identical AST, a
 command when every test in it is a condition: a loop prints its invariant
@@ -110,9 +111,8 @@ _TOKEN_RE = re.compile(
     rf"(?:(:=|->|<=|&&|\|\||[;+<=!(){{}}]|{INTEGER_RE.pattern}|(?!__){IDENT_RE.pattern}|\Z)|{_BAD_RE.pattern})"
     + _LAYOUT
 )
-# The kind of every token that is not an integer or an identifier.
-_KINDS = {text: text for text in (":=", "->", "<=", "&&", "||", *";+<=!(){}", *KEYWORDS)}
-_KINDS[""] = "eof"
+# Every token that is not an integer or an identifier; "" ends the input.
+_KINDS = frozenset({":=", "->", "<=", "&&", "||", *";+<=!(){}", *KEYWORDS, ""})
 # The binary connectives, loosest first: each symbol's node class, binding
 # power, and the least power its left and right operands bind at without
 # parentheses.  `->` associates right, `||` and `&&` left.  A comparison binds
@@ -126,12 +126,11 @@ _CONDITION = ({"&&": _CONNECTIVES["&&"]}, {"<": CmpOp.LT})
 
 
 class _Parser:
-    """Recursive descent over parallel token lists.
-
-    A token's kind is the symbol or keyword itself, or "int", "ident" or
-    "eof".  One `findall` lexes the text; the start offsets of the tokens, and
-    from them their lines and columns, are computed only when an error or a
-    `While` needs a span, by lexing again up to that token.
+    """Recursive descent over one list of token texts: a symbol or keyword
+    is its own kind, and `leaf` tells an integer from an identifier once per
+    lexeme.  One `findall` lexes the text; the start offsets of the tokens,
+    and from them their lines and columns, are computed only when an error or
+    a `While` needs a span, by lexing again up to that token.
     """
 
     def __init__(self, text: str, allow_annotations: bool) -> None:
@@ -142,7 +141,7 @@ class _Parser:
         self.starts: list[int] = []  # of the tokens lexed again so far
         self.matches = _TOKEN_RE.finditer(text, first)
         self.index = 0
-        self.leaves: dict[str, AExp] = {}  # one NumLit or Var per lexeme
+        self.leaves: dict[str, AExp] = {}  # one NumLit or Var per lexeme outside _KINDS
         # Each parenthesised sum parsed, and the index after it, by the index
         # of its `(`: `unary` tries a `(` as a formula, then as a sum.
         self.sums: dict[int, tuple[AExp, int]] = {}
@@ -157,7 +156,6 @@ class _Parser:
                 else f"unexpected character {lexeme!r}"
             )
             raise ParseError(message, self.span(start, len(lexeme)))
-        self.kinds = [_KINDS.get(t) or ("int" if t[0] in "-0123456789" else "ident") for t in texts]
 
     # -- token plumbing
 
@@ -183,43 +181,55 @@ class _Parser:
     def token_span(self, i: int) -> SourceSpan:
         return self.span(self.token_start(i), len(self.texts[i]))
 
-    def eat(self, kind: str) -> bool:
-        if self.kinds[self.index] == kind:
+    def eat(self, text: str) -> bool:
+        if self.texts[self.index] == text:
             self.index += 1
             return True
         return False
 
-    def expect(self, kind: str) -> None:
-        if not self.eat(kind):
-            raise self.error(f"'{kind}'")
+    def expect(self, text: str) -> None:
+        if not self.eat(text):
+            raise self.error(f"'{text}'")
 
     def error(self, *expected: str) -> ParseError:
         i = self.index
-        found = "end of input" if self.kinds[i] == "eof" else f"'{self.texts[i]}'"
+        found = "end of input" if i == len(self.texts) - 1 else f"'{self.texts[i]}'"
         return ParseError(f"unexpected {found}", self.token_span(i), expected)
+
+    def leaf(self, text: str) -> AExp | None:
+        """The `NumLit` or `Var` of a lexeme not in `leaves` yet, or None for
+        a symbol, a keyword or the end of input."""
+        if text in _KINDS:
+            return None
+        leaf = self.leaves[text] = NumLit(int(text)) if text[0] in "-0123456789" else Var(text)
+        return leaf
 
     # -- commands
 
     def statements(self) -> Com:
         parts = [self.statement()]
-        while self.eat(";"):
+        texts = self.texts
+        while texts[self.index] == ";":
+            self.index += 1
             parts.append(self.statement())
         return seq_chain(parts)
 
     def statement(self) -> Com:
-        kind = self.kinds[self.index]
-        if kind == "skip":
-            self.index += 1
+        i = self.index
+        text = self.texts[i]
+        if text == "skip":
+            self.index = i + 1
             return Skip()
-        if kind == "if":
+        if text == "if":
             return self.if_statement()
-        if kind == "while":
+        if text == "while":
             return self.while_statement()
-        if kind == "ident":
-            target = self.texts[self.index]
-            self.index += 1
-            self.expect(":=")
-            return Assign(target, self.aexp())
+        if type(self.leaves.get(text) or self.leaf(text)) is Var:
+            if self.texts[i + 1] == ":=":
+                self.index = i + 2
+                return Assign(text, self.aexp())
+            self.index = i + 1
+            raise self.error("':='")
         raise self.error("'skip'", "an assignment", "'if'", "'while'")
 
     def if_statement(self) -> Com:
@@ -261,21 +271,20 @@ class _Parser:
 
     def aexp(self) -> AExp:
         node = self.aatom()
-        while self.eat("+"):
+        texts = self.texts
+        while texts[self.index] == "+":
+            self.index += 1
             node = Plus(node, self.aatom())
         return node
 
     def aatom(self) -> AExp:
         i = self.index
-        kind = self.kinds[i]
-        if kind == "int" or kind == "ident":
+        text = self.texts[i]
+        leaf = self.leaves.get(text) or self.leaf(text)
+        if leaf is not None:
             self.index = i + 1
-            text = self.texts[i]
-            leaf = self.leaves.get(text)
-            if leaf is None:
-                leaf = self.leaves[text] = NumLit(int(text)) if kind == "int" else Var(text)
             return leaf
-        if kind == "(":
+        if text == "(":
             if i not in self.sums:
                 self.index = i + 1
                 node = self.aexp()
@@ -292,7 +301,7 @@ class _Parser:
         connectives = lang[0]
         node = self.unary(lang)
         while True:
-            row = connectives.get(self.kinds[self.index])
+            row = connectives.get(self.texts[self.index])
             if row is None or row[1] < level:
                 return node
             self.index += 1
@@ -317,7 +326,7 @@ class _Parser:
                 self.index = mark
         left = self.aexp()
         ops = lang[1]
-        op = ops.get(self.kinds[self.index])
+        op = ops.get(self.texts[self.index])
         if op is None:
             raise self.error(*(f"'{text}'" for text in ops))
         self.index += 1
@@ -333,7 +342,7 @@ def _parse(text: str, rule, allow_annotations: bool = False):
         node = rule(parser)
     except RecursionError:
         raise ParseError("nesting too deep", parser.token_span(parser.index)) from None
-    if parser.kinds[parser.index] != "eof":
+    if parser.index != len(parser.texts) - 1:
         raise parser.error("end of input")
     return node
 
@@ -466,18 +475,19 @@ def parse_asm(text: str) -> list[Instr]:
     """Parse the one-instruction-per-line assembly format.
 
     Mnemonics are LOADI, LOAD, ADD, STORE, JMP, JMPLESS, JMPGE; `//` starts
-    a comment; blank lines are skipped.
+    a comment; blank lines are skipped.  As in IMP source, lines end at LF
+    and words are separated by spaces, tabs and CRs.
     """
     instrs: list[Instr] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0].strip()
-        if not line:
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        words = re.findall(r"[^ \t\r]+", raw.split("//", 1)[0])
+        if not words:
             continue
-        mnemonic, *operands = line.split()
-        span = SourceSpan(lineno, 1, lineno, max(len(raw), 1))
+        mnemonic, *operands = words
+        span = SourceSpan(lineno, 1, lineno, max(len(raw.removesuffix("\r")), 1))
         ctor = _MNEMONICS.get(mnemonic)
         if ctor is None:
-            raise ParseError(f"unknown mnemonic '{mnemonic}'", span)
+            raise ParseError(f"unknown mnemonic {mnemonic!r}", span)
         if ctor is Add:
             if operands:
                 raise ParseError("ADD takes no operand", span)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -546,6 +547,118 @@ def test_large_source_parses_compiles_and_prints_as_pinned():
     ]
 
 
+# A token and the layout after it, in the texts `_large_source` writes.
+_TOKEN_AND_LAYOUT = re.compile(rf"({_PRETTY_TOKEN.pattern})(\s*(?://[^\n]*\s*)*)")
+_EDIT_TOKENS = [*sorted(parser.KEYWORDS), "0", "-7", "42", "x", "n1", "w", *":= -> <= && || ; + < = ! ( ) { }".split(), "__q", "@"]
+
+
+def _assertion_words(rng, depth=0):
+    roll = rng.random()
+    if depth < 3 and roll < 0.3:
+        return [*_assertion_words(rng, depth + 1), rng.choice(["&&", "||", "->"]), *_assertion_words(rng, depth + 1)]
+    if depth < 3 and roll < 0.38:
+        return ["!", *_assertion_words(rng, depth + 1)]
+    if depth < 3 and roll < 0.45:
+        return ["(", *_assertion_words(rng, depth + 1), ")"]
+    if roll < 0.55:
+        return [rng.choice(["true", "false"])]
+    sums = [" + ".join(rng.choice(["x", "y", "n1", "-3", "0", "(x + 1)"]) for _ in range(rng.randint(1, 2))) for _ in "lr"]
+    return [*sums[0].split(), rng.choice(["<", "<=", "="]), *sums[1].split()]
+
+
+def _digest_texts(rng):
+    """A `_large_source` command with some loops annotated, or an assertion,
+    then that text whole and with single-token edits: a token deleted,
+    duplicated, swapped with the next, or replaced by another lexeme."""
+    if rng.random() < 0.3:
+        pairs = [[word, rng.choice([" ", "\n", "\t// ( -1\n"])] for word in _assertion_words(rng)]
+    else:
+        pairs = [list(pair) for pair in _TOKEN_AND_LAYOUT.findall(_large_source(rng, rng.randint(20, 200)))]
+        for k in reversed(range(len(pairs))):
+            if pairs[k][0] == "while" and rng.random() < 0.6:
+                body = k + [p[0] for p in pairs[k:]].index("{")
+                clause = ["invariant", "(", *_assertion_words(rng), ")"]
+                clause += ["measure", "(", "x", "+", "1", ")"] if rng.random() < 0.5 else []
+                pairs[body:body] = [[word, " "] for word in clause]
+    yield "".join(map("".join, pairs))
+    for _ in range(5):
+        edited, k = [list(p) for p in pairs], rng.randrange(len(pairs))
+        edit = rng.choice(["delete", "duplicate", "swap", "replace", "replace", "replace"])
+        if edit == "delete":
+            del edited[k]
+        elif edit == "duplicate":
+            edited.insert(k, [edited[k][0], " "])
+        elif edit == "swap" and k + 1 < len(edited):
+            edited[k][0], edited[k + 1][0] = edited[k + 1][0], edited[k][0]
+        else:
+            edited[k][0] = rng.choice(_EDIT_TOKENS)
+        yield "".join(map("".join, edited))
+
+
+def test_parse_outcomes_match_the_pinned_digest():
+    # every outcome of the three entry points over a seeded corpus: the AST
+    # and its loops' spans, or the error's message and span
+    digest, count = hashlib.sha256(), 0
+    rng = random.Random(30)
+    for _ in range(400):
+        for text in _digest_texts(rng):
+            for parse in (parse_com, parse_annotated_com, parse_assertion):
+                try:
+                    node = parse(text)
+                    outcome = f"{node!r} {[loop.span for loop in _loops(node)]!r}"
+                except ParseError as err:
+                    outcome = f"{err} {err.span!r}"
+                digest.update(f"{parse.__name__} {text!r} {outcome}\n".encode())
+                count += 1
+    assert count == 7200
+    assert digest.hexdigest() == "7aa5553c8e74cd360c1f0b1f62f6b390f7745f0f9dc4bee182a5f3059ea779a2"
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _deepest(parse, shape, limit):
+    """The deepest `shape(depth)` that `parse` accepts under recursion limit `limit`."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        accepted, rejected = 0, limit
+        while rejected - accepted > 1:
+            depth = (accepted + rejected) // 2
+            try:
+                parse(shape(depth))
+                accepted = depth
+            except ParseError:
+                rejected = depth
+    finally:
+        sys.setrecursionlimit(old)
+    return accepted
+
+
+@pytest.mark.parametrize(
+    "parse,shape,frames",
+    [
+        pytest.param(parse_com, lambda d: "if (true) { " * d + "skip" + " } else { skip }" * d, 3, id="if"),
+        pytest.param(parse_com, lambda d: "while (x < 1) { " * d + "skip" + " }" * d, 3, id="while"),
+        pytest.param(parse_com, lambda d: "x := " + "(" * d + "1" + ")" * d, 2, id="sum-parentheses"),
+        pytest.param(parse_assertion, lambda d: "(" * d + "x < 1" + ")" * d, 2, id="formula-parentheses"),
+        pytest.param(parse_assertion, lambda d: "(" * d + "x + 1" + ")" * d + " < 2", 2, id="backtracked-parentheses"),
+        pytest.param(parse_assertion, lambda d: "!" * d + "true", 1, id="not"),
+    ],
+)
+def test_frames_per_nesting_level(parse, shape, frames):
+    # README's depth limits hold while one level of nesting takes at most
+    # `frames` Python frames; the deepest depth accepted at two recursion
+    # limits gives the frames per level whatever the caller's stack depth
+    low = _stack_depth() + 100
+    high = low + 600
+    assert frames * (_deepest(parse, shape, high) - _deepest(parse, shape, low)) >= high - low
+
+
 INSTRS = st.lists(
     st.one_of(
         st.builds(LoadI, st.integers(-99, 99)),
@@ -584,6 +697,24 @@ class TestAsm:
         with pytest.raises(ParseError) as exc:
             parse_asm(text)
         assert exc.value.span.start_line == line
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("LOADI 1\x0cFOO", "1:1: LOADI needs one integer operand"),
+            ("LOADI 1\rSTORE x", "1:1: LOADI needs one integer operand"),
+            ("LOADI 1\u2028STORE x", "1:1: LOADI needs one integer operand"),
+            ("LOADI\xa01", "1:1: unknown mnemonic 'LOADI\\xa01'"),
+            ("ADD\n\x0bLOAD x", "2:1: unknown mnemonic '\\x0bLOAD'"),
+        ],
+    )
+    def test_lines_end_at_lf_and_words_split_at_imp_layout(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_asm(text)
+        assert str(exc.value) == message
+
+    def test_crlf_and_tabs_are_layout(self):
+        assert parse_asm("\tLOADI 1 \t// one\r\n\r\nSTORE\tx\r\n") == [LoadI(1), Store("x")]
 
     def test_pretty_golden(self):
         out = pretty_asm([LoadI(0), Load("i"), JmpGe(5)])
