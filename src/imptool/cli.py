@@ -59,6 +59,7 @@ EXIT_COUNTEREXAMPLE = 4
 EXIT_UNKNOWN = 5
 
 _HEX_RE = re.compile(r"0x[0-9A-Fa-f]+")
+_LAYOUT = " \t\r\n"  # all that IMP source and assembly skip between words
 
 
 def _color_enabled() -> bool:
@@ -83,18 +84,19 @@ def _bad(text: str) -> str:
 
 def parse_state_spec(spec: str) -> State:
     """Parse `x=1,y=-2` into a state.  Duplicate names are rejected, and so
-    are names no program can mention: keywords and the reserved `__` prefix."""
+    are names no program can mention: keywords and the reserved `__` prefix.
+    Only IMP layout is skipped around names and values."""
     pairs: list[tuple[str, int]] = []
     seen: set[str] = set()
-    if not spec.strip():
+    if not spec.strip(_LAYOUT):
         return State()
     for chunk in spec.split(","):
-        chunk = chunk.strip()
+        chunk = chunk.strip(_LAYOUT)
         if "=" not in chunk:
             raise ValueError(f"bad state binding {chunk!r}, expected name=value")
         name, _, value_text = chunk.partition("=")
-        name = name.strip()
-        value_text = value_text.strip()
+        name = name.strip(_LAYOUT)
+        value_text = value_text.strip(_LAYOUT)
         if not IDENT_RE.fullmatch(name):
             raise ValueError(f"bad identifier {name!r} in state spec")
         if name in KEYWORDS:

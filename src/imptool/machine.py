@@ -11,13 +11,12 @@ only when it stops.  `exec1`, the single-step semantics, is that loop's
 one-step case; `execute`, `exec_n` and `steps_to_halt` read their answers
 off the same loop.
 
-Hot straight-line code runs as blocks, superinstructions (Ertl & Gregg, PLDI
-2003).  A run counts arrivals at a pc after each backward jump it takes and
-after each block, as trace compilers count loop headers (Gal et al., PLDI
-2009); the `_HOT`-th compiles the stretch from that pc into one function
-through `syntax._generated`.  A block runs only where all its steps fit in
-the fuel and the stack holds the operands it pops, so it never changes a
-step count; elsewhere the loop steps one instruction.
+Hot code runs compiled.  The `_HOT`-th arrival at a pc, counted after each
+backward jump and each unit as trace compilers count loop headers (Gal et
+al., PLDI 2009), compiles the code from there up to the next backward jump
+into one function, a unit, which runs a loop's whole iterations in place.
+A path through a unit is taken only where its steps fit in the fuel and the
+stack holds what it pops, so no step count changes; elsewhere the loop steps.
 
 A configuration (pc, stack and store) that comes back proves the run never
 ends.  The loop finds one with Brent's cycle-finding algorithm (Brent, BIT 20,
@@ -145,56 +144,109 @@ class StackUnderflowError(Exception):
 # --- execution -----------------------------------------------------------------
 
 
-def _block(prog: Program, start: int, targets: set[int]) -> Optional[tuple[Callable[[list, dict], int], int, int]]:
-    """The straight-line stretch of `prog` from `start`, up to and
-    including its first jump or up to just before the next jump target or
-    non-instruction, compiled: a function of the stack and the store that
-    runs it and returns the next pc, with its steps and the operands it pops
-    from below what it pushes.  Operands stay in locals.  None where the
-    stretch is empty or CPython refuses its source."""
-    pc, pops = start, 0
+def _unit(prog: Program, start: int) -> Optional[tuple[Callable[..., tuple], int, int]]:
+    """The code of `prog` from `start` up to its first backward jump, or to
+    a non-instruction or an ill-typed literal, offset or name, compiled:
+    `_unit(_stack, _store, steps, fuel, lam, power, saved, same)` returns
+    `(pc, steps, lam, power, saved, at, why)`.  Each later basic block runs
+    under `if _to == its pc`.  A path writes the store, and the stack where
+    it leaves operands, only where all its steps fit in the fuel; else the
+    unit returns `start` with `why` False.  A backward jump to `start` where
+    no path pops the entry stack runs whole iterations, with Brent's check
+    as in `_iterations`.  Also returned: how deep paths pop the entry stack,
+    and the pc below which a returned pc is sampled."""
+    stop, deepest, loops = start, 0, False
+    for instr in prog[start:]:
+        t = type(instr)
+        if t is LoadI or t in _JUMPS:
+            value = instr.value if t is LoadI else instr.offset
+        else:  # None for a non-instruction, or a name that is not a str
+            value = 0 if t is Add or t in (Load, Store) and type(instr.name) is str else None
+        if type(value) is not int:
+            break
+        stop += 1
+        if t in _JUMPS and value < 0:
+            break
+    region = prog[start:stop]
+    local = {name: f"v{k}" for k, name in enumerate(dict.fromkeys(i.name for i in region if type(i) in (Load, Store)))}
+    writes = "; ".join(f"_store[{name!r}] = {local[name]}" for name in dict.fromkeys(i.name for i in region if type(i) is Store))
+    leaders = {p + 1 + prog[p].offset for p in range(start, stop) if type(prog[p]) in _JUMPS} - {start}
 
     def source() -> list[str]:
-        nonlocal pc, pops
-        lines, stack, exit = ["def _block(_stack, _store):"], [], None
-
-        def local(value: str) -> str:
-            lines.append(f" _v{len(lines)} = {value}")
-            return f"_v{len(lines) - 1}"
+        nonlocal deepest, loops
+        lines = ["def _unit(_stack, _store, steps, fuel, lam, power, saved, same, at=None):"]
+        lines += [f" {v} = _store.get({name!r}, 0)" for name, v in local.items()] + [" while True:", "  _begin = steps"]
+        pending, below, count, pad = [], 0, 0, "  "  # pending: None after a jump, up to the next block
 
         def operand() -> str:
-            nonlocal pops
-            if stack:
-                return stack.pop()
-            pops += 1
-            return local("_stack.pop()")
+            nonlocal below, deepest
+            if pending:
+                return pending.pop()
+            below += 1
+            deepest = max(deepest, below)
+            return f"_stack[-{below}]"
 
-        while pc < len(prog) and exit is None and (pc == start or pc not in targets):
+        def leave(origin: int, target: int) -> None:  # the path's move from `origin` to `target`
+            nonlocal loops
+            if origin < target < stop and not (pending or below):
+                lines.extend([f"{pad}steps += {count}", f"{pad}_to = {target}"])
+                return
+            lines.append(f"{pad}if steps + {count} > fuel: return {start}, _begin, lam, power, saved, at, False")
+            lines.append(pad + (writes or "pass"))
+            if target == start and not (pending or deepest):
+                loops = True
+                lines.extend([
+                    f"{pad}steps += {count}", f"{pad}if same and _store == saved: return {start}, steps, lam, power, saved, at, True",
+                    f"{pad}lam += 1", f"{pad}if lam == power: saved = _store.copy(); at = steps; power += power; lam = 0; same = True",
+                    f"{pad}continue",
+                ])
+                return
+            if below:
+                lines.append(f"{pad}_stack[-{below}:] = [{', '.join(pending)}]")
+            elif pending:
+                lines.append(f"{pad}_stack += [{', '.join(pending)}]")
+            lines.append(f"{pad}return {target}, steps + {count}, lam, power, saved, at, None")
+
+        for pc in range(start, stop):
+            if pc in leaders:
+                if pending is not None:
+                    leave(pc - 1, pc)
+                pending, below, count, pad = [], 0, 0, "   "
+                lines.append(f"  if _to == {pc}:")
+            if pending is None:
+                continue
             instr = prog[pc]
             t = type(instr)
-            if t is Load:
-                stack.append(local(f"_store.get({instr.name!r}, 0)"))
-            elif t is LoadI:
-                stack.append(repr(instr.value))
+            count += 1
+            if t is LoadI:
+                pending.append(repr(instr.value))
+            elif t is Load:
+                pending.append(local[instr.name])
             elif t is Add:
                 top = operand()
-                stack.append(local(f"{operand()} + {top}"))
+                lines.append(f"{pad}t{pc} = {operand()} + {top}")
+                pending.append(f"t{pc}")
             elif t is Store:
-                lines.append(f" _store[{instr.name!r}] = {operand()}")
+                value, name = operand(), local[instr.name]
+                if name in pending:  # the stack keeps the value it loaded
+                    lines.append(f"{pad}t{pc} = {name}")
+                    pending = [f"t{pc}" if entry == name else entry for entry in pending]
+                lines.append(f"{pad}{name} = {value}")
             elif t is Jmp:
-                exit = [f" return {pc + 1 + instr.offset}"]
-            elif t in _JUMPS:
-                top = operand()
-                exit = [f" if {operand()} {_JUMPS[t]} {top}: return {pc + 1 + instr.offset}", f" return {pc + 1}"]
+                leave(pc, pc + 1 + instr.offset)
+                pending = None
             else:
-                break
-            pc += 1
-        if stack:
-            lines.append(f" _stack += ({', '.join(stack)},)")
-        return lines + (exit or [f" return {pc}"])
+                top = operand()
+                lines.append(f"{pad}if {operand()} {_JUMPS[t]} {top}:")
+                pad += " "
+                leave(pc, pc + 1 + instr.offset)
+                lines.append(f"{pad[:-1]}else:")
+        if pending is not None:
+            leave(stop - 1, stop)
+        return lines
 
     env = _generated(source)
-    return None if env is None or pc == start else (env.pop("_block"), pc - start, pops)
+    return None if env is None or stop == start else (env.pop("_unit"), deepest, start if loops else stop)
 
 
 def _run(prog: Program, cfg: MachineConfig, fuel: int) -> tuple[MachineConfig, int, StopReason]:
@@ -208,14 +260,14 @@ def _run(prog: Program, cfg: MachineConfig, fuel: int) -> tuple[MachineConfig, i
     The pc, the stack (top at the end of a list) and the store live in
     locals; zero bindings are dropped when the final `State` is built.
 
-    The pc is looked up among the blocks after each taken backward jump and
-    after each block, and the tables of arrivals and blocks are made at the
+    The pc is looked up among the units after each taken backward jump and
+    after each unit, and the tables of arrivals and units are made at the
     first backward jump: a run that takes none pays nothing for them, and a
     forward jump costs the step loop nothing more.
 
     Every run that never ends takes a backward jump infinitely often, so the
     configuration after each taken backward jump, by an instruction or a
-    block, is sampled for Brent's check.  A repeat proves the configuration
+    unit, is sampled for Brent's check.  A repeat proves the configuration
     recurs every `period` steps from then on, so whole periods of the
     remaining fuel are skipped: the result is that of the full run."""
     pc, end, steps = cfg.pc, len(prog), 0
@@ -224,34 +276,34 @@ def _run(prog: Program, cfg: MachineConfig, fuel: int) -> tuple[MachineConfig, i
     push, pop = stack.append, stack.pop
     reason = None  # while the run goes on
     saved_pc, saved_stack, saved_store, saved_steps = None, None, None, 0
-    power, lam = 1, 0
-    hot, heat, blocks, targets = _HOT, None, None, None
+    power, lam, repeated = 1, 0, False
+    heat, units = None, None  # by pc: arrivals, and units (None where none compiles)
     after = pc  # a pc below `after` was reached by a backward jump
     while 0 <= pc < end:
         if pc < after:
-            if pc == saved_pc and stack == saved_stack and store == saved_store:
+            if repeated or pc == saved_pc and stack == saved_stack and store == saved_store:
                 period = steps - saved_steps
                 steps += (fuel - steps) // period * period
+                repeated = False
             lam += 1
             if lam == power:
                 saved_pc, saved_stack, saved_store, saved_steps = pc, stack[:], dict(store), steps
                 power, lam = 2 * power, 0
             if heat is None:
-                heat, blocks = {}, {}
+                heat, units = {}, {}
         if heat is not None:
-            block = blocks.get(pc)
-            if block is None:
+            unit = units.get(pc)
+            if unit is None:
                 heat[pc] = arrivals = heat.get(pc, 0) + 1
-                if arrivals == hot:
-                    if targets is None:
-                        targets = {k + 1 + i.offset for k, i in enumerate(prog) if type(i) in _JUMPS}
-                    block = blocks[pc] = _block(prog, pc, targets)
-            if block is not None:
-                run, length, pops = block
-                if steps + length <= fuel and len(stack) >= pops:
-                    after = pc + length
-                    pc = run(stack, store)
-                    steps += length
+                if arrivals == _HOT:
+                    unit = units[pc] = _unit(prog, pc)
+            if unit is not None and len(stack) >= unit[1]:
+                start, depth, same = pc, len(stack), pc == saved_pc and stack == saved_stack
+                pc, steps, lam, power, saved, at, repeated = unit[0](stack, store, steps, fuel, lam, power, saved_store, same)
+                if saved is not saved_store:
+                    saved_pc, saved_stack, saved_store, saved_steps = start, stack[:depth], saved, at
+                if repeated is not False:  # a repeat is handled above, as one found there
+                    after = pc + 1 if repeated else unit[2]
                     continue
         after = end  # the stepping below stops at a backward jump, below `end`
         while 0 <= pc < end:  # step by step up to a backward jump
@@ -353,7 +405,13 @@ def acomp(a: AExp) -> list[Instr]:
         raise TypeError(f"not an arithmetic expression: {a!r}")
     code: list[Instr] = [_LOAD_I(a.value) if t is NumLit else _LOAD(a.name)]
     for right in reversed(rights):
-        code += acomp(right)
+        t = type(right)
+        if t is NumLit:
+            code.append(_LOAD_I(right.value))
+        elif t is Var:
+            code.append(_LOAD(right.name))
+        else:
+            code += acomp(right)
         code.append(_ADD)
     return code
 

@@ -530,9 +530,9 @@ def node_count(node: AExp | Assertion | Com) -> int:
 
 # A loop, or a pc, reached this many times in one run is compiled, as trace
 # compilers count loop headers (Gal et al., PLDI 2009).  On 2 vCPUs, CPython
-# 3.11, the bench's `branching` loop compiles in 210 us with `_code` cleared
-# and 22 us warm, a machine block in 46 and 4.7 us, so short loops stay below
-# it; `differential` ran no slower at 4, 16, 32 and 64.
+# 3.11, the bench's `branching` loop compiles in 190 us with `_code` cleared
+# and 28 us warm, and the machine unit of its code in 240 and 30 us, so short
+# loops stay below it; `differential` ran no slower at 4, 16, 32 and 64.
 _HOT = 32
 
 

@@ -3,7 +3,7 @@ random instruction-list generator, the program generators by `randint` and
 `choice`, the enumerated states, a reference triple check and reference
 VCs, a condition printer of its own, a walk for the variables of an
 assertion, the recursive `aval` and `acomp`, the textbook small step, the
-plain run loops without a cycle check, counters of compiled blocks and
+plain run loops without a cycle check, counters of compiled units and
 loops, a swapped-branch mutant of the small-step stepper, and a way to
 build one-line mutants of library functions.
 
@@ -487,10 +487,11 @@ def reference_star_run(cfg, max_steps):
 
 
 def reference_run(prog, cfg, fuel):
-    """`machine._run` without its cycle check or its compiled blocks: every
-    instruction is stepped on its own.  `_run` runs a hot stretch as one
-    block only where each of its steps would be taken, so a block never
-    changes a step count, and the two agree step for step."""
+    """`machine._run` without its cycle check or its compiled units: every
+    instruction is stepped on its own.  A unit of `_run` takes a path through
+    its region only where the stack holds what the region pops and all the
+    path's steps fit in the fuel, so a unit never changes a step count, and
+    the two agree step for step."""
     pc, end, steps = cfg.pc, len(prog), 0
     stack = list(reversed(cfg.stack))
     store = dict(cfg.state.items())
@@ -530,24 +531,25 @@ def reference_run(prog, cfg, fuel):
     return MachineConfig(pc, State(store), tuple(reversed(stack))), steps, reason
 
 
-def counting_blocks(mp):
-    """Patch `machine._block` so that every run of a block it compiles
-    records the block's leader; returns the records."""
-    ran, compile_block = [], machine._block
+def counting_units(mp):
+    """Patch `machine._unit` so that every run of a unit it compiles records
+    the unit's start and the steps the run moved; returns the records."""
+    ran, compile_unit = [], machine._unit
 
-    def counted(prog, start, targets):
-        block = compile_block(prog, start, targets)
-        if block is None:
+    def counted(prog, start):
+        unit = compile_unit(prog, start)
+        if unit is None:
             return None
-        run, length, pops = block
+        run, pops, after = unit
 
-        def counted_run(stack, store):
-            ran.append(start)
-            return run(stack, store)
+        def counted_run(stack, store, steps, *brent):
+            out = run(stack, store, steps, *brent)
+            ran.append((start, out[1] - steps))
+            return out
 
-        return counted_run, length, pops
+        return counted_run, pops, after
 
-    mp.setattr(machine, "_block", counted)
+    mp.setattr(machine, "_unit", counted)
     return ran
 
 

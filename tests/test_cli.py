@@ -90,6 +90,19 @@ class TestStateSpec:
     def test_underscore_names_stay_legal(self):
         assert parse_state_spec("_x=1,x_=2") == State.of(_x=1, x_=2)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("x\xa0=1", "bad identifier 'x\\xa0'"), ("x=\u20031", "bad integer '\\u20031' for 'x'"),
+         ("\x0cx=1", "bad identifier '\\x0cx'")],
+        ids=["no-break-space", "em-space", "form-feed"],
+    )
+    def test_only_imp_layout_is_skipped(self, write, capsys, spec, message):
+        path = write("p.imp", "y := x + 1")
+        assert main(["run", path, "--state", spec]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: {message} in state spec\n"
+
 
 class TestRun:
     def test_skip_prints_nothing(self, write, capsys):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     coms,
-    counting_blocks,
+    counting_units,
     counting_loops,
     mutant,
     reference_big_step,
@@ -179,13 +179,26 @@ STAR_RUN_CHECK = "focus is saved_focus and stack == saved_stack and store == sav
 BIG_STEP_CHECK = "store == saved_store and todo == saved_todo"
 MACHINE_CHECK = "pc == saved_pc and stack == saved_stack and store == saved_store"
 MACHINE_SKIP = "steps += (fuel - steps) // period * period"
-# The machine's mutants: two checks blind to the stack, and a loop that halts
-# at the first repeat.
+# The machine's mutants: in its run loop, two checks blind to the stack, and
+# a loop that halts at the first repeat; in its unit compiler, a path's count
+# off by one where it jumps on to a basic block of its unit, the fuel check
+# reading the path without the stretch since its last block, and the repeat
+# check inside a loop without the check of the pc and the stack made where
+# the compiled run starts.
 MACHINE_MUTANTS = {
-    "stack-blind": (MACHINE_CHECK, "pc == saved_pc and store == saved_store"),
-    "store-only": (MACHINE_CHECK, "store == saved_store"),
-    "halting": (MACHINE_SKIP, "reason = StopReason.OUT_OF_PROGRAM; break"),
+    "stack-blind": (machine._run, MACHINE_CHECK, "pc == saved_pc and store == saved_store"),
+    "store-only": (machine._run, MACHINE_CHECK, "store == saved_store"),
+    "halting": (machine._run, MACHINE_SKIP, "reason = StopReason.OUT_OF_PROGRAM; break"),
+    "edge-count": (machine._unit, '[f"{pad}steps += {count}", f"{pad}_to', '[f"{pad}steps += {count + 1}", f"{pad}_to'),
+    "short-guard": (machine._unit, "if steps + {count} > fuel:", "if steps > fuel:"),
+    "entry-blind": (machine._unit, "if same and _store == saved:", "if _store == saved:"),
 }
+
+
+def machine_mutant(mp, name):
+    """Patch the machine with its mutant `name`."""
+    fn, old, new = MACHINE_MUTANTS[name]
+    mp.setattr(machine, fn.__name__, mutant(fn, old, new))
 
 
 class TestMutantsAreCaught:
@@ -214,7 +227,7 @@ class TestMutantsAreCaught:
 
     @pytest.mark.parametrize("name", ["stack-blind", "store-only"])
     def test_machine_check_blind_to_the_stack(self, monkeypatch, name):
-        monkeypatch.setattr(machine, "_run", mutant(machine._run, *MACHINE_MUTANTS[name]))
+        machine_mutant(monkeypatch, name)
         assert growing_stack_mismatch() is not None
 
     def test_big_step_terminating_on_a_cycle(self, monkeypatch):
@@ -229,7 +242,7 @@ class TestMutantsAreCaught:
         assert all("small-step terminated: False; big-step terminated: True" in f.observed for f in result.failures)
 
     def test_machine_halting_on_a_cycle(self, monkeypatch):
-        monkeypatch.setattr(machine, "_run", mutant(machine._run, *MACHINE_MUTANTS["halting"]))
+        machine_mutant(monkeypatch, "halting")
         result = suite_compiler(1000, GenConfig())
         assert result.failures
         assert all("machine halts where big-step diverges" in f.observed for f in result.failures)
@@ -271,28 +284,50 @@ class TestMachine:
 # The bench's `sum` loop at 8,000 iterations, and two twins that never halt:
 # one with increments of 0, whose configuration recurs every iteration, and
 # one that also leaves each `i + 0` on the stack instead of storing it, so
-# that only its stack changes.  A never-ending run is cut at NEVER_ENDS steps.
+# that only its stack changes.  BRANCHING, a loop with an `if` whose `else`
+# path is the longer and is taken in the last 10 iterations; and a loop that
+# never ends, whose inner loop takes its store through the same three values
+# on every pass while the outer loop leaves a 1 on the stack.  A never-ending
+# run is cut at NEVER_ENDS steps.
 SUM = ccomp(parse_com("i := 0; s := -7; while (i < 8000) { s := s + i + 3; i := i + 1 }"))
 CYCLING_SUM = ccomp(parse_com("i := 0; s := -7; while (i < 8000) { s := s + i + 0; i := i + 0 }"))
 GROWING_SUM = [*CYCLING_SUM[:-2], Jmp(0), CYCLING_SUM[-1]]
+BRANCHING = ccomp(parse_com(
+    "x := 0; while (x < 8000) { if (x < 7990) { x := x + 1 } else { y := y + 1; y := y + 2; y := y + 3; x := x + 1 } }"
+))
+NESTED = ccomp(parse_com("while (0 < 1) { y := 0; while (y < 3) { y := y + 1 } }"))
+GROWING_NEST = [*NESTED[:-1], LoadI(1), Jmp(NESTED[-1].offset - 1)]
+LONG_LOOPS = {
+    "sum": SUM, "cycling": CYCLING_SUM, "growing": GROWING_SUM, "branching": BRANCHING, "growing-nest": GROWING_NEST
+}
 NEVER_ENDS = 20_000
-# The loop body of SUM, one block: from its first `Load s` to its backward jump.
-BODY = 11
+# More than the steps of any one iteration of these loops: BRANCHING's `else`
+# path takes 23.
+ITERATION = 24
+
+
+def reference_runs(code, first, last):
+    """`reference_run` of `code` from pc 0 and the empty state at each fuel
+    from first to last, one run and then a step at a time."""
+    cfg, steps, reason = reference_run(code, MachineConfig(0, State(), ()), first)
+    for fuel in range(first, last + 1):
+        if steps == fuel - 1 and reason is StopReason.FUEL_EXHAUSTED:
+            cfg, step, reason = reference_run(code, cfg, 1)
+            steps += step
+        yield fuel, (cfg, steps, reason)
 
 
 def long_loop_mismatch():
-    """The first of the long loops and fuel at which `execute`, at the
-    default hotness, differs from `reference_run`, with both results, or
-    None.  The fuels run from BODY + 1 steps before the end (the halt, or
+    """The first of the long loops and fuel at which `_run`, at the default
+    hotness, differs from `reference_run`, with both results, or None.  The
+    fuels run from ITERATION + 1 steps before the end (the halt, or
     NEVER_ENDS) to one step after it, so that the fuel runs out at every
-    step of a block."""
+    step of an iteration."""
     start = MachineConfig(0, State(), ())
-    for name, code in {"sum": SUM, "cycling": CYCLING_SUM, "growing": GROWING_SUM}.items():
+    for name, code in LONG_LOOPS.items():
         end = machine.steps_to_halt(code, start, 10**6) or NEVER_ENDS
-        for fuel in range(end - BODY - 1, end + 2):
-            got = machine.execute(code, start, fuel)
-            with mock.patch.object(machine, "_run", reference_run):
-                expected = machine.execute(code, start, fuel)
+        for fuel, expected in reference_runs(code, end - ITERATION - 1, end + 1):
+            got = machine._run(code, start, fuel)
             if got != expected:
                 return name, fuel, got, expected
     return None
@@ -300,17 +335,20 @@ def long_loop_mismatch():
 
 class TestLongLoops:
     def test_every_fuel_near_the_end(self, monkeypatch):
-        ran = counting_blocks(monkeypatch)
+        ran = counting_units(monkeypatch)
         assert long_loop_mismatch() is None
         del ran[:]
         machine.execute(SUM, MachineConfig(0, State(), ()), 10**6)
-        # the loop test turns hot, then the body it hands on to: from then on
-        # the body runs as a block
-        assert ran.count(SUM.index(Load("s"))) >= 8_000 - 2 * machine._HOT
+        # the loop turns hot after _HOT iterations, and from then on runs
+        # compiled: every step of the later iterations moves inside a unit
+        # at the loop's test
+        head = SUM.index(Load("i"))
+        compiled = sum(moved for start, moved in ran if start == head)
+        assert compiled >= (8_000 - machine._HOT - 1) * (len(SUM) - head)
 
     @pytest.mark.parametrize("name", MACHINE_MUTANTS)
     def test_catches_the_machine_mutants(self, monkeypatch, name):
-        monkeypatch.setattr(machine, "_run", mutant(machine._run, *MACHINE_MUTANTS[name]))
+        machine_mutant(monkeypatch, name)
         assert long_loop_mismatch() is not None
 
 

@@ -8,7 +8,7 @@ from conftest import (
     aexps,
     bexps,
     coms,
-    counting_blocks,
+    counting_units,
     gen_instrs,
     mutant,
     names,
@@ -278,10 +278,10 @@ class TestRunLoopAgainstExec1:
             execute(prog, cfg0(), 2)
 
 
-# --- compiled blocks ----------------------------------------------------------------
+# --- compiled units -----------------------------------------------------------------
 
 
-# 5,000 digits: past CPython's int-to-text limit, so no block's source can hold it.
+# 5,000 digits: past CPython's int-to-text limit, so no unit's source can hold it.
 HUGE = 10**4_999
 # How far past a halt a fuel may reach, and how many steps a run without one takes.
 SPARE, CAP = 3, 300
@@ -293,6 +293,11 @@ _wild_instrs = st.one_of(
     st.builds(JmpGe, _wild_offsets),
     st.builds(LoadI, st.sampled_from((HUGE, -HUGE))),
     st.sampled_from(("LoadI", None)),
+)
+
+# Instructions alone, whose jumps may land before the program or past its end.
+_unit_instrs = st.one_of(
+    _instrs, st.builds(Jmp, _wild_offsets), st.builds(JmpLess, _wild_offsets), st.builds(JmpGe, _wild_offsets)
 )
 
 
@@ -326,30 +331,72 @@ def _views(prog, cfg, fuel):
 
 
 class TestBlocksAgainstReference:
-    """With every pc hot at its first arrival, a run compiles a block where
-    it starts, after each backward jump it takes and after each block, and
-    runs it wherever the fuel and the stack allow: the answers must be those
-    of `reference_run`, which steps every instruction."""
+    """With every pc hot at its first arrival, a run compiles a unit after
+    each backward jump it takes and after each unit, and runs it wherever
+    the fuel and the stack allow: the answers must be those of
+    `reference_run`, which steps every instruction."""
 
     @settings(max_examples=400, deadline=None)
     @given(_wild_runs())
-    @example(([Jmp(-3)], cfg0(), 1, 1))  # hands control on to pc -2, where no block can start
+    @example(([Jmp(-3)], cfg0(), 1, 1))  # hands control on to pc -2, where no unit can start
+    # a jump whose offset is not an int, or a load whose name is not a str, ends a unit: it is
+    # stepped where reached, and only there
+    @example(([Load("x"), LoadI(1), Add(), Store("x"), LoadI(1), LoadI(2), JmpGe("a"), Jmp(-8)], cfg0(), 100, None))
+    @example(([Load("x"), LoadI(1), Add(), Store("x"), Load("x"), LoadI(9), JmpGe("a"), Jmp(-8)], cfg0(), 100, None))
+    @example((
+        [Load("x"), LoadI(1), Add(), Store("x"), Load("x"), LoadI(99), JmpLess(2), Load(["y"]), Store("z"), Jmp(-10)],
+        cfg0(), 99, None,
+    ))
     def test_every_leader_hot(self, run):
         prog, cfg, fuel, halt = run
         with mock.patch.object(machine, "_run", reference_run):
             expected = _views(prog, cfg, fuel)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(machine, "_HOT", 1)
-            ran = counting_blocks(mp)
+            ran = counting_units(mp)
             assert _views(prog, cfg, fuel) == expected
             if halt is not None:
-                # a block whose last step is the halt runs at a fuel with none to spare
+                # a unit whose last step is the halt runs at a fuel with none to spare
                 del ran[:]
                 execute(prog, cfg, halt)
                 exact = ran[:]
                 del ran[:]
                 execute(prog, cfg, halt + SPARE)
                 assert exact == ran
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(_unit_instrs, min_size=1, max_size=14).flatmap(
+            lambda prog: st.tuples(
+                st.just(prog),
+                st.integers(min_value=0, max_value=len(prog) - 1),
+                states(),
+                st.lists(small_ints, max_size=4),
+                st.integers(min_value=0, max_value=60),
+            )
+        )
+    )
+    @example(([Load("x"), LoadI(5), Store("x"), Store("y")], 0, State.of(x=3), [], 4))  # y gets the x it loaded
+    @example((ccomp(parse_com("if (x < 1) { y := 1 } else { y := 2 }; z := y")), 0, State.of(x=3), [], 9))
+    def test_a_unit_moves_as_the_reference_does(self, case):
+        """A unit compiled at any pc and run from there leaves the
+        configuration where `reference_run` does in as many steps, within the
+        fuel; it stops short only where more fuel takes it further, and a
+        repeat it reports is the configuration of its last sample."""
+        prog, pc, state, stack, fuel = case
+        unit = machine._unit(prog, pc)
+        assume(unit is not None and len(stack) >= unit[1])
+        cfg = MachineConfig(pc, state, tuple(stack))
+        stack, store = stack[::-1], dict(state.items())
+        pc, steps, _, _, _, at, why = unit[0](stack, store, 0, fuel, 0, 1, dict(store), True)
+        got = MachineConfig(pc, State(store), tuple(reversed(stack)))
+        assert steps <= fuel
+        assert (got, steps) == reference_run(prog, cfg, steps)[:2]
+        if why:  # back where the last sample was taken: at `at`, or at the start
+            sample = 0 if at is None else at
+            assert got == reference_run(prog, cfg, sample)[0] and steps > sample
+        if why is False:
+            assert unit[0](stack, store, steps, fuel + len(prog), 0, 1, None, False)[1] > steps
 
 
 class TestAcomp:
