@@ -22,23 +22,23 @@ saved one once, where the compiled run starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Union
 
-from .syntax import _HOT, Assign, Com, If, Seq, Skip, State, While, _iterations, aval, bval
+from .syntax import _HOT, Assign, Com, If, Seq, Skip, State, While, _iterations, aval, bval, record
 
 # The rules each node applies, a `while` one per test: the table by which
 # compiled loops and `hoare`'s triple search count.
 _COSTS = {Seq: 1, Assign: 1, Skip: 1, If: 1, While: 1}
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Terminated:
     final: State
     rules_applied: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FuelExhausted:
     """Evaluation ran out of fuel before finishing; `repeated` (not compared)
     where it came back to a configuration, so no fuel would finish it."""

@@ -19,7 +19,7 @@ exhausts its fuel.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from typing import Callable
 
@@ -49,6 +49,7 @@ from .syntax import (
     Var,
     While,
     node_count,
+    record,
     seq_chain,
     seq_spine,
     vars_of,
@@ -61,7 +62,7 @@ COMPILER_FUEL_FACTOR = 16
 _VAR_POOL = ("x", "y", "z", "w")
 
 
-@dataclass(frozen=True)
+@record
 class GenConfig:
     max_depth: int = 6
     max_vars: int = 4
@@ -83,7 +84,7 @@ class GenConfig:
         return pool[: self.max_vars]
 
 
-@dataclass(frozen=True)
+@record
 class CaseFailure:
     case_index: int
     seed: int
@@ -103,7 +104,7 @@ class CaseFailure:
         }
 
 
-@dataclass(frozen=True)
+@record
 class SuiteResult:
     cases_run: int
     cases_passed: int

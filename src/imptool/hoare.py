@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
@@ -87,6 +87,7 @@ from .syntax import (
     _sum_source,
     aval,
     linear,
+    record,
     seq_chain,
     seq_spine,
     vars_of,
@@ -174,17 +175,17 @@ def subst_assertion(a: Assertion, name: str, replacement: AExp) -> Assertion:
 # --- bounded entailment -----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Valid:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CounterexampleFound:
     state: State
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Unknown:
     detail: str = ""
 
@@ -343,7 +344,7 @@ class MissingAnnotationError(Exception):
 ENTRY_LABEL = "entry: precondition establishes computed precondition"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VerificationCondition:
     """One VC: its label, its free variables in enumeration order, its
     premise, which clips the box it is decided on, and its search, from
@@ -365,7 +366,7 @@ class VerificationCondition:
         return type(self.search([values])) is tuple
 
 
-@dataclass(frozen=True)
+@record
 class VcResult:
     """Every loop's VCs in order, and the entry VC, that a stated precondition
     establishes the computed one (None without a stated precondition).
@@ -688,7 +689,7 @@ def check_triple(
 # --- verification reports ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ReportEntry:
     condition: VerificationCondition
     verdict: Verdict
@@ -702,7 +703,7 @@ class ReportEntry:
         return self.condition.formula
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     mode: Mode
     bound: int

@@ -26,7 +26,6 @@ one the full run would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
@@ -52,44 +51,44 @@ from .syntax import (
     While,
     _HOT,
     _generated,
-    slot_inits,
+    record,
 )
 
 
 # --- instructions -------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LoadI:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Load:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Add:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Store:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Jmp:
     offset: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class JmpLess:
     offset: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class JmpGe:
     offset: int
 
@@ -105,7 +104,7 @@ _JUMPS = {Jmp: None, JmpLess: "<", JmpGe: ">="}
 _LT = CmpOp.LT  # a global reads faster than an Enum member through its class
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MachineConfig:
     pc: int
     state: State
@@ -118,13 +117,13 @@ class StopReason(Enum):
     FUEL_EXHAUSTED = "fuel-exhausted"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Halted:
     final: MachineConfig
     steps_taken: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StuckOrExhausted:
     last: MachineConfig
     steps_taken: int
@@ -132,7 +131,6 @@ class StuckOrExhausted:
 
 
 MachineOutcome = Union[Halted, StuckOrExhausted]
-slot_inits(LoadI, Load, Store, Jmp, JmpLess, JmpGe, MachineConfig)
 
 
 class StackUnderflowError(Exception):

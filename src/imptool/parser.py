@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import fields
 from itertools import islice
 
 from .machine import Add, Instr, Jmp, JmpGe, JmpLess, Load, LoadI, Store
@@ -469,6 +468,7 @@ _MNEMONICS = {
     "LOADI": LoadI, "LOAD": Load, "ADD": Add, "STORE": Store, "JMP": Jmp, "JMPLESS": JmpLess, "JMPGE": JmpGe
 }
 _MNEMONIC_OF = {cls: mnemonic for mnemonic, cls in _MNEMONICS.items()}
+_ASM_WORDS = re.compile(r"[^ \t\r]+").findall
 
 
 def parse_asm(text: str) -> list[Instr]:
@@ -480,26 +480,29 @@ def parse_asm(text: str) -> list[Instr]:
     """
     instrs: list[Instr] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        words = re.findall(r"[^ \t\r]+", raw.split("//", 1)[0])
+        words = _ASM_WORDS(raw.split("//", 1)[0])
         if not words:
             continue
         mnemonic, *operands = words
-        span = SourceSpan(lineno, 1, lineno, max(len(raw.removesuffix("\r")), 1))
         ctor = _MNEMONICS.get(mnemonic)
         if ctor is None:
-            raise ParseError(f"unknown mnemonic {mnemonic!r}", span)
-        if ctor is Add:
-            if operands:
-                raise ParseError("ADD takes no operand", span)
-            instrs.append(Add())
+            error = f"unknown mnemonic {mnemonic!r}"
+        elif ctor is Add:
+            if not operands:
+                instrs.append(Add())
+                continue
+            error = "ADD takes no operand"
         elif ctor is Load or ctor is Store:
-            if len(operands) != 1 or not IDENT_RE.fullmatch(operands[0]):
-                raise ParseError(f"{mnemonic} needs one identifier operand", span)
-            instrs.append(ctor(operands[0]))
+            if len(operands) == 1 and IDENT_RE.fullmatch(operands[0]):
+                instrs.append(ctor(operands[0]))
+                continue
+            error = f"{mnemonic} needs one identifier operand"
         else:
-            if len(operands) != 1 or not INTEGER_RE.fullmatch(operands[0]):
-                raise ParseError(f"{mnemonic} needs one integer operand", span)
-            instrs.append(ctor(int(operands[0])))
+            if len(operands) == 1 and INTEGER_RE.fullmatch(operands[0]):
+                instrs.append(ctor(int(operands[0])))
+                continue
+            error = f"{mnemonic} needs one integer operand"
+        raise ParseError(error, SourceSpan(lineno, 1, lineno, max(len(raw.removesuffix("\r")), 1)))
     return instrs
 
 
@@ -510,5 +513,5 @@ def pretty_asm(instrs: list[Instr]) -> str:
         mnemonic = _MNEMONIC_OF.get(type(instr))
         if mnemonic is None:
             raise TypeError(f"not an instruction: {instr!r}")
-        lines.append(" ".join([mnemonic, *(str(getattr(instr, f.name)) for f in fields(instr))]))
+        lines.append(f"{mnemonic} {getattr(instr, instr.__match_args__[0])}" if instr.__match_args__ else mnemonic)
     return "\n".join(lines) + ("\n" if lines else "")

@@ -29,12 +29,11 @@ the one stepper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from typing import Iterator, Optional
 
-from .syntax import _HOT, Assign, Com, If, Seq, Skip, State, While, _iterations, aval, bval
+from .syntax import _HOT, Assign, Com, If, Seq, Skip, State, While, _iterations, aval, bval, record
 
 _SKIP = Skip()
 # The steps each node of a loop body takes, the pop of the stack after it
@@ -42,7 +41,7 @@ _SKIP = Skip()
 _COSTS = {Seq: 0, Assign: 2, Skip: 1, If: 1, While: 2}
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ProgConfig:
     command: Com
     state: State
@@ -57,7 +56,7 @@ class TraceStatus(Enum):
     FUEL_EXHAUSTED = "fuel-exhausted"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StepTrace:
     last: ProgConfig
     steps_taken: int

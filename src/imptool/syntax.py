@@ -6,9 +6,8 @@ a `while`, a condition, is the assertion it denotes, built from `true`,
 `false`, `!`, `&&` and `<` alone.  IMP programs operate on a single store
 mapping identifiers to unbounded integers.  Everything in this module is an
 immutable value: updating a state returns a fresh one, and syntax nodes can be
-shared freely.  Built in bulk, they get from `slot_inits` an `__init__` that
-sets each slot through its descriptor's `__set__`, a third cheaper than the
-dataclass's `object.__setattr__`.
+shared freely.  Nodes, like the package's other value classes, are `record`s:
+frozen slotted dataclasses whose methods run code compiled once per arity.
 
 `_CHILDREN` says once, for every node class, what its children are;
 `vars_of` and `node_count` are both short loops over it, for expressions,
@@ -26,27 +25,66 @@ command for it and for `hoare`'s triple search, counting by a cost table, and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
 from types import CodeType, FunctionType
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 
-def slot_inits(*classes: type) -> None:
-    """Give each frozen slotted dataclass with fields an `__init__` that sets every
-    slot through its descriptor: `_(self, a0, ...)` calling `_a0(self, a0)`, ..., with the fields' names."""
-    codes: dict[int, CodeType] = {}
-    for cls in classes:
-        names, generated = cls.__slots__, cls.__init__
-        if (n := len(names)) not in codes:
-            args = [f"a{k}" for k in range(n)]
-            exec(f"def _(self, {', '.join(args)}): " + "; ".join(f"_{a}(self, {a})" for a in args), space := {})
-            codes[n] = space["_"].__code__
-        setters = {"__name__": cls.__module__} | {f"_a{k}": cls.__dict__[name].__set__ for k, name in enumerate(names)}
-        code = codes[n].replace(co_varnames=("self", *names))
-        init = cls.__init__ = FunctionType(code, setters, "__init__", generated.__defaults__)
-        init.__qualname__, init.__annotations__ = generated.__qualname__, generated.__annotations__
+def _assign(self: object, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delete(self: object, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _restore(self: object, state: list) -> None:
+    for name, value in zip(self.__slots__, state):
+        object.__setattr__(self, name, value)
+
+
+@functools.cache
+def _methods(arity: int, post: bool) -> dict[str, CodeType]:
+    """The code of a record's methods over fields `f0`, ...: `__init__` sets field K
+    through the global `_aK`, then calls `__post_init__` where `post`; `__repr__` fills in `_fmt`."""
+    names = [f"f{k}" for k in range(arity)]
+    own, other = ("".join(f"{whose}.{name}, " for name in names) for whose in ("self", "other"))
+    sets = [f"_a{k}(self, {name})" for k, name in enumerate(names)] + ["self.__post_init__()"] * post
+    module = compile(
+        f"def __init__(self, {', '.join(names)}): {'; '.join(sets) or 'pass'}\n"
+        f"def __eq__(self, other):\n if other.__class__ is self.__class__: return ({own}) == ({other})\n return NotImplemented\n"
+        f"def __hash__(self): return hash(({own}))\ndef __repr__(self): return _fmt % ({own})\n"
+        f"def __getstate__(self): return [{own}]", "<record>", "exec")
+    return {code.co_name: code for code in module.co_consts if type(code) is CodeType}
+
+
+def record(cls: type) -> type:
+    """`cls` as a frozen slotted dataclass whose methods run the code `_methods`
+    compiled for their arity, with the fields' names put in, so nothing is
+    compiled per class.  Its `__init__` sets each slot through its descriptor, a
+    third cheaper than `object.__setattr__`."""
+    doc, cls.__doc__ = cls.__doc__, "-"  # with a doc, `dataclass` calls no `inspect.signature`
+    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
+    every = fields(cls)
+    params = (f"{f.name}: {f.type!r}" + ("" if f.default is MISSING else f" = {f.default!r}") for f in every)
+    cls.__doc__ = doc or f"{cls.__name__}({', '.join(params)})"
+    compared, shown = [f.name for f in every if f.compare], [f.name for f in every if f.repr]
+    env = {"__name__": cls.__module__, "_fmt": f"{cls.__qualname__}({', '.join(f'{name}=%r' for name in shown)})"}
+    env |= {f"_a{k}": cls.__dict__[name].__set__ for k, name in enumerate(cls.__slots__)}
+    for method, names in (("__init__", cls.__slots__), ("__getstate__", cls.__slots__), ("__eq__", compared),
+                          ("__hash__", compared), ("__repr__", shown)):
+        code = _methods(len(names), method == "__init__" and hasattr(cls, "__post_init__"))[method]
+        rename = {f"f{k}": name for k, name in enumerate(names)}.get
+        code = code.replace(co_names=tuple(rename(n, n) for n in code.co_names),
+                            co_varnames=tuple(rename(n, n) for n in code.co_varnames))
+        setattr(cls, method, function := FunctionType(code, env, method))
+        function.__qualname__ = f"{cls.__qualname__}.{method}"
+    cls.__init__.__defaults__ = tuple(f.default for f in every if f.default is not MISSING) or None
+    cls.__init__.__annotations__ = {f.name: f.type for f in every} | {"return": None}
+    cls.__setattr__, cls.__delattr__, cls.__setstate__ = _assign, _delete, _restore
+    return cls
 
 
 # How many distinct generated sources a process keeps compiled.
@@ -79,17 +117,17 @@ def _generated(build: Callable[[], list[str]]) -> Optional[dict[str, object]]:
 # --- arithmetic expressions -------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NumLit:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Plus:
     left: "AExp"
     right: "AExp"
@@ -107,41 +145,41 @@ class CmpOp(Enum):
     EQ = "="
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ATrue:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AFalse:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ACmp:
     op: CmpOp
     left: AExp
     right: AExp
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ANot:
     inner: "Assertion"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AAnd:
     left: "Assertion"
     right: "Assertion"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AOr:
     left: "Assertion"
     right: "Assertion"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AImp:
     premise: "Assertion"
     conclusion: "Assertion"
@@ -154,31 +192,31 @@ _LT = CmpOp.LT  # a global reads faster than an Enum member through its class
 # --- commands ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Skip:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Assign:
     target: str
     rhs: AExp
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Seq:
     first: "Com"
     second: "Com"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class If:
     cond: Assertion
     then_branch: "Com"
     else_branch: "Com"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class While:
     """A loop.  The verifier reads the optional invariant and measure; every
     semantics ignores them.  They take part in equality, so two commands are
@@ -192,10 +230,9 @@ class While:
 
 
 Com = Union[Skip, Assign, Seq, If, While]
-slot_inits(NumLit, Var, Plus, ACmp, ANot, AAnd, AOr, AImp, Assign, Seq, If, While)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SourceSpan:
     """1-based, inclusive region of the source text."""
 
