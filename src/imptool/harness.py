@@ -3,8 +3,9 @@
 Each case derives its own seed from the base seed with a SplitMix64-style
 mix, then drives a dedicated Mersenne Twister instance, so suites are pure
 functions of (cases, config): same inputs, byte-identical reports.  Integer
-draws call `getrandbits` as `Random.randint` and `choice` do (`_below`), so
-the streams are theirs, the same on CPython 3.10 to 3.13.
+draws call `getrandbits` as `Random.randint` and `choice` do, so the streams
+are theirs, the same on CPython 3.10 to 3.13; a leaf draws inline, from
+methods and bit lengths bound once per program (`_draws`).
 
 Generated loops are biased toward progress (the loop-condition variable gets
 incremented toward its limit) so that most loopy programs terminate within
@@ -51,7 +52,6 @@ from .syntax import (
     node_count,
     record,
     seq_chain,
-    seq_spine,
     vars_of,
 )
 
@@ -141,120 +141,134 @@ def case_seed(base: int, index: int) -> int:
 # --- generators ---------------------------------------------------------------
 
 
-def _below(rng: random.Random, n: int) -> int:
-    """`Random._randbelow(n)`, n >= 1: `lo + _below(rng, hi - lo + 1)` draws as
-    `rng.randint(lo, hi)` does, and `s[_below(rng, len(s))]` as `rng.choice(s)`."""
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """`Random._randbelow(n)`, n >= 1, from a bound `getrandbits`:
+    `lo + _below(bits, hi - lo + 1)` draws as `randint(lo, hi)` does, and
+    `s[_below(bits, len(s))]` as `choice(s)`."""
     k = n.bit_length()
-    while (r := rng.getrandbits(k)) >= n:
+    while (r := bits(k)) >= n:
         pass
     return r
 
 
+def _draws(rng: random.Random, variables: tuple[str, ...], literal_range: tuple[int, int]) -> tuple:
+    """`(rng.random, rng.getrandbits, lo, n, k, variables, m, j)`: a literal is
+    `lo + _below(bits, n)`, a variable `variables[_below(bits, m)]`."""
+    lo, hi = literal_range
+    n, m = hi - lo + 1, len(variables)
+    return rng.random, rng.getrandbits, lo, n, n.bit_length(), variables, m, m.bit_length()
+
+
+def _leaf(d: tuple) -> "NumLit | Var":
+    """An expression at depth 0, its integer drawn by `_below`'s loop inline."""
+    random, bits, lo, n, k, variables, m, j = d
+    if random() < 0.5:
+        while (r := bits(k)) >= n:
+            pass
+        return NumLit(lo + r)
+    while (r := bits(j)) >= m:
+        pass
+    return Var(variables[r])
+
+
+def _aexp1(d: tuple) -> "Plus | NumLit | Var":
+    return _leaf(d) if d[0]() < 0.4 else Plus(_leaf(d), _leaf(d))
+
+
+def _aexp2(d: tuple) -> "Plus | NumLit | Var":
+    return _leaf(d) if d[0]() < 0.4 else Plus(_aexp1(d), _aexp1(d))
+
+
+def _bexp(d: tuple, depth: int) -> Assertion:
+    roll = d[0]()
+    if depth <= 0 or roll < 0.5:
+        if d[0]() < 0.15:
+            return ATrue() if d[0]() < 0.5 else AFalse()
+        side = _aexp1 if depth > 0 else _leaf
+        return ACmp(CmpOp.LT, side(d), side(d))
+    if roll < 0.65:
+        return ANot(_bexp(d, depth - 1))
+    return AAnd(_bexp(d, depth - 1), _bexp(d, depth - 1))
+
+
+def _assertion(d: tuple, depth: int) -> Assertion:
+    roll = d[0]()
+    if depth <= 0 or roll < 0.45:
+        if d[0]() < 0.1:
+            return ATrue() if d[0]() < 0.5 else AFalse()
+        return ACmp((CmpOp.LT, CmpOp.LE, CmpOp.EQ)[_below(d[1], 3)], _aexp1(d), _aexp1(d))
+    if roll < 0.55:
+        return ANot(_assertion(d, depth - 1))
+    args = _assertion(d, depth - 1), _assertion(d, depth - 1)
+    pick = d[0]()
+    return (AAnd if pick < 0.5 else AOr if pick < 0.8 else AImp)(*args)
+
+
 def gen_aexp(rng: random.Random, depth: int, variables: tuple[str, ...], literal_range: tuple[int, int]) -> "Plus | NumLit | Var":
-    if depth <= 0 or rng.random() < 0.4:
-        if rng.random() < 0.5:
-            return NumLit(literal_range[0] + _below(rng, literal_range[1] - literal_range[0] + 1))
-        return Var(variables[_below(rng, len(variables))])
-    return Plus(
-        gen_aexp(rng, depth - 1, variables, literal_range),
-        gen_aexp(rng, depth - 1, variables, literal_range),
-    )
+    d = _draws(rng, variables, literal_range)
+    if 0 < depth < 3:
+        return (_aexp1, _aexp2)[depth - 1](d)
+    if depth <= 0 or d[0]() < 0.4:
+        return _leaf(d)
+    return Plus(gen_aexp(rng, depth - 1, variables, literal_range), gen_aexp(rng, depth - 1, variables, literal_range))
 
 
 def gen_bexp(rng: random.Random, depth: int, variables: tuple[str, ...], literal_range: tuple[int, int]) -> Assertion:
     """A random condition: an assertion built from true, false, !, && and <."""
-    roll = rng.random()
-    if depth <= 0 or roll < 0.5:
-        if rng.random() < 0.15:
-            return ATrue() if rng.random() < 0.5 else AFalse()
-        return ACmp(
-            CmpOp.LT,
-            gen_aexp(rng, min(depth, 1), variables, literal_range),
-            gen_aexp(rng, min(depth, 1), variables, literal_range),
+    return _bexp(_draws(rng, variables, literal_range), depth)
+
+
+def _block(d: tuple, depth: int, loop_probability: float) -> list[Com]:
+    count = 1 + _below(d[1], 3) if depth > 0 else 1
+    return [_stmt(d, depth, loop_probability) for _ in range(count)]
+
+
+def _stmt(d: tuple, depth: int, loop_probability: float) -> Com:
+    random, bits, _, _, _, variables, m, _ = d
+    if depth <= 0:
+        return Assign(variables[_below(bits, m)], _leaf(d)) if random() < 0.8 else Skip()
+    roll = random()
+    if roll < loop_probability:
+        return _loop(d, depth, loop_probability / 2)
+    if roll < loop_probability + 0.2:
+        return If(
+            _bexp(d, 2),
+            seq_chain(_block(d, depth - 1, loop_probability)),
+            seq_chain(_block(d, depth - 1, loop_probability)),
         )
-    if roll < 0.65:
-        return ANot(gen_bexp(rng, depth - 1, variables, literal_range))
-    return AAnd(
-        gen_bexp(rng, depth - 1, variables, literal_range),
-        gen_bexp(rng, depth - 1, variables, literal_range),
-    )
+    if roll < loop_probability + 0.25:
+        return Skip()
+    return Assign(variables[_below(bits, m)], _aexp2(d) if depth > 1 else _aexp1(d))
+
+
+def _loop(d: tuple, depth: int, body_probability: float) -> While:
+    random, bits, lo, n, _, variables, m, _ = d
+    if random() < 0.8:
+        # Progress-biased loop: counter climbs to a literal limit, and the
+        # rest of the body avoids touching the counter when it can.
+        counter = variables[_below(bits, m)]
+        others = tuple(v for v in variables if v != counter) or variables
+        limit = NumLit(lo + _below(bits, n))
+        body = _block(d[:5] + (others, len(others), len(others).bit_length()), depth - 1, body_probability)
+        body.append(Assign(counter, Plus(Var(counter), NumLit(1 + _below(bits, 2)))))
+        return While(ACmp(CmpOp.LT, Var(counter), limit), seq_chain(body))
+    return While(_bexp(d, 2), seq_chain(_block(d, depth - 1, body_probability)))
 
 
 def gen_com(cfg: GenConfig, rng: random.Random) -> Com:
     """A random command.  Sequences are always right-nested, matching the
     concrete syntax, so generated programs round-trip through the printer."""
-    literal_range = lo, hi = cfg.literal_range
-
-    def block(depth: int, variables: tuple[str, ...], loop_probability: float) -> Com:
-        count = 1 + _below(rng, 3) if depth > 0 else 1
-        return seq_chain([stmt(depth, variables, loop_probability) for _ in range(count)])
-
-    def assign(depth: int, variables: tuple[str, ...]) -> Com:
-        return Assign(variables[_below(rng, len(variables))], gen_aexp(rng, min(depth, 2), variables, literal_range))
-
-    def stmt(depth: int, variables: tuple[str, ...], loop_probability: float) -> Com:
-        if depth <= 0:
-            return assign(0, variables) if rng.random() < 0.8 else Skip()
-        roll = rng.random()
-        if roll < loop_probability:
-            return loop(depth, variables, loop_probability / 2)
-        if roll < loop_probability + 0.2:
-            return If(
-                gen_bexp(rng, 2, variables, literal_range),
-                block(depth - 1, variables, loop_probability),
-                block(depth - 1, variables, loop_probability),
-            )
-        if roll < loop_probability + 0.25:
-            return Skip()
-        return assign(depth, variables)
-
-    def loop(depth: int, variables: tuple[str, ...], body_probability: float) -> Com:
-        if rng.random() < 0.8:
-            # Progress-biased loop: counter climbs to a literal limit, and the
-            # rest of the body avoids touching the counter when it can.
-            counter = variables[_below(rng, len(variables))]
-            others = tuple(v for v in variables if v != counter) or variables
-            limit = NumLit(lo + _below(rng, hi - lo + 1))
-            extra = block(depth - 1, others, body_probability)
-            step = Assign(counter, Plus(Var(counter), NumLit(1 + _below(rng, 2))))
-            return While(ACmp(CmpOp.LT, Var(counter), limit), seq_chain(seq_spine(extra) + [step]))
-        return While(gen_bexp(rng, 2, variables, literal_range), block(depth - 1, variables, body_probability))
-
-    program = block(cfg.max_depth, cfg.variables(), cfg.loop_probability)
-    # The closures call one another through their cells, a cycle that would
-    # keep them and `rng` alive until the cyclic collector runs.
-    del block
-    return program
+    return seq_chain(_block(_draws(rng, cfg.variables(), cfg.literal_range), cfg.max_depth, cfg.loop_probability))
 
 
 def gen_state(cfg: GenConfig, rng: random.Random) -> State:
     lo, hi = cfg.literal_range
-    return State([(name, lo + _below(rng, hi - lo + 1)) for name in cfg.variables() if rng.random() < 0.7])
+    bits = rng.getrandbits
+    return State([(name, lo + _below(bits, hi - lo + 1)) for name in cfg.variables() if rng.random() < 0.7])
 
 
 def gen_assertion(rng: random.Random, depth: int, variables: tuple[str, ...], literal_range: tuple[int, int]) -> Assertion:
-    roll = rng.random()
-    if depth <= 0 or roll < 0.45:
-        inner = rng.random()
-        if inner < 0.1:
-            return ATrue() if rng.random() < 0.5 else AFalse()
-        return ACmp(
-            (CmpOp.LT, CmpOp.LE, CmpOp.EQ)[_below(rng, 3)],
-            gen_aexp(rng, 1, variables, literal_range),
-            gen_aexp(rng, 1, variables, literal_range),
-        )
-    if roll < 0.55:
-        return ANot(gen_assertion(rng, depth - 1, variables, literal_range))
-    args = (
-        gen_assertion(rng, depth - 1, variables, literal_range),
-        gen_assertion(rng, depth - 1, variables, literal_range),
-    )
-    pick = rng.random()
-    if pick < 0.5:
-        return AAnd(*args)
-    if pick < 0.8:
-        return AOr(*args)
-    return AImp(*args)
+    return _assertion(_draws(rng, variables, literal_range), depth)
 
 
 # --- suites -----------------------------------------------------------------------
@@ -365,6 +379,10 @@ def _check_compiler(program: Com, initial: State, fuel: int):
     through `exec_n` or `steps_to_halt`: they read their answers off the
     same run loop as `execute`, so they could not disagree with it.
 
+    For R big-step rules the machine runs at max(R, 1) * COMPILER_FUEL_FACTOR
+    steps, then at that times 1 + node_count only where that spends its fuel:
+    it is deterministic, so a halt or stuck state in the first is the second's.
+
     Where big_step runs out of fuel, the machine must not halt either (the
     compiler preserves non-termination).  If it stops after m steps anyway,
     big_step is re-run at (m + 1) * (1 + node_count(program)) rules: each
@@ -383,8 +401,10 @@ def _check_compiler(program: Com, initial: State, fuel: int):
         big = big_step(program, initial, (ran.steps_taken + 1) * (1 + node_count(program)))
         if type(big) is FuelExhausted:
             return "compiled code simulates the source program", f"machine halts where big-step diverges: {ran!r}"
-    budget = max(big.rules_applied, 1) * COMPILER_FUEL_FACTOR * (1 + node_count(program))
-    outcome = execute(code, start, budget)
+    quick = max(big.rules_applied, 1) * COMPILER_FUEL_FACTOR
+    outcome = execute(code, start, quick)
+    if type(outcome) is StuckOrExhausted and outcome.reason is StopReason.FUEL_EXHAUSTED:
+        outcome = execute(code, start, quick * (1 + node_count(program)))
     if type(outcome) is not Halted:
         problem = f"machine did not halt: {outcome!r}"
     elif outcome.final.pc != len(code):

@@ -39,10 +39,12 @@ from imptool.harness import (
     suite_hoare,
     suite_small_big,
     _SKIPPED,
+    _check_compiler,
     _check_small_big,
     _hoare_gen_config,
 )
 from imptool.hoare import Mode, verify, wp_loop_free
+from imptool.machine import Jmp, MachineConfig, StopReason, ccomp, execute
 from imptool.parser import (
     parse_annotated_com,
     parse_asm,
@@ -53,7 +55,7 @@ from imptool.parser import (
     pretty_com,
 )
 from imptool.smallstep import ProgConfig, TraceStatus, star_run
-from imptool.syntax import Assign, Seq, Skip, State, vars_of
+from imptool.syntax import Assign, Seq, Skip, State, node_count, vars_of
 
 
 def rng_for(index, seed=DEFAULT_SEED):
@@ -212,6 +214,10 @@ class TestGenerators:
     @example(GenConfig(max_vars=1), 2)
     @example(GenConfig(max_vars=8), 3)
     @example(GenConfig(max_depth=0), 4)
+    @example(GenConfig(max_depth=1), 7)
+    @example(GenConfig(max_depth=2), 8)
+    @example(GenConfig(max_vars=2), 9)
+    @example(GenConfig(max_vars=3), 10)
     @example(GenConfig(loop_probability=0.0), 5)
     @example(GenConfig(loop_probability=1.0), 6)
     def test_draws_are_those_of_randint_and_choice(self, cfg, seed):
@@ -369,6 +375,33 @@ class TestCompilerSuite:
         a = suite_small_big(120, GenConfig())
         b = suite_compiler(120, GenConfig())
         assert a.cases_skipped_divergent == b.cases_skipped_divergent
+
+
+class TestCompilerBudget:
+    """The machine runs at max(R, 1) * COMPILER_FUEL_FACTOR steps for R
+    big-step rules, and again at that times 1 + node_count(program) only
+    where the first run spends its fuel."""
+
+    # One rule; its code is 40 instructions, all of them run.
+    SUM = parse_com("x := " + " + ".join(["1"] * 20))
+
+    def test_code_longer_than_the_first_budget_passes(self):
+        start = MachineConfig(0, State(), ())
+        assert big_step(self.SUM, State(), SUITE_FUEL).rules_applied == 1
+        assert execute(ccomp(self.SUM), start, COMPILER_FUEL_FACTOR).reason is StopReason.FUEL_EXHAUSTED
+        assert _check_compiler(self.SUM, State(), SUITE_FUEL) is None
+
+    def test_code_that_never_halts_reports_the_larger_budget(self, monkeypatch):
+        # A jump to itself after the real code: the report is the run at
+        # 16 * (1 + node_count) = 656 steps, as with one budget.
+        compile_com = harness.ccomp
+        monkeypatch.setattr(harness, "ccomp", lambda c: compile_com(c) + [Jmp(-1)])
+        assert COMPILER_FUEL_FACTOR * (1 + node_count(self.SUM)) == 656
+        assert _check_compiler(self.SUM, State(), SUITE_FUEL) == (
+            "compiled code simulates the source program",
+            "machine did not halt: StuckOrExhausted(last=MachineConfig(pc=40, state=State(x=20), stack=()),"
+            " steps_taken=656, reason=<StopReason.FUEL_EXHAUSTED: 'fuel-exhausted'>)",
+        )
 
 
 class TestHoareSuite:

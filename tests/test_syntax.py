@@ -258,8 +258,8 @@ def test_node_count_positive(node):
     assert node_count(node) >= 1
 
 
-# One instance of every class whose `__init__` comes from `slot_inits`, each
-# field set to a value other than its default.
+# One instance of every class whose `__init__` comes from `syntax.record`,
+# each field set to a value other than its default.
 SLOT_INIT_NODES = (
     NumLit(1),
     Var("x"),
@@ -289,7 +289,7 @@ def test_ast_nodes_are_immutable(node):
     dataclass contract: frozen fields, the generated signature and defaults,
     keyword construction, `replace`, copying, pickling, equality and hash."""
     cls, fields = type(node), dataclasses.fields(node)
-    assert "_a0" in cls.__init__.__code__.co_names  # the slot_inits __init__
+    assert "_a0" in cls.__init__.__code__.co_names  # the `syntax.record` __init__
     values = {f.name: getattr(node, f.name) for f in fields}
     for name in values:
         with pytest.raises(dataclasses.FrozenInstanceError):
